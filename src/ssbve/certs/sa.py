@@ -15,7 +15,9 @@ The certificate value of a subset is then
 
 with alpha = 1/(2(rounds+1)) and beta = alpha^(rounds+1); lifted pair values
 x_{S,T} follow by inclusion-exclusion.  When n is a perfect fourth power all
-values are exact rationals; otherwise they are 60-digit floats.
+values are exact rationals; otherwise they are 60-digit mpmath floats
+from a private mpmath context, so the process-wide precision is never
+changed.
 
 Verification at one round scales to large instances through exact
 class-based accounting: singleton and pairwise cover costs collapse to a
@@ -214,6 +216,13 @@ def _cover_cost(view: _View, subset: frozenset[int]) -> int:
 # Certificate
 # ---------------------------------------------------------------------------
 
+# Float-mode values are built in this 60-digit context; mpmath numbers
+# carry their context, so arithmetic on them keeps 60 digits whatever
+# `mpmath.mp.dps` is.
+_MP = mpmath.MPContext()
+_MP.dps = 60
+
+
 @dataclass
 class SaCertificate:
     graph: BipartiteGraph
@@ -256,7 +265,7 @@ class SaCertificate:
         """n^(-cost/4), exact when possible."""
         if self.exact:
             return Fraction(1, self.quarter_root ** cost)
-        return mpmath.mpf(self.n) ** (mpmath.mpf(-cost) / 4)
+        return _MP.mpf(self.n) ** (_MP.mpf(-cost) / 4)
 
     def x_value(self, subset):
         subset = frozenset(subset)
@@ -268,7 +277,7 @@ class SaCertificate:
             n_u, n_v = self.split_sizes(subset)
             base = self.sa_beta ** n_u * self.sa_alpha ** n_v
             scale = self.scale(self.cost(subset))
-            got = base * scale if self.exact else mpmath.mpf(
+            got = base * scale if self.exact else _MP.mpf(
                 base.numerator) / base.denominator * scale
             self.x_table[subset] = got
         return got
@@ -295,8 +304,6 @@ def build_sa_certificate(g: BipartiteGraph, rounds: int) -> SaCertificate:
     k = max(1, round(beta * math.sqrt(n) / 4))
     root = round(n ** 0.25)
     exact = root ** 4 == n
-    if not exact:
-        mpmath.mp.dps = max(mpmath.mp.dps, 60)
     return SaCertificate(graph=g, rounds=rounds, sa_alpha=alpha,
                          sa_beta=beta, k=k, exact=exact,
                          quarter_root=root if exact else 0)
@@ -475,7 +482,7 @@ def _verify_one_round(cert, rep, samples, seed) -> None:
     view = cert.view
     n, s, k = cert.n, cert.s, cert.k
     alpha, beta = cert.sa_alpha, cert.sa_beta
-    one = Fraction(1) if cert.exact else mpmath.mpf(1)
+    one = Fraction(1) if cert.exact else _MP.mpf(1)
 
     # Singleton values, computed per vertex through the cover machinery.
     xu = [cert.x_value([u]) for u in range(n)]
@@ -623,9 +630,9 @@ def sample_property_checks(cert: SaCertificate, n_samples: int,
     n, s, r = cert.n, cert.s, cert.rounds
     total_v = n + s
     alpha, beta = cert.sa_alpha, cert.sa_beta
-    half = Fraction(1, 2) if cert.exact else mpmath.mpf("0.5")
+    half = Fraction(1, 2) if cert.exact else _MP.mpf("0.5")
     growth_floor = (beta * cert.scale(2) if cert.exact
-                    else mpmath.mpf(beta.numerator) / beta.denominator
+                    else _MP.mpf(beta.numerator) / beta.denominator
                     * cert.scale(2))
     counts = {"decay": 0, "saturate": 0, "lift-zero": 0, "lift-range": 0,
               "growth": 0}

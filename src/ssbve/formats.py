@@ -42,16 +42,19 @@ def parse_ssbve(text: str) -> SsbveInstance:
     n, n_right, k = _header(lines, "ssbve", 3)
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for fields in lines[1:]:
-        if fields[0] != "e" or len(fields) != 3:
-            raise FormatError(f"bad edge line: {' '.join(fields)}")
-        u, v = int(fields[1]), int(fields[2])
-        if not (1 <= u <= n and 1 <= v <= n_right):
-            raise FormatError(f"edge ({u},{v}) out of range")
-        if (u, v) in seen:
-            raise FormatError(f"duplicate edge line ({u},{v})")
-        seen.add((u, v))
-        edges.append((u - 1, v - 1))
+    try:
+        for fields in lines[1:]:
+            if fields[0] != "e" or len(fields) != 3:
+                raise FormatError(f"bad edge line: {' '.join(fields)}")
+            u, v = int(fields[1]), int(fields[2])
+            if not (1 <= u <= n and 1 <= v <= n_right):
+                raise FormatError(f"edge ({u},{v}) out of range")
+            if (u, v) in seen:
+                raise FormatError(f"duplicate edge line ({u},{v})")
+            seen.add((u, v))
+            edges.append((u - 1, v - 1))
+    except ValueError as exc:
+        raise FormatError(f"non-integer edge field: {exc}") from exc
     return SsbveInstance(graph=BipartiteGraph.from_edges(n, n_right, edges),
                          k=k)
 
@@ -67,20 +70,23 @@ def parse_mku(text: str) -> tuple[Hypergraph, int]:
     lines = _content_lines(text)
     n_elements, m, k = _header(lines, "mku", 3)
     sets: list[tuple[int, ...]] = []
-    for fields in lines[1:]:
-        if fields[0] != "s" or len(fields) < 2:
-            raise FormatError(f"bad set line: {' '.join(fields)}")
-        size = int(fields[1])
-        elems = [int(x) for x in fields[2:]]
-        if len(elems) != size:
-            raise FormatError(f"set line declares {size} elements, "
-                              f"has {len(elems)}")
-        if len(set(elems)) != size:
-            raise FormatError("duplicate element inside a set line")
-        for e in elems:
-            if not 1 <= e <= n_elements:
-                raise FormatError(f"element {e} out of range")
-        sets.append(tuple(sorted(e - 1 for e in elems)))
+    try:
+        for fields in lines[1:]:
+            if fields[0] != "s" or len(fields) < 2:
+                raise FormatError(f"bad set line: {' '.join(fields)}")
+            size = int(fields[1])
+            elems = [int(x) for x in fields[2:]]
+            if len(elems) != size:
+                raise FormatError(f"set line declares {size} elements, "
+                                  f"has {len(elems)}")
+            if len(set(elems)) != size:
+                raise FormatError("duplicate element inside a set line")
+            for e in elems:
+                if not 1 <= e <= n_elements:
+                    raise FormatError(f"element {e} out of range")
+            sets.append(tuple(sorted(e - 1 for e in elems)))
+    except ValueError as exc:
+        raise FormatError(f"non-integer set field: {exc}") from exc
     if len(sets) != m:
         raise FormatError(f"header declares {m} sets, found {len(sets)}")
     return Hypergraph(n_elements=n_elements, sets=tuple(sets)), k
@@ -98,19 +104,22 @@ def parse_ssve(text: str) -> tuple[UndirectedGraph, int]:
     n, k = _header(lines, "ssve", 2)
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for fields in lines[1:]:
-        if fields[0] != "e" or len(fields) != 3:
-            raise FormatError(f"bad edge line: {' '.join(fields)}")
-        a, b = int(fields[1]), int(fields[2])
-        if a == b:
-            raise FormatError(f"self-loop at {a}")
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise FormatError(f"edge ({a},{b}) out of range")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise FormatError(f"duplicate edge line ({a},{b})")
-        seen.add(key)
-        edges.append((a - 1, b - 1))
+    try:
+        for fields in lines[1:]:
+            if fields[0] != "e" or len(fields) != 3:
+                raise FormatError(f"bad edge line: {' '.join(fields)}")
+            a, b = int(fields[1]), int(fields[2])
+            if a == b:
+                raise FormatError(f"self-loop at {a}")
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise FormatError(f"edge ({a},{b}) out of range")
+            key = (min(a, b), max(a, b))
+            if key in seen:
+                raise FormatError(f"duplicate edge line ({a},{b})")
+            seen.add(key)
+            edges.append((a - 1, b - 1))
+    except ValueError as exc:
+        raise FormatError(f"non-integer edge field: {exc}") from exc
     return UndirectedGraph.from_edges(n, edges), k
 
 

@@ -2,28 +2,40 @@
 
 The ratio objective |N(S)|/|S| is minimized by Dinkelbach iteration over the
 linearized objective |N(S)| - lambda|S|, each linearization solved exactly as
-a minimum s-t cut:
+a minimum s-t cut in the network
 
-    source -> u   capacity lambda   (for every left vertex u)
-    u -> v        capacity +inf     (for every edge)
-    v -> sink     capacity 1        (for every right vertex v)
+    source -> u   capacity a        (for every left vertex u)
+    u -> v        unbounded         (for every edge)
+    v -> sink     capacity b        (for every right vertex v)
 
-Cutting realizes  min over S of  lambda(n - |S|) + |N(S)|, so the left
-vertices on the source side of a minimum cut minimize |N(S)| - lambda|S|.
-Rational lambda = a/b is handled by scaling every capacity by b, keeping the
-flow problem integral.  Among minimum cuts the unique maximal source side is
-returned, which is deterministic and never worse for the ratio.
+with lambda = a/b, which keeps the flow problem integral.  Cutting realizes
+min over S of  a(n - |S|) + b|N(S)|, so the left vertices on the source side
+of a minimum cut minimize |N(S)| - lambda|S|.  Among minimum cuts the unique
+maximal source side is returned, which is deterministic (it does not depend
+on which maximum flow was found) and never worse for the ratio.
+
+One `_Network` is built per LES solve, straight from the graph's left
+adjacency over the allowed left vertices: edges into forbidden right
+vertices are dropped, and each right vertex keeps the list of edges into it.
+Every Dinkelbach lambda is then an integer max flow on that one structure:
+a greedy first-fit flow, then Dinic phases (BFS levels, iterative blocking
+flow) on the implicit residual graph.  Its left -> right arcs need no
+capacity: the max flow is at most b * n_right, so they never bind.  The
+maximal source side is the set of left vertices with no residual path to the
+sink, found by a reverse BFS from the sink that also yields |N(S)| as the
+count of right vertices it misses.  `maxflow.Dinic` is the reference oracle
+the tests compare this kernel with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import EmptyLeftSideError, NegativeLambdaError
-from .graph import BipartiteGraph, Solution, induced_left_subgraph, neighborhood
-from .maxflow import Dinic
+# Unused here; perfbench/spans.py looks it up as ssbve.les.induced_left_subgraph.
+from .graph import BipartiteGraph, Solution, induced_left_subgraph  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -33,33 +45,218 @@ class CutSelection:
     objective: Fraction  # |N(chosen)| - lam * |chosen|
 
 
+class _Network:
+    """The source -> left -> right -> sink network of one LES solve.
+
+    Left vertex i is the i-th vertex of `left`; its edges are ids
+    start[i]..start[i+1]-1, edge e runs from left vertex tail[e] to right
+    vertex head[e] (the graph's own right ids), and into[v] lists the edges
+    ending at v.
+    """
+
+    __slots__ = ("n", "start", "head", "tail", "into")
+
+    def __init__(self, g: BipartiteGraph, left: Sequence[int],
+                 forbidden: frozenset[int]) -> None:
+        adj = g.adj_left
+        start = [0]
+        head: list[int] = []
+        tail: list[int] = []
+        for i, u in enumerate(left):
+            row = adj[u]
+            if forbidden:
+                row = [v for v in row if v not in forbidden]
+            head += row
+            tail += [i] * len(row)
+            start.append(len(head))
+        into: list[list[int]] = [[] for _ in range(g.n_right)]
+        for e, v in enumerate(head):
+            into[v].append(e)
+        self.n = len(left)
+        self.start, self.head, self.tail, self.into = start, head, tail, into
+
+    def cut(self, a: int, b: int) -> tuple[list[int], int]:
+        """(S, |N(S)|) for the maximal minimizer S of b|N(S)| - a|S|, as
+        ascending left indices."""
+        start, head = self.start, self.head
+        n, n_right = self.n, len(self.into)
+        flow = [0] * len(head)
+        supply = [a] * n       # residual source -> left
+        room = [b] * n_right   # residual right -> sink
+        if a:
+            for i in range(n):
+                rem = a
+                for e in range(start[i], start[i + 1]):
+                    j = head[e]
+                    c = room[j]
+                    if c:
+                        d = c if c < rem else rem
+                        flow[e] = d
+                        room[j] = c - d
+                        rem -= d
+                        if not rem:
+                            break
+                supply[i] = rem
+            while self._phase(flow, supply, room):
+                pass
+        return self._sink_side(flow, room)
+
+    def _phase(self, flow: list[int], supply: list[int],
+               room: list[int]) -> bool:
+        """One Dinic phase; False when no augmenting path is left."""
+        start, head, tail, into = self.start, self.head, self.tail, self.into
+        n, n_right = self.n, len(into)
+        # Left vertices at depth d have level d, and so do the right vertices
+        # they reach first; a right vertex at depth d leads to left d + 1.
+        lvl_l = [-1] * n
+        lvl_r = [-1] * n_right
+        sources = [i for i in range(n) if supply[i]]
+        for i in sources:
+            lvl_l[i] = 0
+        frontier, depth, found = sources, 0, False
+        while frontier:
+            reached = []
+            for i in frontier:
+                for e in range(start[i], start[i + 1]):
+                    j = head[e]
+                    if lvl_r[j] < 0:
+                        lvl_r[j] = depth
+                        reached.append(j)
+                        if room[j]:
+                            found = True
+            if found:
+                break
+            depth += 1
+            frontier = []
+            for j in reached:
+                for e in into[j]:
+                    if flow[e]:
+                        i = tail[e]
+                        if lvl_l[i] < 0:
+                            lvl_l[i] = depth
+                            frontier.append(i)
+        if not found:
+            return False
+
+        # Blocking flow by iterative DFS with current-arc pointers.  path
+        # holds edge ids: even positions are left -> right arcs, odd ones are
+        # right -> left residual arcs (cancelling flow).  A dead end gets
+        # level -1 so that no later walk in this phase enters it.
+        ptr_l = start[:-1]
+        ptr_r = [0] * n_right
+        for i0 in sources:
+            path: list[int] = []
+            node, at_left = i0, True
+            while True:
+                if at_left:
+                    e, end, want = ptr_l[node], start[node + 1], lvl_l[node]
+                    while e < end and lvl_r[head[e]] != want:
+                        e += 1
+                    ptr_l[node] = e
+                    if e < end:
+                        path.append(e)
+                        node, at_left = head[e], False
+                        continue
+                    lvl_l[node] = -1
+                    if not path:
+                        break
+                    node, at_left = head[path.pop()], False
+                    ptr_r[node] += 1
+                    continue
+                if room[node]:
+                    d = supply[i0]
+                    if room[node] < d:
+                        d = room[node]
+                    back = path[1::2]
+                    for e in back:
+                        if flow[e] < d:
+                            d = flow[e]
+                    for e in path[0::2]:
+                        flow[e] += d
+                    for e in back:
+                        flow[e] -= d
+                    room[node] -= d
+                    supply[i0] -= d
+                    if not supply[i0]:
+                        break
+                    path = []
+                    node, at_left = i0, True
+                    continue
+                arcs, k, want = into[node], ptr_r[node], lvl_r[node] + 1
+                m = len(arcs)
+                while k < m and not (flow[arcs[k]]
+                                     and lvl_l[tail[arcs[k]]] == want):
+                    k += 1
+                ptr_r[node] = k
+                if k < m:
+                    path.append(arcs[k])
+                    node, at_left = tail[arcs[k]], True
+                    continue
+                lvl_r[node] = -1
+                node, at_left = tail[path.pop()], True
+                ptr_l[node] += 1
+        return True
+
+    def _sink_side(self, flow: list[int],
+                   room: list[int]) -> tuple[list[int], int]:
+        """Reverse BFS from the sink over residual arcs.  Unreached left
+        vertices form the maximal source side S; a right vertex is unreached
+        exactly when it is in N(S), since it is then saturated by flow from S."""
+        start, head, tail, into = self.start, self.head, self.tail, self.into
+        n = self.n
+        seen_l = bytearray(n)
+        seen_r = bytearray(len(into))
+        queue = [j for j, c in enumerate(room) if c]
+        for j in queue:
+            seen_r[j] = 1
+        for j in queue:
+            for e in into[j]:
+                i = tail[e]
+                if not seen_l[i]:
+                    seen_l[i] = 1
+                    for f in range(start[i], start[i + 1]):
+                        if flow[f] and not seen_r[head[f]]:
+                            seen_r[head[f]] = 1
+                            queue.append(head[f])
+        chosen = [i for i in range(n) if not seen_l[i]]
+        return chosen, len(into) - len(queue)
+
+
 def min_cut_select(g: BipartiteGraph, lam: Fraction | int) -> CutSelection:
     """Left set minimizing |N(S)| - lam*|S| (maximal among minimizers)."""
     lam = Fraction(lam)
     if lam < 0:
         raise NegativeLambdaError(f"lambda={lam} must be nonnegative")
-    a, b = lam.numerator, lam.denominator
-    n, n_right = g.n, g.n_right
-    source = n + n_right
-    sink = source + 1
-    ceil_lam = -(-a // b) if a else 1
-    inf_cap = (n_right + 1) * max(1, ceil_lam) * b
-    net = Dinic(sink + 1)
-    for u in range(n):
-        net.add_edge(source, u, a)
-        for v in g.adj_left[u]:
-            net.add_edge(u, n + v, inf_cap)
-    for v in range(n_right):
-        net.add_edge(n + v, sink, b)
-    net.max_flow(source, sink)
-    side = net.source_side_max(sink)
-    chosen = tuple(sorted(u for u in range(n) if u in side))
-    objective = Fraction(len(neighborhood(g, chosen))) - lam * len(chosen)
-    return CutSelection(lam=lam, chosen=chosen, objective=objective)
+    chosen, size = _Network(g, range(g.n), frozenset()).cut(
+        lam.numerator, lam.denominator)
+    return CutSelection(lam=lam, chosen=tuple(chosen),
+                        objective=size - lam * len(chosen))
 
 
-def _isolated_left(g: BipartiteGraph) -> tuple[int, ...]:
-    return tuple(u for u in range(g.n) if not g.adj_left[u])
+def _dinkelbach(g: BipartiteGraph, left: Sequence[int],
+                forbidden: frozenset[int]) -> tuple[Solution, list[Fraction]]:
+    """Least expanding subset of the ascending vertices `left`, ignoring
+    edges into `forbidden`, plus the (strictly decreasing) lambda sequence."""
+    net = _Network(g, left, forbidden)
+    isolated = [i for i in range(len(left))
+                if net.start[i] == net.start[i + 1]]
+    if isolated:
+        return (Solution(chosen=tuple(left[i] for i in isolated),
+                         neighborhood_size=0, expansion=Fraction(0)),
+                [Fraction(0)])
+    current, size = range(len(left)), len(net.into) - net.into.count([])
+    lam = Fraction(size, len(current))
+    trace = [lam]
+    # |N(S)|/|S| takes at most n*n' distinct values and strictly decreases.
+    while True:
+        chosen, nb = net.cut(lam.numerator, lam.denominator)
+        if not chosen or nb * lam.denominator >= lam.numerator * len(chosen):
+            return (Solution(chosen=tuple(left[i] for i in current),
+                             neighborhood_size=size, expansion=lam),
+                    trace)
+        current, size = chosen, nb
+        lam = Fraction(size, len(current))
+        trace.append(lam)
 
 
 def dinkelbach_trace(
@@ -67,20 +264,7 @@ def dinkelbach_trace(
     """least_expanding_set plus the (strictly decreasing) lambda sequence."""
     if g.n == 0:
         raise EmptyLeftSideError("graph has no left vertices")
-    isolated = _isolated_left(g)
-    if isolated:
-        return Solution.from_set(g, isolated), [Fraction(0)]
-    current = tuple(range(g.n))
-    lam = Fraction(len(neighborhood(g, current)), len(current))
-    trace = [lam]
-    # |N(S)|/|S| takes at most n*n' distinct values and strictly decreases.
-    while True:
-        cut = min_cut_select(g, lam)
-        if cut.objective >= 0 or not cut.chosen:
-            return Solution.from_set(g, current), trace
-        current = cut.chosen
-        lam = Fraction(len(neighborhood(g, current)), len(current))
-        trace.append(lam)
+    return _dinkelbach(g, range(g.n), frozenset())
 
 
 def least_expanding_set(g: BipartiteGraph) -> Solution:
@@ -100,10 +284,4 @@ def least_expanding_subset(
     allowed = tuple(sorted(set(allowed)))
     if not allowed:
         raise EmptyLeftSideError("allowed left set is empty")
-    forbidden = frozenset(forbidden_right)
-    sub, left_ids = induced_left_subgraph(g, allowed, forbidden)
-    inner = least_expanding_set(sub)
-    chosen = tuple(sorted(left_ids[u] for u in inner.chosen))
-    return Solution(chosen=chosen,
-                    neighborhood_size=inner.neighborhood_size,
-                    expansion=inner.expansion)
+    return _dinkelbach(g, allowed, frozenset(forbidden_right))[0]

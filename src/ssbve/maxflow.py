@@ -1,8 +1,11 @@
-"""Dinic maximum flow with integer capacities.
+"""Dinic maximum flow with integer capacities: the reference oracle.
 
-Exactness matters more than raw speed here: all capacities are integers, all
-flow values are integers, and min-cut sides are recovered from the residual
-graph, so callers can rely on exact cut identities.
+No solver runs on this class; the LES solver has its own bipartite min-cut
+kernel (`ssbve.les`), and the tests check that kernel's cuts against an
+explicit network built here.  Exactness matters more than raw speed: all
+capacities are integers, all flow values are integers, and min-cut sides are
+recovered from the residual graph, so callers can rely on exact cut
+identities.
 """
 
 from __future__ import annotations
@@ -69,19 +72,6 @@ class Dinic:
                 if f == 0:
                     break
                 flow += f
-
-    def source_side_min(self, s: int) -> set[int]:
-        """Minimal min-cut source side: residual-reachable from the source."""
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for eid in self.adj[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
 
     def source_side_max(self, t: int) -> set[int]:
         """Maximal min-cut source side: complement of the set of nodes with a

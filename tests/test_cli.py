@@ -75,6 +75,11 @@ class TestGenSolve:
         bad.write_text("p ssbve 2 2 1\ne 1 1\ne 1 1\n")
         assert run(["solve", "--algo", "exact", "--input", str(bad)]) == 4
 
+    def test_non_integer_field_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("p ssbve 2 2 1\ne 1 x\n")
+        assert run(["solve", "--algo", "les", "--input", str(bad)]) == 4
+
     def test_budget_exit_code(self, tmp_path):
         inst = tmp_path / "big.txt"
         lines = ["p ssbve 40 5 20"]

@@ -4,6 +4,7 @@ gap-exponent calculator."""
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath
 import pytest
 
 from ssbve.certs import (biregularize, build_sa_certificate,
@@ -411,6 +412,18 @@ class TestSaCertificate:
         assert abs(cert.x_value([]) - 1) < 1e-40
         val = sa_lift_value(cert, [0], [])
         assert val > 0
+
+    def test_float_mode_leaves_global_precision(self):
+        # n = 10 is not a fourth power, so values are 60-digit floats.
+        dps = mpmath.mp.dps
+        cert = build_sa_certificate(gen_gap_instance(10, 3, 2.0, 1), rounds=1)
+        verify_sa_certificate(cert, samples=50, seed=1)
+        sample_property_checks(cert, 100, seed=1)
+        assert mpmath.mp.dps == dps
+        with mpmath.workdps(60):
+            fourth_root = mpmath.mpf(10) ** mpmath.mpf(-0.25)
+        assert cert.scale(1) == fourth_root
+        assert mpmath.mp.dps == dps
 
     def test_small_scale_cardinality_fails_as_expected(self):
         # beta*sqrt(n)/4 < 1 at n=256 while k is floored at 1, so the

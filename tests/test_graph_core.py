@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssbve.errors import (CliqueTooSmallError, EmptySetError, FormatError,
-                          InvalidBudgetError)
+                          InvalidBudgetError, SsbveError)
 from ssbve.exact import exact_ssbve
 from ssbve.formats import (parse_mku, parse_ssbve, parse_ssve, write_mku,
                            write_ssbve, write_ssve)
@@ -195,7 +195,45 @@ class TestReductionOptima:
                 == _atmost_ratio_bipartite(g, 2))
 
 
+# Body lines for a parser that got past its header: a line keyword, then
+# small integers and junk tokens, so that every field check is reached.
+_TOKEN = st.one_of(st.integers(-2, 6).map(str),
+                   st.sampled_from(["x", "1.5", "0x1", "-", "e", "s"]),
+                   st.text(max_size=3))
+_LINE = st.builds(lambda key, fields: " ".join([key] + fields),
+                  st.sampled_from(["e", "s", "p", "q"]),
+                  st.lists(_TOKEN, max_size=4))
+
+
 class TestFormats:
+    @pytest.mark.parametrize("parse, header", [
+        (parse_ssbve, "p ssbve 3 3 2"),
+        (parse_mku, "p mku 3 2 1"),
+        (parse_ssve, "p ssve 3 2"),
+    ])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_raises_only_ssbve_errors(self, parse, header,
+                                                     data):
+        text = data.draw(st.one_of(
+            st.text(max_size=60),
+            st.lists(_LINE, max_size=6).map(
+                lambda lines: "\n".join([header] + lines))))
+        try:
+            parse(text)
+        except SsbveError:
+            pass
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_ssbve, "p ssbve 2 2 1\ne 1 x\n"),
+        (parse_mku, "p mku 3 1 1\ns x 1\n"),
+        (parse_mku, "p mku 3 1 1\ns 1 1.5\n"),
+        (parse_ssve, "p ssve 3 1\ne x 2\n"),
+    ])
+    def test_non_integer_field_is_format_error(self, parse, text):
+        with pytest.raises(FormatError):
+            parse(text)
+
     def test_ssbve_round_trip(self):
         g = random_bipartite(3, 5, 4)
         inst = SsbveInstance(graph=g, k=2)

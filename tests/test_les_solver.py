@@ -7,9 +7,12 @@ import pytest
 
 from ssbve.errors import EmptyLeftSideError, NegativeLambdaError
 from ssbve.exact import exact_les
-from ssbve.graph import BipartiteGraph, expansion, neighborhood
-from ssbve.les import (dinkelbach_trace, least_expanding_set,
+from ssbve.graph import (BipartiteGraph, expansion, induced_left_subgraph,
+                         neighborhood)
+from ssbve.les import (_Network, dinkelbach_trace, least_expanding_set,
                        least_expanding_subset, min_cut_select)
+from ssbve.maxflow import Dinic
+from ssbve.rng import stream
 
 from conftest import random_bipartite
 
@@ -22,6 +25,74 @@ def brute_min_linear(g: BipartiteGraph, lam: Fraction) -> Fraction:
             val = Fraction(len(neighborhood(g, s))) - lam * size
             best = min(best, val)
     return best
+
+
+def dinic_source_side(g: BipartiteGraph, allowed, forbidden,
+                      lam: Fraction) -> tuple[list[int], int]:
+    """Reference cut: the maximal min-cut source side (as indices into the
+    sorted `allowed`) and its |N(S)|, from an explicit Dinic network on the
+    induced subgraph with lambda = a/b scaled to integer capacities."""
+    sub, _ = induced_left_subgraph(g, allowed, frozenset(forbidden))
+    a, b = lam.numerator, lam.denominator
+    n, n_right = sub.n, sub.n_right
+    source = n + n_right
+    sink = source + 1
+    ceil_lam = -(-a // b) if a else 1
+    inf_cap = (n_right + 1) * max(1, ceil_lam) * b
+    net = Dinic(sink + 1)
+    for u in range(n):
+        net.add_edge(source, u, a)
+        for v in sub.adj_left[u]:
+            net.add_edge(u, n + v, inf_cap)
+    for v in range(n_right):
+        net.add_edge(n + v, sink, b)
+    net.max_flow(source, sink)
+    side = net.source_side_max(sink)
+    chosen = [u for u in range(n) if u in side]
+    return chosen, len(neighborhood(sub, chosen))
+
+
+class TestKernelMatchesDinic:
+    """The bipartite kernel against the explicit Dinic network."""
+
+    @staticmethod
+    def lambdas(n_right: int) -> list[Fraction]:
+        return [Fraction(0), Fraction(1, 7), Fraction(1, 3), Fraction(1, 2),
+                Fraction(2, 3), Fraction(1), Fraction(4, 3), Fraction(5, 2),
+                Fraction(n_right), Fraction(n_right + 1),
+                Fraction(3 * n_right + 1, 2)]
+
+    def check(self, g, allowed, forbidden):
+        allowed = sorted(set(allowed))
+        net = _Network(g, allowed, frozenset(forbidden))
+        for lam in self.lambdas(g.n_right):
+            got = net.cut(lam.numerator, lam.denominator)
+            assert got == dinic_source_side(g, allowed, forbidden, lam), lam
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_masks(self, seed):
+        rng = stream(seed, 0x4B52)
+        n, n_right = 1 + rng.randrange(12), 1 + rng.randrange(9)
+        p = (0.1, 0.3, 0.6)[rng.randrange(3)]
+        g = random_bipartite(seed + 5000, n, n_right, p)
+        allowed = [u for u in range(n) if rng.bernoulli(0.7)] or [n - 1]
+        forbidden = [v for v in range(n_right) if rng.bernoulli(0.25)]
+        self.check(g, allowed, forbidden)
+
+    def test_isolated_left_vertices(self):
+        g = BipartiteGraph.from_edges(5, 3, [(0, 0), (0, 1), (2, 1), (4, 2)])
+        self.check(g, range(5), ())
+        self.check(g, [1, 3], ())
+
+    def test_all_right_forbidden(self):
+        g = random_bipartite(5100, 7, 5)
+        self.check(g, range(7), range(5))
+
+    def test_source_side_is_maximal_on_ties(self):
+        # At lambda = 1 both {} and {0} minimize |N(S)| - |S| on a single
+        # edge; the maximal side takes the vertex.
+        g = BipartiteGraph.from_edges(1, 1, [(0, 0)])
+        assert _Network(g, [0], frozenset()).cut(1, 1) == ([0], 1)
 
 
 class TestMinCutSelect:
