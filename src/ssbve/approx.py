@@ -24,16 +24,17 @@ import enum
 import heapq
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Callable
 
 from .errors import (NoRootError, NotCoprimeError, PreconditionViolatedError,
                      SolverStalledError)
 from .graph import (BipartiteGraph, Solution, SsbveInstance,
                     induced_left_subgraph, neighborhood)
-from .les import least_expanding_set, least_expanding_subset
+from .les import least_expanding_set, least_expanding_subset, memo_scope
 from .rng import mix64, stream
 
 logger = logging.getLogger(__name__)
@@ -158,17 +159,17 @@ def bucket_and_regularize(inst: SsbveInstance) -> list[PreprocessedInstance]:
     for i in sorted(buckets):
         members = buckets[i]
         r = 1 << i
-        edges: list[tuple[int, int]] = []
+        rows: list[tuple[int, ...]] = []
         cursor = 0
-        for new_u, u in enumerate(members):
+        for u in members:
             nbrs = g.adj_left[u]
-            edges.extend((new_u, v) for v in nbrs)
             deficiency = r - len(nbrs)
-            for j in range(deficiency):
-                edges.append((new_u, g.n_right + (cursor + j) % r))
+            # Pad ids all exceed the real ones and are distinct (deficiency
+            # < r), so sorting just the pad keeps the row sorted.
+            rows.append(nbrs + tuple(sorted(
+                g.n_right + (cursor + j) % r for j in range(deficiency))))
             cursor += deficiency
-        padded = BipartiteGraph.from_edges(
-            len(members), g.n_right + r, edges)
+        padded = BipartiteGraph.from_rows(g.n_right + r, rows)
         out.append(PreprocessedInstance(
             graph=padded, r=r, k=min(inst.k, len(members)),
             left_ids=tuple(members)))
@@ -388,8 +389,10 @@ def first_step(pre: PreprocessedInstance) -> StepResult:
     neighborhoods outside V_D are tiny), or branch on a start guess."""
     g, r, k, c, eps = pre.graph, pre.r, pre.k, pre.c, pre.eps
     thr = _thr(r / (2.0 * k ** (c * eps)))
+    adj, v_d = g.adj_left, pre.v_d
+    # Rows are duplicate-free, so this counts the neighbours outside V_D.
     u_d = [u for u in range(g.n)
-           if sum(1 for v in g.adj_left[u] if v not in pre.v_d) <= thr]
+           if len(adj[u]) - len(v_d.intersection(adj[u])) <= thr]
     if len(u_d) >= k / 2 and u_d:
         return Done(Solution.from_set(g, u_d[:min(len(u_d), k)]))
     states = []
@@ -410,13 +413,11 @@ def hair_step(pre: PreprocessedInstance, st: BranchState) -> StepResult:
     n_hat = len(u_hat)
     d_hat = n_hat / k ** (1.0 - c * eps)
     thr = _thr(r / k ** (c * eps))
-    counts: dict[int, int] = {}
-    for u in st.current:
-        for v in g.adj_left[u]:
-            counts[v] = counts.get(v, 0) + 1
+    adj = g.adj_left
+    counts = Counter(chain.from_iterable(adj[u] for u in st.current))
     v_hat_d = {v for v, cnt in counts.items() if cnt >= d_hat}
     u_d = [u for u in st.current
-           if sum(1 for v in g.adj_left[u] if v not in v_hat_d) <= thr]
+           if len(adj[u]) - len(v_hat_d.intersection(adj[u])) <= thr]
     if len(u_d) >= k:
         return Done(Solution.from_set(g, u_d[:k]))
     if u_d:
@@ -424,14 +425,14 @@ def hair_step(pre: PreprocessedInstance, st: BranchState) -> StepResult:
         if sol.expansion <= Fraction(thr):
             return Done(sol)
     states = []
-    for v in range(g.n_right):
+    # Only a right vertex that meets the working set gives a nonempty branch.
+    for v in sorted(counts):
         if v in v_hat_d:
             continue
         cur = tuple(sorted(u_hat.intersection(g.adj_right[v])))
-        if cur:
-            states.append(BranchState(current=cur,
-                                      guesses=st.guesses + (v,),
-                                      step_index=st.step_index + 1))
+        states.append(BranchState(current=cur,
+                                  guesses=st.guesses + (v,),
+                                  step_index=st.step_index + 1))
     return Branches(states=tuple(states))
 
 
@@ -445,22 +446,21 @@ def backbone_step(pre: PreprocessedInstance, st: BranchState,
         raise PreconditionViolatedError(
             f"backbone step needs |current| <= k ({len(st.current)} > {k})")
     thr = _thr(r / k ** (c * eps))
-    v_hat = {v for v in neighborhood(g, st.current) if v not in pre.v_d}
+    v_hat = neighborhood(g, st.current) - pre.v_d
     sol = least_expanding_subset(g, st.current, forbidden_right=pre.v_d)
     if sol.expansion <= Fraction(thr):
         return Done(sol)
     if not v_hat:
         return Branches(states=())
-    reach = set()
-    for v in v_hat:
-        reach.update(g.adj_right[v])
+    reach = set().union(*[g.adj_right[v] for v in v_hat])
+    # Each two-hop vertex with its number of neighbours in V-hat.
+    hits = [(u, len(v_hat.intersection(g.adj_left[u])))
+            for u in sorted(reach)]
     states = []
     n_bins = max(1, math.ceil(math.log2(r))) if r > 1 else 1
     for i in range(1, n_bins + 1):
         r_i = r / 2.0 ** (i - 1)
-        members = [u for u in sorted(reach)
-                   if r_i / 2.0 <= sum(1 for v in g.adj_left[u]
-                                       if v in v_hat) <= r_i]
+        members = [u for u, h in hits if r_i / 2.0 <= h <= r_i]
         if not members:
             continue
         keep_p = r_i / r
@@ -537,8 +537,9 @@ def _run_candidate(pre: PreprocessedInstance, schedule: CaterpillarSchedule,
     return solutions
 
 
-def _les_exactly_k(inst: SsbveInstance) -> Solution:
-    """Plain least-expanding-set trimmed/padded to exactly k vertices."""
+def les_exactly_k(inst: SsbveInstance) -> Solution:
+    """Least expanding set trimmed lexicographically, or padded with the
+    smallest-degree vertices, to exactly k vertices."""
     g, k = inst.graph, inst.k
     chosen = list(least_expanding_set(g).chosen)
     if len(chosen) > k:
@@ -556,11 +557,14 @@ def _best_atmost(inst: SsbveInstance, eps: float, q_max: int,
     """Best at-most-k set over the caterpillar pipeline plus fallbacks."""
     g, k = inst.graph, inst.k
     candidates: list[Solution] = []
+    # min keeps the first of equal keys, so a repeated set cannot win.
+    measured: set[tuple[int, ...]] = set()
     for idx, pre in enumerate(preprocess(inst, eps, q_max=q_max, seed=seed)):
         schedule = caterpillar_schedule(pre.p, pre.q)
         for sol in _run_candidate(pre, schedule, branch_cap, seed, idx):
             mapped = _trim_lex((pre.left_ids[u] for u in sol.chosen), k)
-            if mapped:
+            if mapped and mapped not in measured:
+                measured.add(mapped)
                 candidates.append(Solution.from_set(g, mapped))
     les_sol = least_expanding_set(g)
     candidates.append(Solution.from_set(g, _trim_lex(les_sol.chosen, k)))
@@ -573,11 +577,15 @@ def _best_atmost(inst: SsbveInstance, eps: float, q_max: int,
 def solve_worst_case(inst: SsbveInstance, eps: float = 0.1,
                      branch_cap: int = 64, seed: int = 0,
                      q_max: int = 3) -> Solution:
-    """Best exactly-k solution over the full pipeline and the baselines."""
+    """Best exactly-k solution over the full pipeline and the baselines.
+
+    LES subproblems repeat across branches and at-most rounds; one memo
+    (`les.memo_scope`) serves the whole solve and ends with it."""
     def inner(sub: SsbveInstance) -> Solution:
         return _best_atmost(sub, eps, q_max, branch_cap, seed)
 
-    pipeline = exact_from_atmost(inst, inner)
-    candidates = [pipeline, trivial_ksubset(inst), _les_exactly_k(inst)]
+    with memo_scope():
+        pipeline = exact_from_atmost(inst, inner)
+        candidates = [pipeline, trivial_ksubset(inst), les_exactly_k(inst)]
     return min(candidates,
                key=lambda s: (s.neighborhood_size, s.chosen))

@@ -1,23 +1,22 @@
 """Benchmark suites tying the solvers and certificates together.
 
 Reports are deterministic given (suite, seeds, parameters): every row carries
-the seed that regenerates it, rows are ordered by seed regardless of worker
-scheduling, and the JSON schema is versioned.
+the seed that regenerates it, rows are ordered by seed, and the JSON schema
+is versioned.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 
-from .approx import solve_planted, solve_worst_case, trivial_ksubset
+from .approx import (les_exactly_k, solve_planted, solve_worst_case,
+                     trivial_ksubset)
 from .certs import (build_sa_certificate, build_sdp_certificate, biregularize,
                     cap_degrees, verify_sa_certificate,
                     verify_sdp_certificate)
 from .exact import exact_ssbve
 from .generators import PlantedSpec, gen_gap_instance, gen_planted
-from .graph import BipartiteGraph, SsbveInstance, Solution, expansion
-from .les import least_expanding_set
+from .graph import BipartiteGraph, SsbveInstance, expansion
 from .rng import stream
 
 SCHEMA_VERSION = 1
@@ -41,22 +40,12 @@ def _random_small_instance(seed: int) -> SsbveInstance:
                          k=k)
 
 
-def _les_trimmed(inst: SsbveInstance) -> Solution:
-    g, k = inst.graph, inst.k
-    chosen = sorted(least_expanding_set(g).chosen)[:k]
-    have = set(chosen)
-    extras = sorted((u for u in range(g.n) if u not in have),
-                    key=lambda u: (g.degree_left(u), u))
-    chosen.extend(extras[:k - len(chosen)])
-    return Solution.from_set(g, chosen)
-
-
 def _oracle_small_row(seed: int) -> dict:
     inst = _random_small_instance(seed)
     opt = exact_ssbve(inst)
     algos = {
         "exact": opt,
-        "les_trim": _les_trimmed(inst),
+        "les_trim": les_exactly_k(inst),
         "worst": solve_worst_case(inst, branch_cap=8, seed=seed),
         "baseline": trivial_ksubset(inst),
     }
@@ -111,10 +100,10 @@ def _gap_cert_rows(seed: int) -> list[dict]:
 
 
 def run_benchmark(suite: str, seeds: int, out_path: str | None = None,
-                  threads: int = 1, planted_cfg: dict | None = None) -> dict:
+                  planted_cfg: dict | None = None) -> dict:
     """Run a suite over `seeds` seeded instances and emit the report."""
     if suite == "oracle_small":
-        rows = _dispatch(_oracle_small_row, range(seeds), threads)
+        rows = [_oracle_small_row(s) for s in range(seeds)]
         summary = {
             algo: max(r["results"][algo]["ratio"] for r in rows)
             for algo in ("exact", "les_trim", "worst", "baseline")}
@@ -122,14 +111,12 @@ def run_benchmark(suite: str, seeds: int, out_path: str | None = None,
                   "max_ratio": summary}
     elif suite == "planted":
         cfg = {**PLANTED_DEFAULTS, **(planted_cfg or {})}
-        rows = _dispatch(lambda s: _planted_row(s, cfg), range(seeds),
-                         threads)
+        rows = [_planted_row(s, cfg) for s in range(seeds)]
         frac_ok = sum(1 for r in rows if r["ratio"] <= 4.0) / max(1, len(rows))
         report = {"schema": SCHEMA_VERSION, "suite": suite, "config": cfg,
                   "rows": rows, "fraction_within_4x": frac_ok}
     elif suite == "gap_certs":
-        nested = _dispatch(_gap_cert_rows, range(seeds), threads)
-        rows = [r for chunk in nested for r in chunk]
+        rows = [r for s in range(seeds) for r in _gap_cert_rows(s)]
         sa_ratios = [r["gap_ratio"] for r in rows if r["kind"] == "sa"]
         report = {"schema": SCHEMA_VERSION, "suite": suite, "rows": rows,
                   "all_passed": all(r["passed"] for r in rows),
@@ -141,13 +128,6 @@ def run_benchmark(suite: str, seeds: int, out_path: str | None = None,
             json.dump(report, fh, indent=2)
             fh.write("\n")
     return report
-
-
-def _dispatch(fn, seeds, threads: int) -> list:
-    if threads <= 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, seeds))
 
 
 def format_table(report: dict) -> str:

@@ -48,8 +48,6 @@ def _add_globals(parser, suppress: bool) -> None:
     parser.add_argument("--out", type=str, default=d)
     parser.add_argument("--format", choices=("json", "table"),
                         default=d if suppress else "json")
-    parser.add_argument("--threads", type=int,
-                        default=d if suppress else 1)
 
 
 def _build_parser() -> _Parser:
@@ -286,7 +284,7 @@ def _cmd_gapcalc(args) -> int:
 def _cmd_bench(args) -> int:
     planted_cfg = {"n": args.n} if args.n else None
     report = run_benchmark(args.suite, seeds=args.seeds, out_path=None,
-                           threads=args.threads, planted_cfg=planted_cfg)
+                           planted_cfg=planted_cfg)
     _emit(args, report, table=format_table(report))
     if args.suite == "gap_certs" and not report["all_passed"]:
         return EXIT_VERIFY_FAILED

@@ -19,11 +19,10 @@ from .graph import BipartiteGraph, Hypergraph, SsbveInstance, UndirectedGraph
 
 def _content_lines(text: str) -> list[list[str]]:
     out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        out.append(line.split())
+    for line in text.splitlines():
+        fields = line.split()
+        if fields and fields[0][0] != "c":
+            out.append(fields)
     return out
 
 
@@ -41,7 +40,6 @@ def parse_ssbve(text: str) -> SsbveInstance:
     lines = _content_lines(text)
     n, n_right, k = _header(lines, "ssbve", 3)
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     try:
         for fields in lines[1:]:
             if fields[0] != "e" or len(fields) != 3:
@@ -49,12 +47,15 @@ def parse_ssbve(text: str) -> SsbveInstance:
             u, v = int(fields[1]), int(fields[2])
             if not (1 <= u <= n and 1 <= v <= n_right):
                 raise FormatError(f"edge ({u},{v}) out of range")
-            if (u, v) in seen:
-                raise FormatError(f"duplicate edge line ({u},{v})")
-            seen.add((u, v))
             edges.append((u - 1, v - 1))
     except ValueError as exc:
         raise FormatError(f"non-integer edge field: {exc}") from exc
+    if len(set(edges)) != len(edges):
+        seen: set[tuple[int, int]] = set()
+        for u, v in edges:
+            if (u, v) in seen:
+                raise FormatError(f"duplicate edge line ({u + 1},{v + 1})")
+            seen.add((u, v))
     return SsbveInstance(graph=BipartiteGraph.from_edges(n, n_right, edges),
                          k=k)
 

@@ -46,6 +46,19 @@ class BipartiteGraph:
             adj_right=tuple(tuple(sorted(s)) for s in right),
         )
 
+    @classmethod
+    def from_rows(cls, n_right: int,
+                  rows: Sequence[tuple[int, ...]]) -> "BipartiteGraph":
+        """Build from left rows that are already sorted duplicate-free tuples
+        of right ids below n_right, as those of another graph are; the rows
+        are taken as they are, unchecked."""
+        right: list[list[int]] = [[] for _ in range(n_right)]
+        for u, row in enumerate(rows):
+            for v in row:
+                right[v].append(u)
+        return cls(n=len(rows), n_right=n_right, adj_left=tuple(rows),
+                   adj_right=tuple(map(tuple, right)))
+
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj_left[u]]
 
@@ -181,10 +194,8 @@ class Solution:
 
 def neighborhood(g: BipartiteGraph, s: Iterable[int]) -> set[int]:
     """Union of adj_left over s (the right-side neighborhood N(S))."""
-    out: set[int] = set()
-    for u in s:
-        out.update(g.adj_left[u])
-    return out
+    adj = g.adj_left
+    return set().union(*[adj[u] for u in s])
 
 
 def expansion(g: BipartiteGraph, s: Sequence[int] | set[int]) -> Fraction:
@@ -264,10 +275,10 @@ def induced_left_subgraph(
     removed; the right side keeps its indexing.  Returns (graph, left_ids)
     where left_ids maps new left indices back to the originals."""
     left_ids = tuple(sorted(set(left_ids)))
-    edges = []
-    for new_u, u in enumerate(left_ids):
-        for v in g.adj_left[u]:
-            if v not in forbidden_right:
-                edges.append((new_u, v))
-    sub = BipartiteGraph.from_edges(len(left_ids), g.n_right, edges)
-    return sub, left_ids
+    adj = g.adj_left
+    if forbidden_right:
+        rows = [tuple([v for v in adj[u] if v not in forbidden_right])
+                for u in left_ids]
+    else:
+        rows = [adj[u] for u in left_ids]
+    return BipartiteGraph.from_rows(g.n_right, rows), left_ids

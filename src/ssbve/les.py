@@ -25,13 +25,22 @@ maximal source side is the set of left vertices with no residual path to the
 sink, found by a reverse BFS from the sink that also yields |N(S)| as the
 count of right vertices it misses.  `maxflow.Dinic` is the reference oracle
 the tests compare this kernel with.
+
+An LES result depends only on the allowed vertices' rows, in ascending
+vertex order, after dropping forbidden right vertices.  Inside `memo_scope`
+(which `approx.solve_worst_case` opens around one solve) each such tuple of
+rows is solved once: a repeat maps the stored row positions back to its own
+left ids.  The memo lives in a context variable, so it is private to the
+solve that opened it and gone when the block exits.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyLeftSideError, NegativeLambdaError
 # Unused here; perfbench/spans.py looks it up as ssbve.les.induced_left_subgraph.
@@ -45,34 +54,44 @@ class CutSelection:
     objective: Fraction  # |N(chosen)| - lam * |chosen|
 
 
+# Row positions, |N| and expansion of each LES solved in the open memo_scope,
+# keyed by the tuple of rows; None outside a scope.
+_MEMO: ContextVar[dict[tuple, tuple[tuple[int, ...], int, Fraction]] | None] \
+    = ContextVar("ssbve_les_memo", default=None)
+
+
+@contextmanager
+def memo_scope() -> Iterator[None]:
+    """Answer repeated LES subproblems from memory until the block exits."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 class _Network:
     """The source -> left -> right -> sink network of one LES solve.
 
-    Left vertex i is the i-th vertex of `left`; its edges are ids
-    start[i]..start[i+1]-1, edge e runs from left vertex tail[e] to right
-    vertex head[e] (the graph's own right ids), and into[v] lists the edges
-    ending at v.
+    Left vertex i has the right vertices rows[i] (ids below n_right); its
+    edges are ids start[i]..start[i+1]-1, edge e runs from left vertex
+    tail[e] to right vertex head[e], and into[v] lists the edges ending at v.
     """
 
     __slots__ = ("n", "start", "head", "tail", "into")
 
-    def __init__(self, g: BipartiteGraph, left: Sequence[int],
-                 forbidden: frozenset[int]) -> None:
-        adj = g.adj_left
+    def __init__(self, rows: Sequence[Sequence[int]], n_right: int) -> None:
         start = [0]
         head: list[int] = []
         tail: list[int] = []
-        for i, u in enumerate(left):
-            row = adj[u]
-            if forbidden:
-                row = [v for v in row if v not in forbidden]
+        for i, row in enumerate(rows):
             head += row
             tail += [i] * len(row)
             start.append(len(head))
-        into: list[list[int]] = [[] for _ in range(g.n_right)]
+        into: list[list[int]] = [[] for _ in range(n_right)]
         for e, v in enumerate(head):
             into[v].append(e)
-        self.n = len(left)
+        self.n = len(rows)
         self.start, self.head, self.tail, self.into = start, head, tail, into
 
     def cut(self, a: int, b: int) -> tuple[list[int], int]:
@@ -227,36 +246,54 @@ def min_cut_select(g: BipartiteGraph, lam: Fraction | int) -> CutSelection:
     lam = Fraction(lam)
     if lam < 0:
         raise NegativeLambdaError(f"lambda={lam} must be nonnegative")
-    chosen, size = _Network(g, range(g.n), frozenset()).cut(
+    chosen, size = _Network(g.adj_left, g.n_right).cut(
         lam.numerator, lam.denominator)
     return CutSelection(lam=lam, chosen=tuple(chosen),
                         objective=size - lam * len(chosen))
 
 
-def _dinkelbach(g: BipartiteGraph, left: Sequence[int],
-                forbidden: frozenset[int]) -> tuple[Solution, list[Fraction]]:
-    """Least expanding subset of the ascending vertices `left`, ignoring
-    edges into `forbidden`, plus the (strictly decreasing) lambda sequence."""
-    net = _Network(g, left, forbidden)
-    isolated = [i for i in range(len(left))
-                if net.start[i] == net.start[i + 1]]
+def _dinkelbach(rows: Sequence[Sequence[int]], n_right: int
+                ) -> tuple[tuple[int, ...], int, Fraction, list[Fraction]]:
+    """Least expanding set of the left vertices with the given rows: its
+    ascending row positions, |N| and expansion, plus the (strictly
+    decreasing) lambda sequence."""
+    net = _Network(rows, n_right)
+    isolated = tuple(i for i in range(len(rows))
+                     if net.start[i] == net.start[i + 1])
     if isolated:
-        return (Solution(chosen=tuple(left[i] for i in isolated),
-                         neighborhood_size=0, expansion=Fraction(0)),
-                [Fraction(0)])
-    current, size = range(len(left)), len(net.into) - net.into.count([])
+        return isolated, 0, Fraction(0), [Fraction(0)]
+    current, size = range(len(rows)), len(net.into) - net.into.count([])
     lam = Fraction(size, len(current))
     trace = [lam]
     # |N(S)|/|S| takes at most n*n' distinct values and strictly decreases.
     while True:
         chosen, nb = net.cut(lam.numerator, lam.denominator)
         if not chosen or nb * lam.denominator >= lam.numerator * len(chosen):
-            return (Solution(chosen=tuple(left[i] for i in current),
-                             neighborhood_size=size, expansion=lam),
-                    trace)
+            return tuple(current), size, lam, trace
         current, size = chosen, nb
         lam = Fraction(size, len(current))
         trace.append(lam)
+
+
+def _solve(g: BipartiteGraph, left: Sequence[int],
+           forbidden: frozenset[int]) -> Solution:
+    """Least expanding subset of the ascending vertices `left`, ignoring
+    edges into `forbidden`, answered from the memo when one is open."""
+    adj = g.adj_left
+    if forbidden:
+        rows = tuple([tuple([v for v in adj[u] if v not in forbidden])
+                      for u in left])
+    else:
+        rows = tuple([adj[u] for u in left])
+    memo = _MEMO.get()
+    found = None if memo is None else memo.get(rows)
+    if found is None:
+        found = _dinkelbach(rows, g.n_right)[:3]
+        if memo is not None:
+            memo[rows] = found
+    positions, size, lam = found
+    return Solution(chosen=tuple([left[i] for i in positions]),
+                    neighborhood_size=size, expansion=lam)
 
 
 def dinkelbach_trace(
@@ -264,12 +301,16 @@ def dinkelbach_trace(
     """least_expanding_set plus the (strictly decreasing) lambda sequence."""
     if g.n == 0:
         raise EmptyLeftSideError("graph has no left vertices")
-    return _dinkelbach(g, range(g.n), frozenset())
+    chosen, size, lam, trace = _dinkelbach(g.adj_left, g.n_right)
+    return (Solution(chosen=chosen, neighborhood_size=size, expansion=lam),
+            trace)
 
 
 def least_expanding_set(g: BipartiteGraph) -> Solution:
     """Nonempty left set with exactly minimal expansion |N(S)|/|S|."""
-    return dinkelbach_trace(g)[0]
+    if g.n == 0:
+        raise EmptyLeftSideError("graph has no left vertices")
+    return _solve(g, range(g.n), frozenset())
 
 
 def least_expanding_subset(
@@ -284,4 +325,4 @@ def least_expanding_subset(
     allowed = tuple(sorted(set(allowed)))
     if not allowed:
         raise EmptyLeftSideError("allowed left set is empty")
-    return _dinkelbach(g, allowed, frozenset(forbidden_right))[0]
+    return _solve(g, allowed, frozenset(forbidden_right))

@@ -1,5 +1,6 @@
 """Schedule construction, preprocessing, step operations, and the solvers."""
 
+import contextlib
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -7,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from ssbve import approx, les
 from ssbve.approx import (BranchState, Branches, Done, Step,
                           bucket_and_regularize, caterpillar_schedule,
                           exact_from_atmost, final_step, first_step,
@@ -19,6 +21,8 @@ from ssbve.exact import exact_les, exact_ssbve
 from ssbve.generators import PlantedSpec, gen_planted
 from ssbve.graph import (BipartiteGraph, Solution, SsbveInstance, expansion,
                          neighborhood)
+from ssbve.bench import _random_small_instance
+from ssbve.generators import gen_random_bipartite
 from ssbve.les import least_expanding_subset
 from ssbve.rng import stream
 
@@ -130,6 +134,32 @@ class TestBucketRegularize:
                                 if v < g.n_right})
                 if raw_nbhd:
                     assert padded <= 2 * Fraction(raw_nbhd, len(s))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_padded_rows_match_edge_build(self, seed):
+        rng = stream(seed, 0xB1)
+        g = random_bipartite(seed + 80, 5 + rng.randrange(30),
+                             1 + rng.randrange(12), 0.1 + 0.6 * rng.random())
+        buckets: dict[int, list[int]] = {}
+        for u in range(g.n):
+            if g.adj_left[u]:
+                buckets.setdefault((g.degree_left(u) - 1).bit_length(),
+                                   []).append(u)
+        cands = bucket_and_regularize(SsbveInstance(graph=g, k=1))
+        assert [c.left_ids for c in cands] == \
+            [tuple(buckets[i]) for i in sorted(buckets)]
+        for cand in cands:
+            # The padding as a round-robin edge list, built by from_edges.
+            r, edges, cursor = cand.r, [], 0
+            for new_u, u in enumerate(cand.left_ids):
+                edges += [(new_u, v) for v in g.adj_left[u]]
+                deficiency = r - g.degree_left(u)
+                edges += [(new_u, g.n_right + (cursor + j) % r)
+                          for j in range(deficiency)]
+                cursor += deficiency
+            cand.graph.validate()
+            assert cand.graph == BipartiteGraph.from_edges(
+                len(cand.left_ids), g.n_right + r, edges)
 
 
 class TestSolveGamma:
@@ -255,6 +285,122 @@ def _toy_pre(seed=0, n=10, n_right=6, k=3, eps=0.1):
     cands = preprocess(SsbveInstance(graph=g, k=k), eps)
     assert cands
     return cands[0]
+
+
+def reference_first_step(pre):
+    """first_step with per-vertex generator counts, kept as its oracle."""
+    g, r, k, c, eps = pre.graph, pre.r, pre.k, pre.c, pre.eps
+    thr = max(1.0, r / (2.0 * k ** (c * eps)))
+    u_d = [u for u in range(g.n)
+           if sum(1 for v in g.adj_left[u] if v not in pre.v_d) <= thr]
+    if len(u_d) >= k / 2 and u_d:
+        return Done(Solution.from_set(g, u_d[:min(len(u_d), k)]))
+    return Branches(states=tuple(
+        BranchState(current=g.adj_right[v], guesses=(v,), step_index=1)
+        for v in range(g.n_right) if v not in pre.v_d and g.adj_right[v]))
+
+
+def reference_hair_step(pre, st):
+    """hair_step scanning every right vertex, kept as its oracle."""
+    g, r, k, c, eps = pre.graph, pre.r, pre.k, pre.c, pre.eps
+    u_hat = set(st.current)
+    d_hat = len(u_hat) / k ** (1.0 - c * eps)
+    thr = max(1.0, r / k ** (c * eps))
+    counts: dict[int, int] = {}
+    for u in st.current:
+        for v in g.adj_left[u]:
+            counts[v] = counts.get(v, 0) + 1
+    v_hat_d = {v for v, cnt in counts.items() if cnt >= d_hat}
+    u_d = [u for u in st.current
+           if sum(1 for v in g.adj_left[u] if v not in v_hat_d) <= thr]
+    if len(u_d) >= k:
+        return Done(Solution.from_set(g, u_d[:k]))
+    if u_d:
+        sol = least_expanding_subset(g, u_d)
+        if sol.expansion <= Fraction(thr):
+            return Done(sol)
+    states = []
+    for v in range(g.n_right):
+        if v in v_hat_d:
+            continue
+        cur = tuple(sorted(u_hat.intersection(g.adj_right[v])))
+        if cur:
+            states.append(BranchState(current=cur, guesses=st.guesses + (v,),
+                                      step_index=st.step_index + 1))
+    return Branches(states=tuple(states))
+
+
+def reference_backbone_step(pre, st, seed):
+    """backbone_step counting each bin's members afresh, kept as its
+    oracle."""
+    g, r, k, c, eps = pre.graph, pre.r, pre.k, pre.c, pre.eps
+    if len(st.current) > k:
+        raise PreconditionViolatedError("|current| > k")
+    thr = max(1.0, r / k ** (c * eps))
+    v_hat = {v for v in neighborhood(g, st.current) if v not in pre.v_d}
+    sol = least_expanding_subset(g, st.current, forbidden_right=pre.v_d)
+    if sol.expansion <= Fraction(thr):
+        return Done(sol)
+    if not v_hat:
+        return Branches(states=())
+    reach = set()
+    for v in v_hat:
+        reach.update(g.adj_right[v])
+    states = []
+    n_bins = max(1, math.ceil(math.log2(r))) if r > 1 else 1
+    for i in range(1, n_bins + 1):
+        r_i = r / 2.0 ** (i - 1)
+        members = [u for u in sorted(reach)
+                   if r_i / 2.0 <= sum(1 for v in g.adj_left[u]
+                                       if v in v_hat) <= r_i]
+        if not members:
+            continue
+        keep_p = r_i / r
+        rng = stream(seed, 0x6262, i)
+        kept = tuple(u for u in members
+                     if keep_p >= 1.0 or rng.bernoulli(keep_p))
+        if kept:
+            states.append(BranchState(current=kept,
+                                      guesses=st.guesses + (-i,),
+                                      step_index=st.step_index + 1))
+    return Branches(states=tuple(states))
+
+
+def _step_outcome(step, *args):
+    try:
+        return step(*args)
+    except PreconditionViolatedError:
+        return PreconditionViolatedError
+
+
+class TestStepsMatchReference:
+    """The set-based step classifiers against the per-vertex loops."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_walk(self, seed):
+        rng = stream(seed, 0x57E9)
+        g = gen_random_bipartite(30 + rng.randrange(50), 8 + rng.randrange(20),
+                                 0.1 + 0.2 * rng.random(), seed + 1300)
+        inst = SsbveInstance(graph=g, k=2 + rng.randrange(6))
+        checked = 0
+        for pre in preprocess(inst, 0.1, seed=seed):
+            res = first_step(pre)
+            assert res == reference_first_step(pre)
+            frontier = list(res.states) if isinstance(res, Branches) else []
+            for _ in range(2):  # two levels below the first step
+                following = []
+                for st in frontier[:40]:
+                    hair = hair_step(pre, st)
+                    assert hair == reference_hair_step(pre, st)
+                    bone = _step_outcome(backbone_step, pre, st, seed)
+                    assert bone == _step_outcome(reference_backbone_step,
+                                                 pre, st, seed)
+                    checked += 1
+                    for out in (hair, bone):
+                        if isinstance(out, Branches):
+                            following += out.states
+                frontier = following
+        assert checked
 
 
 class TestSteps:
@@ -453,6 +599,44 @@ class TestSolveWorstCase:
         assert len(sol.chosen) == inst.k
         opt = exact_ssbve(inst)
         assert sol.neighborhood_size >= opt.neighborhood_size
+
+    @staticmethod
+    def without_memo(monkeypatch, inst, **kw):
+        with monkeypatch.context() as m:
+            m.setattr(approx, "memo_scope", contextlib.nullcontext)
+            return solve_worst_case(inst, **kw)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_memo_matches_memo_free_oracle_small(self, seed, monkeypatch):
+        inst = _random_small_instance(seed)
+        assert solve_worst_case(inst, branch_cap=8, seed=seed) == \
+            self.without_memo(monkeypatch, inst, branch_cap=8, seed=seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_memo_matches_memo_free_random(self, seed, monkeypatch):
+        rng = stream(seed, 0x3E30)
+        g = gen_random_bipartite(30 + rng.randrange(40),
+                                 10 + rng.randrange(15), 0.15, seed + 900)
+        inst = SsbveInstance(graph=g, k=2 + rng.randrange(5))
+        assert solve_worst_case(inst, branch_cap=32, seed=seed) == \
+            self.without_memo(monkeypatch, inst, branch_cap=32, seed=seed)
+
+    def test_memo_ends_with_the_solve(self, monkeypatch):
+        inst = random_instance(4)
+        assert les._MEMO.get() is None
+        solve_worst_case(inst, branch_cap=8)
+        assert les._MEMO.get() is None
+        active = []
+
+        def failing(inst, atmost_solver):
+            active.append(les._MEMO.get() is not None)
+            raise SolverStalledError("stalled")
+
+        monkeypatch.setattr(approx, "exact_from_atmost", failing)
+        with pytest.raises(SolverStalledError):
+            solve_worst_case(inst, branch_cap=8)
+        assert active == [True]
+        assert les._MEMO.get() is None
 
     def test_monotone_in_branch_cap(self):
         g = random_bipartite(33, 12, 7, 0.35)

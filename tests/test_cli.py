@@ -158,11 +158,6 @@ class TestBench:
         assert all(r["results"]["exact"]["ratio"] == 1.0 for r in a["rows"])
         assert [r["seed"] for r in a["rows"]] == [0, 1, 2]
 
-    def test_threaded_matches_serial(self):
-        serial = run_benchmark("oracle_small", seeds=4, threads=1)
-        threaded = run_benchmark("oracle_small", seeds=4, threads=3)
-        assert serial == threaded
-
     def test_planted_suite_small(self):
         rep = run_benchmark("planted", seeds=2,
                             planted_cfg=dict(n=1024, gamma=0.1, r_degree=10,

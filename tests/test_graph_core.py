@@ -13,9 +13,10 @@ from ssbve.exact import exact_ssbve
 from ssbve.formats import (parse_mku, parse_ssbve, parse_ssve, write_mku,
                            write_ssbve, write_ssve)
 from ssbve.graph import (BipartiteGraph, Hypergraph, SsbveInstance,
-                         UndirectedGraph, expansion, mku_to_ssbve,
-                         neighborhood, ssbve_to_mku, ssbve_to_ssveu,
-                         ssveu_to_ssbve)
+                         UndirectedGraph, expansion, induced_left_subgraph,
+                         mku_to_ssbve, neighborhood, ssbve_to_mku,
+                         ssbve_to_ssveu, ssveu_to_ssbve)
+from ssbve.rng import stream
 
 from conftest import random_bipartite, random_undirected
 
@@ -78,6 +79,28 @@ class TestGraphInvariants:
             not set(g.adj_left[a]) & set(g.adj_left[b])
             for a, b in combinations(s, 2))
         assert (nbhd == total) == disjoint
+
+    def test_from_rows_rebuilds_the_graph(self):
+        g = random_bipartite(3, 9, 6)
+        assert BipartiteGraph.from_rows(g.n_right, g.adj_left) == g
+        assert BipartiteGraph.from_rows(4, []) == \
+            BipartiteGraph.from_edges(0, 4, [])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_induced_subgraph_matches_edge_build(self, seed):
+        rng = stream(seed, 0x1D5)
+        n, n_right = 1 + rng.randrange(15), rng.randrange(9)
+        g = random_bipartite(seed + 300, n, n_right, 0.4)
+        ids = [rng.randrange(n) for _ in range(rng.randrange(2 * n))]
+        forbidden = frozenset(v for v in range(n_right)
+                              if rng.bernoulli(0.3))
+        sub, left_ids = induced_left_subgraph(g, ids, forbidden)
+        assert left_ids == tuple(sorted(set(ids)))
+        edges = [(new_u, v) for new_u, u in enumerate(left_ids)
+                 for v in g.adj_left[u] if v not in forbidden]
+        sub.validate()
+        assert sub == BipartiteGraph.from_edges(len(left_ids), n_right,
+                                                edges)
 
 
 class TestMkuSsbve:
@@ -205,7 +228,98 @@ _LINE = st.builds(lambda key, fields: " ".join([key] + fields),
                   st.lists(_TOKEN, max_size=4))
 
 
+def reference_parse_ssbve(text: str) -> SsbveInstance:
+    """The line-by-line parser with a running duplicate check, kept as the
+    oracle for parse_ssbve."""
+    lines = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        lines.append(line.split())
+    if not lines or lines[0][0] != "p" or len(lines[0]) != 5 \
+            or lines[0][1] != "ssbve":
+        raise FormatError("expected header 'p ssbve' with 3 integers")
+    try:
+        n, n_right, k = [int(x) for x in lines[0][2:]]
+    except ValueError as exc:
+        raise FormatError(f"non-integer header field: {exc}") from exc
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    try:
+        for fields in lines[1:]:
+            if fields[0] != "e" or len(fields) != 3:
+                raise FormatError(f"bad edge line: {' '.join(fields)}")
+            u, v = int(fields[1]), int(fields[2])
+            if not (1 <= u <= n and 1 <= v <= n_right):
+                raise FormatError(f"edge ({u},{v}) out of range")
+            if (u, v) in seen:
+                raise FormatError(f"duplicate edge line ({u},{v})")
+            seen.add((u, v))
+            edges.append((u - 1, v - 1))
+    except ValueError as exc:
+        raise FormatError(f"non-integer edge field: {exc}") from exc
+    return SsbveInstance(graph=BipartiteGraph.from_edges(n, n_right, edges),
+                         k=k)
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except SsbveError as exc:
+        return type(exc), str(exc)
+
+
+_SEP = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x1c", "\n\n",
+                        "\n  \t\n"])
+_PAD = st.sampled_from(["", " ", "\t", "  ", "\x0b", "\x1f"])
+_SSBVE_FIELD = st.one_of(st.integers(-1, 5).map(str),
+                         st.sampled_from(["x", "1.5", "+2", "07", "", "e"]))
+_SSBVE_EDGE = st.tuples(st.integers(1, 3), st.integers(1, 3)).map(
+    lambda uv: f"e {uv[0]} {uv[1]}")
+# Mostly in-range edges on a 3x3 header, so that duplicates are common.
+_SSBVE_OTHER = st.one_of(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+        lambda uv: f"e {uv[0]} {uv[1]}"),
+    st.lists(_SSBVE_FIELD, min_size=0, max_size=3).map(
+        lambda fs: " ".join(["e"] + fs)),
+    st.sampled_from(["c a comment", "c", "cx 1 2", "p ssbve 3 3 1", "",
+                     "e 1 1 c", "q 1 1"]))
+_SSBVE_LINE = st.integers(0, 9).flatmap(
+    lambda i: _SSBVE_EDGE if i < 7 else _SSBVE_OTHER)
+_SSBVE_HEADER = st.one_of(
+    st.sampled_from(["p ssbve 3 3 1", "p ssbve 3 3 2",
+                     "c header comment\n  p ssbve 3 3 3"]),
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 5)).map(
+        lambda h: f"p ssbve {h[0]} {h[1]} {h[2]}"),
+    st.sampled_from(["p ssbve 3 3", "p ssbve 3 x 1", "p mku 3 3 1"]))
+
+
 class TestFormats:
+    @given(header=_SSBVE_HEADER,
+           body=st.lists(st.tuples(_PAD, _SSBVE_LINE, _PAD, _SEP),
+                         max_size=12))
+    @settings(max_examples=400, deadline=None)
+    def test_ssbve_parser_matches_reference(self, header, body):
+        text = header + "\n" + "".join(a + line + b + sep
+                                        for a, line, b, sep in body)
+        got, want = _outcome(parse_ssbve, text), _outcome(
+            reference_parse_ssbve, text)
+        if isinstance(want, SsbveInstance):
+            assert got == want
+        else:
+            # Only a text that also has a duplicate may name another fault.
+            assert isinstance(got, tuple) and got[0] is want[0]
+            assert got[1] == want[1] or \
+                want[1].startswith("duplicate edge line")
+
+    def test_ssbve_duplicate_reported_after_other_faults(self):
+        text = "p ssbve 2 2 1\ne 1 1\r\ne 2 1\x0ce 1 1\n"
+        with pytest.raises(FormatError, match=r"duplicate edge line \(1,1\)"):
+            parse_ssbve(text)
+        with pytest.raises(FormatError, match="out of range"):
+            parse_ssbve(text + "e 3 1\n")
+
     @pytest.mark.parametrize("parse, header", [
         (parse_ssbve, "p ssbve 3 3 2"),
         (parse_mku, "p mku 3 2 1"),
@@ -268,3 +382,5 @@ class TestFormats:
         text = "c comment line\np ssbve 1 1 1\nc another\ne 1 1\n"
         inst = parse_ssbve(text)
         assert inst.graph.num_edges() == 1
+        indented = "  c x\r\np ssbve 2 1 1\x0c\t c\x1ce 1 1\r\n \x0b e 2 1\n"
+        assert parse_ssbve(indented).graph.num_edges() == 2

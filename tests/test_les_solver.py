@@ -9,8 +9,9 @@ from ssbve.errors import EmptyLeftSideError, NegativeLambdaError
 from ssbve.exact import exact_les
 from ssbve.graph import (BipartiteGraph, expansion, induced_left_subgraph,
                          neighborhood)
+from ssbve import les
 from ssbve.les import (_Network, dinkelbach_trace, least_expanding_set,
-                       least_expanding_subset, min_cut_select)
+                       least_expanding_subset, memo_scope, min_cut_select)
 from ssbve.maxflow import Dinic
 from ssbve.rng import stream
 
@@ -63,8 +64,9 @@ class TestKernelMatchesDinic:
                 Fraction(3 * n_right + 1, 2)]
 
     def check(self, g, allowed, forbidden):
-        allowed = sorted(set(allowed))
-        net = _Network(g, allowed, frozenset(forbidden))
+        allowed, forbidden = sorted(set(allowed)), set(forbidden)
+        net = _Network([[v for v in g.adj_left[u] if v not in forbidden]
+                        for u in allowed], g.n_right)
         for lam in self.lambdas(g.n_right):
             got = net.cut(lam.numerator, lam.denominator)
             assert got == dinic_source_side(g, allowed, forbidden, lam), lam
@@ -92,7 +94,52 @@ class TestKernelMatchesDinic:
         # At lambda = 1 both {} and {0} minimize |N(S)| - |S| on a single
         # edge; the maximal side takes the vertex.
         g = BipartiteGraph.from_edges(1, 1, [(0, 0)])
-        assert _Network(g, [0], frozenset()).cut(1, 1) == ([0], 1)
+        assert _Network(g.adj_left, g.n_right).cut(1, 1) == ([0], 1)
+
+
+class TestMemo:
+    """LES answers inside memo_scope equal fresh solves."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_memo_free(self, seed):
+        rng = stream(seed, 0x3E31)
+        n, n_right = 2 + rng.randrange(14), 1 + rng.randrange(9)
+        g = random_bipartite(seed + 7000, n, n_right,
+                             (0.15, 0.35, 0.6)[rng.randrange(3)])
+        masks = []
+        for _ in range(12):
+            allowed = [u for u in range(n) if rng.bernoulli(0.6)] or [0]
+            forbidden = [v for v in range(n_right) if rng.bernoulli(0.3)]
+            masks.append((allowed, forbidden))
+        fresh = [least_expanding_subset(g, a, f) for a, f in masks]
+        fresh_set = least_expanding_set(g)
+        with memo_scope():
+            # Twice over, so the second pass is answered from the memo.
+            for _ in range(2):
+                assert [least_expanding_subset(g, a, f)
+                        for a, f in masks] == fresh
+                assert least_expanding_set(g) == fresh_set
+
+    def test_identical_rows_keep_their_own_ids(self):
+        # Vertices 0, 1 and 3, 4 have the same rows; 2 is a spare.
+        g = BipartiteGraph.from_edges(5, 3, [
+            (0, 0), (1, 0), (1, 1), (1, 2), (2, 1),
+            (3, 0), (4, 0), (4, 1), (4, 2)])
+        with memo_scope():
+            first = least_expanding_subset(g, [0, 1])
+            second = least_expanding_subset(g, [4, 3])
+            masked = least_expanding_subset(g, [3, 4, 2], forbidden_right=[1])
+            assert len(les._MEMO.get()) == 2
+        assert first.chosen == (0,) and second.chosen == (3,)
+        assert first.neighborhood_size == second.neighborhood_size == 1
+        assert masked == least_expanding_subset(g, [2, 3, 4], [1])
+        assert les._MEMO.get() is None
+
+    def test_scope_is_removed_on_error(self):
+        with pytest.raises(EmptyLeftSideError):
+            with memo_scope():
+                least_expanding_subset(random_bipartite(1, 3, 2), [])
+        assert les._MEMO.get() is None
 
 
 class TestMinCutSelect:
