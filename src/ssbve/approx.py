@@ -91,7 +91,10 @@ class BranchState:
 
 @dataclass(frozen=True)
 class Done:
-    solution: Solution
+    """A step's early exit: the chosen left vertices of the candidate graph,
+    measured only once mapped back to the source graph."""
+
+    chosen: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -394,7 +397,7 @@ def first_step(pre: PreprocessedInstance) -> StepResult:
     u_d = [u for u in range(g.n)
            if len(adj[u]) - len(v_d.intersection(adj[u])) <= thr]
     if len(u_d) >= k / 2 and u_d:
-        return Done(Solution.from_set(g, u_d[:min(len(u_d), k)]))
+        return Done(tuple(u_d[:min(len(u_d), k)]))
     states = []
     for v in range(g.n_right):
         if v in pre.v_d or not g.adj_right[v]:
@@ -419,11 +422,11 @@ def hair_step(pre: PreprocessedInstance, st: BranchState) -> StepResult:
     u_d = [u for u in st.current
            if len(adj[u]) - len(v_hat_d.intersection(adj[u])) <= thr]
     if len(u_d) >= k:
-        return Done(Solution.from_set(g, u_d[:k]))
+        return Done(tuple(u_d[:k]))
     if u_d:
         sol = least_expanding_subset(g, u_d)
         if sol.expansion <= Fraction(thr):
-            return Done(sol)
+            return Done(sol.chosen)
     states = []
     # Only a right vertex that meets the working set gives a nonempty branch.
     for v in sorted(counts):
@@ -449,7 +452,7 @@ def backbone_step(pre: PreprocessedInstance, st: BranchState,
     v_hat = neighborhood(g, st.current) - pre.v_d
     sol = least_expanding_subset(g, st.current, forbidden_right=pre.v_d)
     if sol.expansion <= Fraction(thr):
-        return Done(sol)
+        return Done(sol.chosen)
     if not v_hat:
         return Branches(states=())
     reach = set().union(*[g.adj_right[v] for v in v_hat])
@@ -474,12 +477,12 @@ def backbone_step(pre: PreprocessedInstance, st: BranchState,
     return Branches(states=tuple(states))
 
 
-def final_step(pre: PreprocessedInstance, st: BranchState) -> Solution:
+def final_step(pre: PreprocessedInstance, st: BranchState) -> tuple[int, ...]:
     """Least expanding subset of the working set with V_D masked, trimmed to
-    k, then re-measured against the full right side."""
-    g, k = pre.graph, pre.k
-    sol = least_expanding_subset(g, st.current, forbidden_right=pre.v_d)
-    return Solution.from_set(g, _trim_lex(sol.chosen, k))
+    k; the caller measures it against the source graph's full right side."""
+    sol = least_expanding_subset(pre.graph, st.current,
+                                 forbidden_right=pre.v_d)
+    return _trim_lex(sol.chosen, pre.k)
 
 
 # ---------------------------------------------------------------------------
@@ -488,19 +491,20 @@ def final_step(pre: PreprocessedInstance, st: BranchState) -> Solution:
 
 def _run_candidate(pre: PreprocessedInstance, schedule: CaterpillarSchedule,
                    branch_cap: int, seed: int,
-                   cand_tag: int) -> list[Solution]:
-    """Best-first branch exploration with a pop budget.
+                   cand_tag: int) -> list[tuple[int, ...]]:
+    """Best-first branch exploration with a pop budget; returns the chosen
+    sets it collects, in candidate-graph ids.
 
     Each state is keyed by a priority derived from its guess path alone, so
     raising branch_cap extends the pop sequence without reordering it and
-    the collected solution set only grows.
+    the collected set list only grows.
     """
-    solutions: list[Solution] = []
+    collected: list[tuple[int, ...]] = []
     q = schedule.q
     res = first_step(pre)
     if isinstance(res, Done):
-        solutions.append(res.solution)
-        return solutions
+        collected.append(res.chosen)
+        return collected
     heap: list[tuple[int, int, int, BranchState]] = []
     seq = 0
 
@@ -520,7 +524,7 @@ def _run_candidate(pre: PreprocessedInstance, schedule: CaterpillarSchedule,
         step = schedule.steps[state.step_index] \
             if state.step_index < q else Step.FINAL
         if step is Step.FINAL:
-            solutions.append(final_step(pre, state))
+            collected.append(final_step(pre, state))
             continue
         if step is Step.HAIR:
             out = hair_step(pre, state)
@@ -531,10 +535,10 @@ def _run_candidate(pre: PreprocessedInstance, schedule: CaterpillarSchedule,
                 logger.debug("dropping branch %s: %s", state.guesses, exc)
                 continue
         if isinstance(out, Done):
-            solutions.append(out.solution)
+            collected.append(out.chosen)
         else:
             push(out.states, state_seed)
-    return solutions
+    return collected
 
 
 def les_exactly_k(inst: SsbveInstance) -> Solution:
@@ -561,8 +565,8 @@ def _best_atmost(inst: SsbveInstance, eps: float, q_max: int,
     measured: set[tuple[int, ...]] = set()
     for idx, pre in enumerate(preprocess(inst, eps, q_max=q_max, seed=seed)):
         schedule = caterpillar_schedule(pre.p, pre.q)
-        for sol in _run_candidate(pre, schedule, branch_cap, seed, idx):
-            mapped = _trim_lex((pre.left_ids[u] for u in sol.chosen), k)
+        for chosen in _run_candidate(pre, schedule, branch_cap, seed, idx):
+            mapped = _trim_lex((pre.left_ids[u] for u in chosen), k)
             if mapped and mapped not in measured:
                 measured.add(mapped)
                 candidates.append(Solution.from_set(g, mapped))

@@ -18,9 +18,11 @@ eigenvalue route is a guard against implementation mistakes.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -38,16 +40,14 @@ def cap_degrees(g: BipartiteGraph, d_l_max: int,
     all degrees at or below the targets.
     """
     adj = [set(nbrs) for nbrs in g.adj_left]
+    radj = [set(nbrs) for nbrs in g.adj_right]
     deg_l = [len(a) for a in adj]
-    deg_r = [0] * g.n_right
-    for a in adj:
-        for v in a:
-            deg_r[v] += 1
+    deg_r = [len(a) for a in radj]
     for v in range(g.n_right):
         while deg_r[v] > d_r_max:
-            u = max((u for u in range(g.n) if v in adj[u]),
-                    key=lambda u: (deg_l[u], u))
+            u = max(radj[v], key=lambda u: (deg_l[u], u))
             adj[u].discard(v)
+            radj[v].discard(u)
             deg_l[u] -= 1
             deg_r[v] -= 1
     for u in range(g.n):
@@ -56,8 +56,7 @@ def cap_degrees(g: BipartiteGraph, d_l_max: int,
             adj[u].discard(v)
             deg_l[u] -= 1
             deg_r[v] -= 1
-    return BipartiteGraph.from_edges(
-        g.n, g.n_right, [(u, v) for u in range(g.n) for v in adj[u]])
+    return BipartiteGraph.from_rows(g.n_right, [tuple(sorted(a)) for a in adj])
 
 
 def biregularize(g: BipartiteGraph, d_l_target: int,
@@ -80,30 +79,40 @@ def biregularize(g: BipartiteGraph, d_l_target: int,
     radj = [set(nbrs) for nbrs in g.adj_right]
     def_l = [d_l_target - len(a) for a in adj]
     def_r = [d_r_target - len(a) for a in radj]
-    while True:
-        deficient_left = [u for u in range(g.n) if def_l[u] > 0]
-        if not deficient_left:
-            break
-        u = max(deficient_left, key=lambda x: (def_l[x], -x))
-        candidates = [v for v in range(g.n_right)
-                      if def_r[v] > 0 and v not in adj[u]]
-        if candidates:
-            v = max(candidates, key=lambda x: (def_r[x], -x))
-            adj[u].add(v)
+    # A step lowers only def_l[u] and def_r[v] (the swap keeps u2's and v2's
+    # degrees), so the popped u is the only heap entry to renew.
+    heap = [(-d, u) for u, d in enumerate(def_l) if d > 0]
+    heapq.heapify(heap)
+    open_r = [v for v in range(g.n_right) if def_r[v] > 0]
+    while heap:
+        _, u = heapq.heappop(heap)
+        adj_u = adj[u]
+        # One pass: the best deficient right vertex, and the best one that
+        # is not yet a neighbour of u, both by (def_r, -v).
+        best = free = None
+        for v in open_r:
+            d = def_r[v]
+            if best is None or d > def_r[best]:
+                best = v
+            if v not in adj_u and (free is None or d > def_r[free]):
+                free = v
+        if free is not None:
+            v = free
+            adj_u.add(v)
             radj[v].add(u)
-            def_l[u] -= 1
-            def_r[v] -= 1
-            continue
-        # Greedy stall: every deficient right vertex already neighbors u.
-        v = max((x for x in range(g.n_right) if def_r[x] > 0),
-                key=lambda x: (def_r[x], -x))
-        if not _augment_swap(g.n, g.n_right, adj, radj, u, v):
-            raise StalledError(
-                f"no augmenting swap for left {u} / right {v}")
+        else:
+            # Greedy stall: every deficient right vertex already neighbors u.
+            v = best
+            if not _augment_swap(g.n, g.n_right, adj, radj, u, v):
+                raise StalledError(
+                    f"no augmenting swap for left {u} / right {v}")
         def_l[u] -= 1
         def_r[v] -= 1
-    return BipartiteGraph.from_edges(
-        g.n, g.n_right, [(u, v) for u in range(g.n) for v in adj[u]])
+        if def_l[u]:
+            heapq.heappush(heap, (-def_l[u], u))
+        if not def_r[v]:
+            open_r.remove(v)
+    return BipartiteGraph.from_rows(g.n_right, [tuple(sorted(a)) for a in adj])
 
 
 def _augment_swap(n, s, adj, radj, u, v) -> bool:
@@ -134,6 +143,7 @@ class SdpCertificate:
     sdp_alpha: Fraction
     tau: Fraction
     graph: BipartiteGraph
+    biadj: np.ndarray  # 0/1 biadjacency, n x s float64
     nu: np.ndarray  # common-neighbor counts, n x n int64
 
     # Entry classes (exact)
@@ -161,14 +171,6 @@ class SdpCertificate:
         return self.s * self.tau
 
     @cached_property
-    def biadjacency(self) -> np.ndarray:
-        b = np.zeros((self.n, self.s), dtype=np.int64)
-        for u in range(self.n):
-            for v in self.graph.adj_left[u]:
-                b[u, v] = 1
-        return b
-
-    @cached_property
     def a_mat(self) -> np.ndarray:
         a = (float(self.a_off_coeff) * self.nu.astype(np.float64)
              + float(self.a_off_const))
@@ -184,7 +186,7 @@ class SdpCertificate:
     @cached_property
     def c_mat(self) -> np.ndarray:
         ce, cn = float(self.c_edge), float(self.c_nonedge)
-        return cn + (ce - cn) * self.biadjacency.astype(np.float64)
+        return cn + (ce - cn) * self.biadj
 
     def x_dense(self) -> np.ndarray:
         top = np.hstack([self.a_mat, self.c_mat])
@@ -212,13 +214,14 @@ def build_sdp_certificate(g: BipartiteGraph, k: int) -> SdpCertificate:
         raise ParameterRegimeError(f"need tau < 1/8, got tau={float(tau):.4g}")
     if not 2 * alpha * k * s <= d_l * n:
         raise ParameterRegimeError("need 2*alpha*k*s <= d_l*n")
-    biadj = np.zeros((n, s), dtype=np.int64)
-    for u in range(n):
-        for v in g.adj_left[u]:
-            biadj[u, v] = 1
-    nu = biadj @ biadj.T
-    return SdpCertificate(n=n, s=s, k=k, d_l=d_l, d_r=d_r,
-                          sdp_alpha=alpha, tau=tau, graph=g, nu=nu)
+    biadj = np.zeros((n, s))
+    biadj[np.repeat(np.arange(n), d_l),
+          np.fromiter(chain.from_iterable(g.adj_left), np.intp, n * d_l)] = 1.0
+    # A float64 product runs on BLAS and is exact: every entry is an
+    # integer count of at most s < 2**53.
+    nu = (biadj @ biadj.T).astype(np.int64)
+    return SdpCertificate(n=n, s=s, k=k, d_l=d_l, d_r=d_r, sdp_alpha=alpha,
+                          tau=tau, graph=g, biadj=biadj, nu=nu)
 
 
 def verify_sdp_certificate(cert: SdpCertificate,

@@ -294,7 +294,7 @@ def reference_first_step(pre):
     u_d = [u for u in range(g.n)
            if sum(1 for v in g.adj_left[u] if v not in pre.v_d) <= thr]
     if len(u_d) >= k / 2 and u_d:
-        return Done(Solution.from_set(g, u_d[:min(len(u_d), k)]))
+        return Done(tuple(u_d[:min(len(u_d), k)]))
     return Branches(states=tuple(
         BranchState(current=g.adj_right[v], guesses=(v,), step_index=1)
         for v in range(g.n_right) if v not in pre.v_d and g.adj_right[v]))
@@ -314,11 +314,11 @@ def reference_hair_step(pre, st):
     u_d = [u for u in st.current
            if sum(1 for v in g.adj_left[u] if v not in v_hat_d) <= thr]
     if len(u_d) >= k:
-        return Done(Solution.from_set(g, u_d[:k]))
+        return Done(tuple(u_d[:k]))
     if u_d:
         sol = least_expanding_subset(g, u_d)
         if sol.expansion <= Fraction(thr):
-            return Done(sol)
+            return Done(sol.chosen)
     states = []
     for v in range(g.n_right):
         if v in v_hat_d:
@@ -340,7 +340,7 @@ def reference_backbone_step(pre, st, seed):
     v_hat = {v for v in neighborhood(g, st.current) if v not in pre.v_d}
     sol = least_expanding_subset(g, st.current, forbidden_right=pre.v_d)
     if sol.expansion <= Fraction(thr):
-        return Done(sol)
+        return Done(sol.chosen)
     if not v_hat:
         return Branches(states=())
     reach = set()
@@ -415,8 +415,8 @@ class TestSteps:
             v_d=frozenset(range(2)))
         res = first_step(pre)
         assert isinstance(res, Done)
-        sol = res.solution
-        masked = {v for u in sol.chosen for v in g.adj_left[u]
+        assert res.chosen == (0, 1, 2)
+        masked = {v for u in res.chosen for v in g.adj_left[u]
                   if v not in pre.v_d}
         assert not masked
 
@@ -465,7 +465,7 @@ class TestSteps:
         out = hair_step(pre, st)
         assert isinstance(out, Done)
         bound = 2 * pre.r * pre.k ** (1 - pre.c * pre.eps)
-        assert out.solution.neighborhood_size <= bound
+        assert len(neighborhood(g, out.chosen)) <= bound
 
     def test_backbone_subsample_concentration(self):
         # 200 low-overlap vertices fall in the half-rate bin; the retained
@@ -521,15 +521,15 @@ class TestSteps:
                             if v in v_hat) <= r_i]
                     assert child.current == tuple(sorted(members))
 
-    def test_final_step_trims_and_measures_full(self):
+    def test_final_step_trims_masked_les(self):
         pre = _toy_pre(seed=8, n=10, n_right=6, k=2)
         st = BranchState(current=tuple(range(pre.graph.n)), guesses=(0,),
                          step_index=1)
-        sol = final_step(pre, st)
-        assert len(sol.chosen) <= pre.k
-        # Reported neighborhood counts the full right side, mask removed.
-        assert sol.neighborhood_size == len(
-            neighborhood(pre.graph, sol.chosen))
+        chosen = final_step(pre, st)
+        assert 1 <= len(chosen) <= pre.k
+        inner = least_expanding_subset(pre.graph, st.current,
+                                       forbidden_right=pre.v_d)
+        assert chosen == tuple(sorted(inner.chosen)[:pre.k])
 
     def test_final_step_masked_matches_brute(self):
         pre = _toy_pre(seed=9, n=8, n_right=5, k=3)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import mpmath
+import numpy as np
 import pytest
 
 from ssbve.certs import (biregularize, build_sa_certificate,
@@ -13,12 +14,15 @@ from ssbve.certs import (biregularize, build_sa_certificate,
                          hardness_gap_calculator, sa_lift_value,
                          sample_property_checks, verify_sa_certificate,
                          verify_sdp_certificate)
+from ssbve.certs import sdp
 from ssbve.certs.sa import _verify_naive, _View
 from ssbve.certs.report import VerifyReport
 from ssbve.errors import (InfeasibleError, InvalidRegimeError, NoCoverError,
-                          ParameterRegimeError, SizeExceededError)
+                          ParameterRegimeError, SizeExceededError,
+                          SsbveError, StalledError)
 from ssbve.generators import gen_gap_instance
 from ssbve.graph import BipartiteGraph
+from ssbve.rng import stream
 
 from conftest import random_bipartite
 
@@ -70,6 +74,170 @@ class TestBiregularize:
         out = biregularize(g, 2, 2)
         existing = set(g.edges())
         assert existing <= set(out.edges())
+
+
+def reference_cap_degrees(g, d_l_max, d_r_max):
+    """cap_degrees scanning every left vertex per shed edge, kept as its
+    oracle."""
+    adj = [set(nbrs) for nbrs in g.adj_left]
+    deg_l = [len(a) for a in adj]
+    deg_r = [0] * g.n_right
+    for a in adj:
+        for v in a:
+            deg_r[v] += 1
+    for v in range(g.n_right):
+        while deg_r[v] > d_r_max:
+            u = max((u for u in range(g.n) if v in adj[u]),
+                    key=lambda u: (deg_l[u], u))
+            adj[u].discard(v)
+            deg_l[u] -= 1
+            deg_r[v] -= 1
+    for u in range(g.n):
+        while deg_l[u] > d_l_max:
+            v = max(adj[u], key=lambda v: (deg_r[v], v))
+            adj[u].discard(v)
+            deg_l[u] -= 1
+            deg_r[v] -= 1
+    return BipartiteGraph.from_edges(
+        g.n, g.n_right, [(u, v) for u in range(g.n) for v in adj[u]])
+
+
+def reference_biregularize(g, d_l_target, d_r_target):
+    """biregularize rescanning both sides for every added edge, kept as its
+    oracle."""
+    if g.n * d_l_target != g.n_right * d_r_target:
+        raise InfeasibleError(
+            f"n*d_l = {g.n * d_l_target} != s*d_r = {g.n_right * d_r_target}")
+    for u in range(g.n):
+        if g.degree_left(u) > d_l_target:
+            raise InfeasibleError(f"left degree {g.degree_left(u)} "
+                                  f"exceeds target {d_l_target}")
+    for v in range(g.n_right):
+        if g.degree_right(v) > d_r_target:
+            raise InfeasibleError(f"right degree {g.degree_right(v)} "
+                                  f"exceeds target {d_r_target}")
+    adj = [set(nbrs) for nbrs in g.adj_left]
+    radj = [set(nbrs) for nbrs in g.adj_right]
+    def_l = [d_l_target - len(a) for a in adj]
+    def_r = [d_r_target - len(a) for a in radj]
+    while True:
+        deficient_left = [u for u in range(g.n) if def_l[u] > 0]
+        if not deficient_left:
+            break
+        u = max(deficient_left, key=lambda x: (def_l[x], -x))
+        candidates = [v for v in range(g.n_right)
+                      if def_r[v] > 0 and v not in adj[u]]
+        if candidates:
+            v = max(candidates, key=lambda x: (def_r[x], -x))
+            adj[u].add(v)
+            radj[v].add(u)
+            def_l[u] -= 1
+            def_r[v] -= 1
+            continue
+        v = max((x for x in range(g.n_right) if def_r[x] > 0),
+                key=lambda x: (def_r[x], -x))
+        if not _reference_swap(g.n_right, adj, radj, u, v):
+            raise StalledError(
+                f"no augmenting swap for left {u} / right {v}")
+        def_l[u] -= 1
+        def_r[v] -= 1
+    return BipartiteGraph.from_edges(
+        g.n, g.n_right, [(u, v) for u in range(g.n) for v in adj[u]])
+
+
+def _reference_swap(s, adj, radj, u, v):
+    for v2 in range(s):
+        if v2 == v or v2 in adj[u]:
+            continue
+        for u2 in sorted(radj[v2]):
+            if u2 != u and v not in adj[u2]:
+                adj[u2].discard(v2)
+                radj[v2].discard(u2)
+                adj[u].add(v2)
+                radj[v2].add(u)
+                adj[u2].add(v)
+                radj[v].add(u2)
+                return True
+    return False
+
+
+def _fit_outcome(fit, g, d_l, d_r):
+    """Edge list and both adjacency views, or the error raised."""
+    try:
+        out = fit(g, d_l, d_r)
+    except SsbveError as exc:
+        return type(exc), str(exc)
+    return out.edges(), out.adj_left, out.adj_right
+
+
+def _fit_cases():
+    """(graph, d_l target, d_r target): seeded gap instances from sparse to
+    nearly complete, so the greedy stalls and swaps on the dense ones."""
+    cases = []
+    shapes = [(12, 6), (16, 8), (20, 10), (9, 6), (8, 8), (24, 8), (40, 10),
+              (64, 16)]
+    for i in range(40):
+        n, s = shapes[i % len(shapes)]
+        targets = [t for t in range(1, s + 1) if n * t % s == 0]
+        d_l = targets[(5 * i + i // 8) % len(targets)]
+        density = (0.5, 0.9, 1.3)[i % 3]
+        g = gen_gap_instance(n, s, min(float(s), density * d_l), 2000 + i)
+        cases.append((g, d_l, n * d_l // s))
+    empty = BipartiteGraph.from_edges(1, 1, [])
+    cases += [
+        (empty, 2, 2),                                     # stalls
+        (BipartiteGraph.from_edges(2, 1, [(0, 0)]), 2, 4),  # stalls
+        (BipartiteGraph.from_edges(3, 2, []), 1, 1),        # bad sums
+        (BipartiteGraph.from_edges(2, 2, [(0, 0), (0, 1)]), 1, 1),
+        (BipartiteGraph.from_edges(2, 2, [(0, 0), (1, 0)]), 1, 1),
+    ]
+    return cases
+
+
+FIT_CASES = _fit_cases()
+
+
+class TestDegreeFittingMatchesReference:
+    """cap_degrees and biregularize against their rescanning oracles."""
+
+    @pytest.mark.parametrize("case", range(len(FIT_CASES)))
+    def test_cap_then_biregularize(self, case):
+        g, d_l, d_r = FIT_CASES[case]
+        capped = cap_degrees(g, d_l, d_r)
+        assert capped == reference_cap_degrees(g, d_l, d_r)
+        assert (_fit_outcome(biregularize, capped, d_l, d_r)
+                == _fit_outcome(reference_biregularize, capped, d_l, d_r))
+        # The uncapped graph, so the over-degree checks are compared too.
+        assert (_fit_outcome(biregularize, g, d_l, d_r)
+                == _fit_outcome(reference_biregularize, g, d_l, d_r))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cap_below_degrees(self, seed):
+        g = gen_gap_instance(60, 12, 6.0, 2100 + seed)
+        for d_l, d_r in [(3, 15), (2, 10), (5, 4), (1, 30)]:
+            capped = cap_degrees(g, d_l, d_r)
+            assert capped == reference_cap_degrees(g, d_l, d_r)
+            capped.validate()
+
+    def test_cases_reach_swap_stall_and_rejects(self, monkeypatch):
+        swaps = []
+        real_swap = sdp._augment_swap
+
+        def counting_swap(*args):
+            swaps.append(args)
+            return real_swap(*args)
+
+        monkeypatch.setattr(sdp, "_augment_swap", counting_swap)
+        kinds = set()
+        for g, d_l, d_r in FIT_CASES:
+            before = len(swaps)
+            out = _fit_outcome(biregularize, cap_degrees(g, d_l, d_r),
+                               d_l, d_r)
+            if isinstance(out[0], type):
+                kinds.add(out[0])
+            elif len(swaps) > before:
+                kinds.add("swap")
+        assert kinds == {"swap", StalledError, InfeasibleError}
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +349,24 @@ class TestSdpCertificate:
         cert = build_sdp_certificate(g, SMALL["k"])
         rep = verify_sdp_certificate(cert)
         assert rep.passed, rep.failing()
+
+    @pytest.mark.parametrize("which", range(6))
+    def test_nu_matches_int64_product(self, which):
+        if which < 2:
+            spec = (VALID, SMALL)[which]
+            g = circulant_biregular(spec["n"], spec["s"], spec["d_l"])
+            k = spec["k"]
+        else:
+            g = biregularize(cap_degrees(
+                gen_gap_instance(400, 160, 1.5, 2200 + which), 2, 5), 2, 5)
+            k = 4
+        cert = build_sdp_certificate(g, k)
+        b = np.zeros((g.n, g.n_right), dtype=np.int64)
+        for u, v in g.edges():
+            b[u, v] = 1
+        assert cert.nu.dtype == np.int64
+        assert np.array_equal(cert.nu, b @ b.T)
+        assert np.array_equal(cert.biadj, b)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +531,23 @@ def sa_instance(n=256, s=16, d_l=8, seed=7):
     return build_sa_certificate(g, rounds=1)
 
 
+def direct_x_value(cert, subset):
+    """beta^|S_U| alpha^|S_V| n^(-cost/4) straight from the definition,
+    with no table."""
+    n = cert.n
+    s_u = [w for w in subset if w < n]
+    nbhd = {n + v for u in s_u for v in cert.graph.adj_left[u]}
+    s_v = [w for w in subset if w >= n and w not in nbhd]
+    base = cert.sa_beta ** len(s_u) * cert.sa_alpha ** len(s_v)
+    cost = cover_cost(cert.graph, subset)
+    if cert.exact:
+        return base * Fraction(1, cert.quarter_root ** cost)
+    mp = mpmath.MPContext()
+    mp.dps = 60
+    return (mp.mpf(base.numerator) / base.denominator
+            * mp.mpf(n) ** (mp.mpf(-cost) / 4))
+
+
 class TestSaCertificate:
     def test_parameters_round1(self):
         cert = sa_instance()
@@ -450,6 +653,45 @@ class TestSaCertificate:
             family_worst(naive, "cardinality"))
         assert (family_worst(fast, "edge") > 0) == (
             family_worst(naive, "edge") > 0)
+
+    @pytest.mark.parametrize("n, s, d_l, rounds, exact", [
+        (256, 16, 8.0, 2, True), (100, 20, 10.0, 1, False)])
+    def test_class_values_match_direct_formula(self, n, s, d_l, rounds,
+                                               exact):
+        g = gen_gap_instance(n, s, d_l, 31)
+        cert = build_sa_certificate(g, rounds=rounds)
+        assert cert.exact == exact
+        rng = stream(31, n)
+        subsets = [frozenset(rng.sample_range(n + s, rng.randrange(
+            rounds + 2))) for _ in range(300)]
+        subsets += [frozenset((u, u + 1)) for u in range(0, 40, 2)]
+        for subset in subsets + subsets[::-1]:
+            assert cert.x_value(subset) == direct_x_value(cert, subset)
+        # Many subsets share a value class.
+        assert len(cert.class_table) < len(cert.x_table) / 4
+
+    def test_naive_edge_row_counts_violations(self):
+        g = gen_gap_instance(16, 8, 5.0, 9)
+
+        def naive_rows(cert):
+            rep = VerifyReport(tolerance=cert.tolerance)
+            _verify_naive(cert, rep, samples=20, seed=1)
+            edges = [r for r in rep.checks if r.constraint_id.startswith(
+                "edge-") and r.constraint_id != "edge-family-violations"]
+            summary, = (r for r in rep.checks
+                        if r.constraint_id == "edge-family-violations")
+            return rep, edges, summary
+
+        _, edges, summary = naive_rows(build_sa_certificate(g, rounds=1))
+        assert not edges and summary.lhs == 0 and summary.slack == 0
+        # x_v = 0 for one right vertex breaks x_v >= x_u on its edges.
+        bad = build_sa_certificate(g, rounds=1)
+        v = max(range(g.n_right), key=g.degree_right)
+        bad.x_table[frozenset({g.n + v})] = Fraction(0)
+        rep, edges, summary = naive_rows(bad)
+        assert summary.lhs == len(edges) >= g.degree_right(v) > 0
+        assert summary.slack == max(r.slack for r in edges) > bad.tolerance
+        assert summary in rep.failing()
 
     def test_rounds2_naive_small(self):
         g = gen_gap_instance(12, 4, 2.0, 9)
