@@ -213,14 +213,10 @@ def solve_gamma(d: float, n: int, k: int, alpha: float, eps: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def subsample_left(g: BipartiteGraph, gamma: float, seed: int) -> BipartiteGraph:
-    """Retain each left vertex independently with probability n^-gamma."""
-    return _subsample_left_ids(g, gamma, seed)[0]
-
-
-def _subsample_left_ids(
-        g: BipartiteGraph, gamma: float,
-        seed: int) -> tuple[BipartiteGraph, tuple[int, ...]]:
+def subsample_left(g: BipartiteGraph, gamma: float,
+                   seed: int) -> tuple[BipartiteGraph, tuple[int, ...]]:
+    """Retain each left vertex independently with probability n^-gamma;
+    returns the induced graph and the kept vertices' ids in g."""
     gamma = min(max(gamma, 0.0), 1.0)  # cap: expected survivors >= 1
     if gamma == 0.0 or g.n == 0:
         return g, tuple(range(g.n))
@@ -229,8 +225,7 @@ def _subsample_left_ids(
     kept = [u for u in range(g.n) if rng.bernoulli(p_keep)]
     if not kept:
         kept = [0]
-    sub, ids = induced_left_subgraph(g, kept)
-    return sub, ids
+    return induced_left_subgraph(g, kept)
 
 
 def _snap_alpha(alpha: float, q_max: int) -> tuple[int, int]:
@@ -284,7 +279,7 @@ def _finish_candidate(cand: PreprocessedInstance, t: int, eps: float,
         except NoRootError:
             gamma = 0.0
         if gamma > 1e-12:
-            g, kept = _subsample_left_ids(g, gamma, seed)
+            g, kept = subsample_left(g, gamma, seed)
             ids = tuple(ids[u] for u in kept)
             k = max(1, min(g.n, round(k * cand.graph.n ** (-gamma))))
             d = k * r / t

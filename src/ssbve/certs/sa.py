@@ -31,6 +31,7 @@ rest on an unproven shortcut.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -142,7 +143,6 @@ def _steiner_ucount(view: _View, terminals: tuple[int, ...]) -> int:
 
 def _steiner_dp(view: _View, terminals: tuple[int, ...]) -> int:
     """Dreyfus-Wagner over terminal subsets with 0/1 node weights."""
-    import heapq
     t = len(terminals)
     full = (1 << t) - 1
     big = view.n + 1
@@ -234,9 +234,11 @@ class SaCertificate:
     quarter_root: int    # n^(1/4) when exact
     x_table: dict = field(default_factory=dict)
     cost_table: dict = field(default_factory=dict)
-    # x_S depends on S only through (|S_U|, |S_V|, cost(S)); the value of
-    # each class is computed once.
+    # x_S depends on S only through key(S) = (|S_U|, |S_V|, cost(S)); the
+    # value of each class is computed once, and so is each lift, keyed by
+    # the classes of its inclusion-exclusion terms.
     class_table: dict = field(default_factory=dict)
+    lift_table: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.view = _View(self.graph)
@@ -249,20 +251,39 @@ class SaCertificate:
     def s(self) -> int:
         return self.graph.n_right
 
-    def cost(self, subset: frozenset[int]) -> int:
-        got = self.cost_table.get(subset)
-        if got is None:
-            got = _cover_cost(self.view, subset)
-            self.cost_table[subset] = got
-        return got
+    def key(self, subset: frozenset[int]) -> tuple[int, int, int]:
+        """Cover class (|S_U|, |S_V|, cost(S)) of a subset.
 
-    def split_sizes(self, subset: frozenset[int]) -> tuple[int, int]:
-        s_u = [w for w in subset if w < self.n]
-        nbhd = set()
-        for u in s_u:
-            nbhd.update(self.view.adj[u])
-        s_v = [w for w in subset if w >= self.n and w not in nbhd]
-        return len(s_u), len(s_v)
+        Pairs take their structural tier: a left-right pair costs 2 when
+        adjacent (the right vertex is then forced) and 3 otherwise, two
+        right vertices cost 2, and two left vertices with a common neighbor
+        cost 3.  Far-apart left pairs, singletons and larger sets run the
+        general cover search, memoised by subset."""
+        n = self.n
+        size = len(subset)
+        if size == 2:
+            a, b = subset
+            if a > b:
+                a, b = b, a
+            adj_sets = self.view.adj_sets
+            if b < n:
+                if not adj_sets[a].isdisjoint(adj_sets[b]):
+                    return (2, 0, 3)
+            elif a < n:
+                return (1, 0, 2) if b in adj_sets[a] else (1, 1, 3)
+            else:
+                return (0, 2, 2)
+        s_u = [w for w in subset if w < n]
+        n_v = size - len(s_u)
+        if s_u and n_v:  # drop the right vertices that S_U forces
+            nbhd = set()
+            for u in s_u:
+                nbhd.update(self.view.adj[u])
+            n_v = sum(1 for w in subset if w >= n and w not in nbhd)
+        cost = self.cost_table.get(subset)
+        if cost is None:
+            cost = self.cost_table[subset] = _cover_cost(self.view, subset)
+        return len(s_u), n_v, cost
 
     def scale(self, cost: int):
         """n^(-cost/4), exact when possible."""
@@ -277,7 +298,7 @@ class SaCertificate:
                 f"|S|={len(subset)} exceeds rounds+1={self.rounds + 1}")
         got = self.x_table.get(subset)
         if got is None:
-            key = (*self.split_sizes(subset), self.cost(subset))
+            key = self.key(subset)
             got = self.class_table.get(key)
             if got is None:
                 n_u, n_v, cost = key
@@ -317,17 +338,27 @@ def build_sa_certificate(g: BipartiteGraph, rounds: int) -> SaCertificate:
 
 
 def sa_lift_value(cert: SaCertificate, s_set, t_set):
-    """x_{S,T} = sum over J subset of T of (-1)^|J| x_{S union J}."""
+    """x_{S,T} = sum over J subset of T of (-1)^|J| x_{S union J}.
+
+    The sum depends only on the classes of its terms, so each distinct
+    tuple of term classes is summed once per certificate."""
     s_set = frozenset(s_set)
     t_set = tuple(sorted(set(t_set)))
     if len(s_set) + len(t_set) > cert.rounds + 1:
         raise SizeExceededError(
             f"|S|+|T| = {len(s_set) + len(t_set)} exceeds rounds+1")
-    total = 0
-    for r in range(len(t_set) + 1):
-        for j in combinations(t_set, r):
-            term = cert.x_value(s_set | frozenset(j))
-            total = total + term if r % 2 == 0 else total - term
+    if not t_set:
+        return cert.x_value(s_set)
+    terms = [(r % 2, s_set.union(j)) for r in range(len(t_set) + 1)
+             for j in combinations(t_set, r)]
+    classes = tuple(cert.key(term) for _, term in terms)
+    total = cert.lift_table.get(classes)
+    if total is None:
+        total = 0
+        for odd, term in terms:
+            x = cert.x_value(term)
+            total = total - x if odd else total + x
+        cert.lift_table[classes] = total
     return total
 
 
@@ -416,7 +447,7 @@ def _verify_naive(cert, rep, samples, seed) -> None:
                     lhs = sa_lift_value(cert, s_set | {v}, t_set)
                     rhs = sa_lift_value(cert, s_set | {u}, t_set)
                     if lhs < rhs:
-                        violations += 1
+                        violations += rhs - lhs > cert.tolerance
                         worst = max(worst, float(rhs - lhs))
                         rep.add(f"edge-{u}-{v}-{sorted(s_set)}"
                                 f"-{sorted(t_set)}",
@@ -470,9 +501,8 @@ def _sample_top_level_bounds(cert, rep, samples, seed) -> None:
         if 0 <= val <= 1:
             continue
         bad = max(0.0, float(-val), float(val) - 1.0)
-        if bad > 0:
-            violations += 1
-            worst = max(worst, bad)
+        violations += bad > cert.tolerance
+        worst = max(worst, bad)
     rep.add("bounds-top-level-sampled", violations, 0, worst)
     rep.extra["top_level_samples"] = samples
 
@@ -480,14 +510,6 @@ def _sample_top_level_bounds(cert, rep, samples, seed) -> None:
 # ---------------------------------------------------------------------------
 # One-round exact fast path
 # ---------------------------------------------------------------------------
-
-def _pair_cost_uu(cert, u1: int, u2: int) -> int:
-    """cover cost of {u1, u2}: 3 with a common neighbor, else general."""
-    view = cert.view
-    if view.adj_sets[u1] & view.adj_sets[u2]:
-        return 3
-    return cert.cost(frozenset((u1, u2)))
-
 
 def _verify_one_round(cert, rep, samples, seed) -> None:
     """Exact verification of every level-0/1 constraint via structural cover
@@ -517,30 +539,41 @@ def _verify_one_round(cert, rep, samples, seed) -> None:
     rep.add("cardinality--", float(sum_xu), float(k),
             max(0.0, float(k - sum_xu)))
 
-    # Bitset machinery for per-left-vertex pair sums.
+    # Per-left-vertex pair sums from bitsets.  Both rows of w depend only
+    # on x_w and the far pair costs in order (c_near is n - 1 minus their
+    # count), so each such class is summed and rounded to floats once.
     right_masks = view.right_masks()
     all_u_mask = (1 << n) - 1
-    pair_sums_u: list = [None] * n
+    row_classes: dict = {}
+    rows_tu = []
     for w in range(n):
         mask = 0
         for v in cert.graph.adj_left[w]:
             mask |= right_masks[v]
         mask_others = mask & ~(1 << w)
         c_near = mask_others.bit_count()
-        far = all_u_mask & ~mask_others & ~(1 << w)
-        total = xu[w] + c_near * x_uu_near
-        m = far
+        m = all_u_mask & ~mask_others & ~(1 << w)
+        far_costs = []
         while m:
             low = m & (-m)
-            u2 = low.bit_length() - 1
-            cost = _pair_cost_uu(cert, w, u2)
-            total += beta * beta * cert.scale(cost)
+            far_costs.append(
+                cert.key(frozenset((w, low.bit_length() - 1)))[2])
             m ^= low
-        pair_sums_u[w] = total
-        lhs = total
-        rhs = k * xu[w]
-        rep.add(f"cardinality-u{w}", float(lhs), float(rhs),
-                max(0.0, float(rhs - lhs)))
+        row_class = (xu[w], tuple(far_costs))
+        rows = row_classes.get(row_class)
+        if rows is None:
+            total = xu[w] + c_near * x_uu_near
+            for cost in far_costs:
+                total += beta * beta * cert.scale(cost)
+            rhs = k * xu[w]
+            # (S, T) = (empty, {w}): sum_u (x_u - x_{u,w}) >= k (1 - x_w).
+            lhs_t = sum_xu - total
+            rhs_t = k * (one - xu[w])
+            rows = row_classes[row_class] = (
+                (float(total), float(rhs), max(0.0, float(rhs - total))),
+                (float(lhs_t), float(rhs_t), max(0.0, float(rhs_t - lhs_t))))
+        rep.add(f"cardinality-u{w}", *rows[0])
+        rows_tu.append(rows[1])
 
     pair_sums_v: list = [None] * s
     for w in range(s):
@@ -551,12 +584,8 @@ def _verify_one_round(cert, rep, samples, seed) -> None:
         rep.add(f"cardinality-v{w}", float(total), float(rhs),
                 max(0.0, float(rhs - total)))
 
-    # (S, T) = (empty, {w}): sum_u (x_u - x_{u,w}) >= k (1 - x_w).
-    for w in range(n):
-        lhs = sum_xu - pair_sums_u[w]
-        rhs = k * (one - xu[w])
-        rep.add(f"cardinality-tu{w}", float(lhs), float(rhs),
-                max(0.0, float(rhs - lhs)))
+    for w, row in enumerate(rows_tu):
+        rep.add(f"cardinality-tu{w}", *row)
     for w in range(s):
         lhs = sum_xu - pair_sums_v[w]
         rhs = k * (one - xv[w])
@@ -621,7 +650,7 @@ def _edge_scan_explicit(cert, rep) -> None:
             lhs = sa_lift_value(cert, s_set | {v}, t_set)
             rhs = sa_lift_value(cert, s_set | {u}, t_set)
             if lhs < rhs:
-                count += 1
+                count += rhs - lhs > cert.tolerance
                 worst = max(worst, float(rhs - lhs))
     rep.add("edge-family-explicit", count, 0, worst)
 

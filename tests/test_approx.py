@@ -191,17 +191,17 @@ class TestSolveGamma:
 class TestSubsample:
     def test_gamma_zero_identity(self):
         g = random_bipartite(5, 10, 4)
-        assert subsample_left(g, 0.0, 3) == g
+        assert subsample_left(g, 0.0, 3) == (g, tuple(range(g.n)))
 
     def test_cap_keeps_someone(self):
         g = random_bipartite(6, 10, 4)
-        sub = subsample_left(g, 50.0, 3)
-        assert sub.n >= 1
+        sub, kept = subsample_left(g, 50.0, 3)
+        assert sub.n == len(kept) >= 1
 
     def test_binomial_count(self):
         g = random_bipartite(7, 10 ** 4, 1, 0.0)
         gamma = 1.0 / 4  # n^-gamma = 0.1
-        sub = subsample_left(g, gamma, 11)
+        sub, _ = subsample_left(g, gamma, 11)
         mean, sd = 10 ** 3, math.sqrt(10 ** 4 * 0.1 * 0.9)
         assert abs(sub.n - mean) <= 4 * sd
 

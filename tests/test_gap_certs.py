@@ -14,8 +14,8 @@ from ssbve.certs import (biregularize, build_sa_certificate,
                          hardness_gap_calculator, sa_lift_value,
                          sample_property_checks, verify_sa_certificate,
                          verify_sdp_certificate)
-from ssbve.certs import sdp
-from ssbve.certs.sa import _verify_naive, _View
+from ssbve.certs import sa, sdp
+from ssbve.certs.sa import SaCertificate, _verify_naive, _View
 from ssbve.certs.report import VerifyReport
 from ssbve.errors import (InfeasibleError, InvalidRegimeError, NoCoverError,
                           ParameterRegimeError, SizeExceededError,
@@ -700,6 +700,316 @@ class TestSaCertificate:
         # Bounds and edge families hold; cardinality fails at toy scale.
         for row in rep.failing():
             assert row.constraint_id.startswith("cardinality")
+
+
+# ---------------------------------------------------------------------------
+# SA cover classes and lift memo against the code they replaced
+# ---------------------------------------------------------------------------
+
+def reference_key(cert, subset):
+    """(|S_U|, |S_V|, cost) from the neighbourhood split and the general
+    cover search, with no structural tiers; the oracle of
+    SaCertificate.key."""
+    n = cert.n
+    s_u = [w for w in subset if w < n]
+    nbhd = set()
+    for u in s_u:
+        nbhd.update(cert.view.adj[u])
+    s_v = [w for w in subset if w >= n and w not in nbhd]
+    return len(s_u), len(s_v), cover_cost(cert.graph, subset, cert.view)
+
+
+def reference_lift(cert, s_set, t_set):
+    """Inclusion-exclusion over x values with no memo; the oracle of
+    sa_lift_value."""
+    s_set = frozenset(s_set)
+    t_set = tuple(sorted(set(t_set)))
+    if len(s_set) + len(t_set) > cert.rounds + 1:
+        raise SizeExceededError("too big")
+    total = 0
+    for r in range(len(t_set) + 1):
+        for j in combinations(t_set, r):
+            term = cert.x_value(s_set | frozenset(j))
+            total = total + term if r % 2 == 0 else total - term
+    return total
+
+
+def reference_top_level(cert, rep, samples, seed):
+    """The top-level bound sampler computing every lift in full; the
+    oracle of _sample_top_level_bounds."""
+    rng = stream(seed, 0x544F)
+    total_v = cert.n + cert.s
+    level = cert.rounds + 1
+    violations = 0
+    worst = 0.0
+    for _ in range(samples):
+        members = rng.sample_range(total_v, min(level, total_v))
+        split = [rng.bernoulli(0.5) for _ in members]
+        s_set = frozenset(m for m, inc in zip(members, split) if inc)
+        t_set = frozenset(m for m, inc in zip(members, split) if not inc)
+        val = reference_lift(cert, s_set, t_set)
+        if 0 <= val <= 1:
+            continue
+        bad = max(0.0, float(-val), float(val) - 1.0)
+        if bad > cert.tolerance:
+            violations += 1
+        worst = max(worst, bad)
+    rep.add("bounds-top-level-sampled", violations, 0, worst)
+    rep.extra["top_level_samples"] = samples
+
+
+def reference_cardinality_rows(cert):
+    """Rows cardinality-u* and -tu* summed vertex by vertex, in the order
+    the one-round verifier sums them."""
+    n, k, beta = cert.n, cert.k, cert.sa_beta
+    one = Fraction(1) if cert.exact else sa._MP.mpf(1)
+    xu = [cert.x_value([u]) for u in range(n)]
+    sum_xu = sum(xu)
+    x_uu_near = beta * beta * cert.scale(1) ** 3
+    biadj = np.zeros((n, cert.s), dtype=np.int32)
+    for u, v in cert.graph.edges():
+        biadj[u, v] = 1
+    common = biadj @ biadj.T  # common-neighbour counts
+    np.fill_diagonal(common, -1)
+    rows, rows_tu = [], []
+    for w in range(n):
+        total = xu[w] + int((common[w] > 0).sum()) * x_uu_near
+        for u2 in np.flatnonzero(common[w] == 0).tolist():
+            cost = reference_key(cert, frozenset((w, u2)))[2]
+            total += beta * beta * cert.scale(cost)
+        rows.append((f"cardinality-u{w}", float(total), float(k * xu[w]),
+                     max(0.0, float(k * xu[w] - total))))
+        lhs, rhs = sum_xu - total, k * (one - xu[w])
+        rows_tu.append((f"cardinality-tu{w}", float(lhs), float(rhs),
+                        max(0.0, float(rhs - lhs))))
+    return rows + rows_tu
+
+
+def reference_report(monkeypatch, cert, **kwargs):
+    """verify_sa_certificate with the class tiers, the lift memo and the
+    top-level sampler replaced by their oracles."""
+    with monkeypatch.context() as m:
+        m.setattr(SaCertificate, "key", reference_key)
+        m.setattr(sa, "sa_lift_value", reference_lift)
+        m.setattr(sa, "_sample_top_level_bounds", reference_top_level)
+        return verify_sa_certificate(cert, **kwargs)
+
+
+def _cover_outcome(fn, *args):
+    """fn(*args), or the NoCoverError it raised."""
+    try:
+        return fn(*args)
+    except NoCoverError as exc:
+        return NoCoverError, str(exc)
+
+
+def _tier_graphs():
+    """Small graphs with isolated vertices on both sides and left vertices
+    in different components, plus seeded random ones."""
+    graphs = [
+        BipartiteGraph.from_edges(5, 4, [(0, 0), (1, 0), (1, 1), (2, 1)]),
+        BipartiteGraph.from_edges(4, 3, [(0, 0), (1, 0), (2, 2)]),
+        BipartiteGraph.from_edges(3, 3, []),
+        BipartiteGraph.from_edges(6, 3, [(0, 0), (1, 0), (2, 1), (3, 1),
+                                         (3, 2), (4, 2)]),
+    ]
+    for seed in range(20):
+        n, s = 3 + seed % 5, 2 + seed % 4
+        graphs.append(random_bipartite(900 + seed, n, s,
+                                       (0.15, 0.3, 0.5, 0.8)[seed % 4]))
+    return graphs
+
+
+TIER_GRAPHS = _tier_graphs()
+
+
+def chain(n):
+    """Left i joined to right i and i+1: far-apart left pairs of every
+    cost, so vertices agree on (x_w, c_near, far count) but not on their
+    far costs."""
+    return BipartiteGraph.from_edges(
+        n, n + 1, [(u, u + d) for u in range(n) for d in (0, 1)])
+
+
+ONE_ROUND_GRAPHS = {
+    "gap-256": lambda: gen_gap_instance(256, 16, 8.0, 7),
+    # The benchmark's certify instance at seed 300.
+    "certify-4096": lambda: gen_gap_instance(4096, 64, 32.0, 310_000),
+    "gap-100": lambda: gen_gap_instance(100, 20, 10.0, 31),
+    "chain-16": lambda: chain(16),
+    "chain-10": lambda: chain(10),
+}
+
+
+def reference_edge_scan(cert):
+    """(count above tolerance, count of any shortfall, worst shortfall)
+    over every level-<=1 edge constraint."""
+    n, s = cert.n, cert.s
+    contexts = [(frozenset(), frozenset())]
+    contexts += [(frozenset({w}), frozenset()) for w in range(n + s)]
+    contexts += [(frozenset(), frozenset({w})) for w in range(n + s)]
+    above = anything = 0
+    worst = 0.0
+    for s_set, t_set in contexts:
+        for u, v in cert.graph.edges():
+            short = (reference_lift(cert, s_set | {u}, t_set)
+                     - reference_lift(cert, s_set | {n + v}, t_set))
+            if short > 0:
+                anything += 1
+                above += short > cert.tolerance
+                worst = max(worst, float(short))
+    return above, anything, worst
+
+
+class TestSaClassesMatchReference:
+    @pytest.mark.parametrize("which", range(len(TIER_GRAPHS)))
+    def test_key_on_every_small_subset(self, which):
+        g = TIER_GRAPHS[which]
+        cert = build_sa_certificate(g, rounds=2)
+        total = g.n + g.n_right
+        for size in (0, 1, 2, 3):
+            for subset in combinations(range(total), size):
+                subset = frozenset(subset)
+                assert (_cover_outcome(SaCertificate.key, cert, subset)
+                        == _cover_outcome(reference_key, cert, subset)), subset
+
+    def test_fixtures_reach_every_tier_and_no_cover(self):
+        seen = set()
+        for g in TIER_GRAPHS:
+            cert = build_sa_certificate(g, rounds=1)
+            for pair in combinations(range(g.n + g.n_right), 2):
+                got = _cover_outcome(SaCertificate.key, cert, frozenset(pair))
+                seen.add(got[0] if got[0] is NoCoverError else got)
+        assert {(1, 0, 2), (1, 1, 3), (0, 2, 2), (2, 0, 3),
+                NoCoverError} <= seen
+        assert any(k[0] == 2 and k[2] > 3 for k in seen if k is not
+                   NoCoverError)  # a far-apart left pair with a cover
+
+    @pytest.mark.parametrize("which", range(0, len(TIER_GRAPHS), 3))
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_lifts(self, which, rounds):
+        g = TIER_GRAPHS[which]
+        cert = build_sa_certificate(g, rounds=rounds)
+        ref = build_sa_certificate(g, rounds=rounds)
+        rng = stream(which, rounds)
+        for _ in range(300):
+            members = rng.sample_range(g.n + g.n_right,
+                                       rng.randrange(rounds + 2))
+            s_set = [m for m in members if rng.bernoulli(0.5)]
+            t_set = [m for m in members if m not in s_set]
+            assert (_cover_outcome(sa_lift_value, cert, s_set, t_set)
+                    == _cover_outcome(reference_lift, ref, s_set, t_set)), (
+                        s_set, t_set)
+        assert cert.lift_table
+
+    @pytest.mark.parametrize("name, exact", [
+        ("gap-256", True), ("certify-4096", True), ("gap-100", False),
+        ("chain-16", True), ("chain-10", False)])
+    def test_one_round_report(self, monkeypatch, name, exact):
+        g = ONE_ROUND_GRAPHS[name]()
+        seed = g.n
+        cert = build_sa_certificate(g, rounds=1)
+        assert cert.exact == exact
+        rep = verify_sa_certificate(cert, samples=2000, seed=seed)
+        ref = reference_report(monkeypatch, build_sa_certificate(g, rounds=1),
+                               samples=2000, seed=seed)
+        assert rep.checks == ref.checks
+        assert rep.extra == ref.extra
+        rows = {r.constraint_id: r for r in rep.checks}
+        for cid, lhs, rhs, slack in reference_cardinality_rows(
+                build_sa_certificate(g, rounds=1)):
+            assert (rows[cid].lhs, rows[cid].rhs, rows[cid].slack) == (
+                lhs, rhs, slack), cid
+
+    @pytest.mark.parametrize("mode, rounds", [
+        ("exhaustive", 2), ("sampled", 1), ("sampled", 2)])
+    @pytest.mark.parametrize("n, s, d_l", [(16, 4, 2.0), (10, 3, 2.0)])
+    def test_naive_and_sampled_reports(self, monkeypatch, mode, rounds, n, s,
+                                       d_l):
+        g = gen_gap_instance(n, s, d_l, 9)
+        kwargs = dict(mode=mode, samples=200, seed=3, budget=500)
+        rep = verify_sa_certificate(build_sa_certificate(g, rounds), **kwargs)
+        ref = reference_report(monkeypatch, build_sa_certificate(g, rounds),
+                               **kwargs)
+        assert rep.checks == ref.checks
+        assert rep.extra == ref.extra
+
+    def test_cardinality_rows_follow_each_left_value(self):
+        # One left singleton overridden in the value table: its rows, and
+        # only its, must move with it, though it shares its far costs.
+        cert = build_sa_certificate(ONE_ROUND_GRAPHS["gap-256"](), rounds=1)
+        cert.x_table[frozenset({5})] = cert.x_value([5]) / 2
+        rep = verify_sa_certificate(cert, samples=10, seed=1)
+        rows = {r.constraint_id: (r.lhs, r.rhs, r.slack) for r in rep.checks}
+        for cid, *row in reference_cardinality_rows(cert):
+            assert rows[cid] == tuple(row), cid
+
+    def test_naive_summary_skips_rounding_noise(self):
+        # Float mode, rounds=2: some edge rows fall short by about 1e-63,
+        # far below the 1e-40 tolerance.
+        cert = build_sa_certificate(gen_gap_instance(10, 3, 2.0, 1), 2)
+        rep = verify_sa_certificate(cert, samples=300, seed=1, budget=500)
+        edges = [r for r in rep.checks if r.constraint_id.startswith(
+            "edge-") and r.constraint_id != "edge-family-violations"]
+        summary, = (r for r in rep.checks
+                    if r.constraint_id == "edge-family-violations")
+        assert edges and all(0 < r.slack <= cert.tolerance for r in edges)
+        assert summary.lhs == 0
+        assert summary.slack == max(r.slack for r in edges)
+
+    def test_top_level_summary_skips_rounding_noise(self, monkeypatch):
+        g = gen_gap_instance(12, 4, 2.0, 9)
+        kwargs = dict(samples=300, seed=9, budget=500)
+        rep = verify_sa_certificate(build_sa_certificate(g, 2), **kwargs)
+        ref = reference_report(monkeypatch, build_sa_certificate(g, 2),
+                               **kwargs)
+        row, = (r for r in rep.checks
+                if r.constraint_id == "bounds-top-level-sampled")
+        assert row in ref.checks
+        assert row.lhs == 0 and 0 < row.slack <= 1e-40
+
+    def test_explicit_summary_skips_rounding_noise(self):
+        # x_v just below x_u fails the edge classes; the level-0 edge rows
+        # then fall short by 1e-50 only, while other contexts truly fail.
+        for g in (gen_gap_instance(20, 5, 3.0, 9), chain(16)):
+            cert = build_sa_certificate(g, rounds=1)
+            x_u = cert.x_value([0])
+            cert.class_table[(0, 1, 1)] = x_u - (
+                Fraction(1, 10 ** 50) if cert.exact else sa._MP.mpf("1e-50"))
+            rep = verify_sa_certificate(cert, samples=100, seed=1)
+            row, = (r for r in rep.checks
+                    if r.constraint_id == "edge-family-explicit")
+            above, anything, worst = reference_edge_scan(cert)
+            assert (row.lhs, row.slack) == (above, worst)
+            if cert.exact:
+                assert above == anything
+            else:
+                assert 0 < above < anything
+
+    @pytest.mark.parametrize("n, s, d_l, rounds", [
+        (16, 4, 2.0, 1), (20, 5, 3.0, 1), (16, 4, 2.0, 2), (10, 3, 2.0, 2)])
+    def test_corrupted_class_counts(self, monkeypatch, n, s, d_l, rounds):
+        # x_v = 0 for every right vertex: the edge classes fail, so the
+        # one-round verifier rescans edges explicitly, and lifts such as
+        # x_{v} - x_{u,v} go negative at the top level.
+        g = gen_gap_instance(n, s, d_l, 9)
+
+        def corrupted():
+            cert = build_sa_certificate(g, rounds)
+            zero = Fraction(0) if cert.exact else sa._MP.mpf(0)
+            cert.class_table[reference_key(cert, frozenset({n}))] = zero
+            return cert
+
+        kwargs = dict(samples=500, seed=2, budget=500)
+        rep = verify_sa_certificate(corrupted(), **kwargs)
+        ref = reference_report(monkeypatch, corrupted(), **kwargs)
+        assert rep.checks == ref.checks
+        counts = {r.constraint_id: r.lhs for r in rep.checks
+                  if r.constraint_id in ("edge-family-explicit",
+                                         "edge-family-violations",
+                                         "bounds-top-level-sampled")}
+        assert len(counts) == 2 and all(c > 0 for c in counts.values())
+        assert not rep.passed
 
 
 # ---------------------------------------------------------------------------

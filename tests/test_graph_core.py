@@ -295,6 +295,59 @@ _SSBVE_HEADER = st.one_of(
     st.sampled_from(["p ssbve 3 3", "p ssbve 3 x 1", "p mku 3 3 1"]))
 
 
+def _with_bounds(lo: int, hi: int):
+    """An integer in [lo, hi], drawn at either bound half of the time."""
+    return st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi))
+
+
+@st.composite
+def _ssbve_instances(draw):
+    n, n_right = draw(st.integers(1, 7)), draw(st.integers(0, 7))
+    # Small edge sets, so that isolated vertices on both sides are common.
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, max(n_right - 1, 0))),
+                         max_size=n * n_right))
+    return SsbveInstance(graph=BipartiteGraph.from_edges(n, n_right, edges),
+                         k=draw(_with_bounds(1, n)))
+
+
+@st.composite
+def _mku_instances(draw):
+    n_elements = draw(st.integers(0, 7))
+    sets = draw(st.lists(st.sets(st.integers(0, n_elements - 1))
+                         if n_elements else st.just(set()), max_size=6))
+    h = Hypergraph.from_sets(n_elements, sets)
+    return h, draw(_with_bounds(1, max(len(h.sets), 1)))
+
+
+@st.composite
+def _ssve_instances(draw):
+    n = draw(st.integers(1, 7))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                   st.integers(0, n - 1))
+                         .filter(lambda ab: ab[0] != ab[1])))
+    return UndirectedGraph.from_edges(n, pairs), draw(_with_bounds(1, n))
+
+
+class TestFormatRoundTrips:
+    @given(inst=_ssbve_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_ssbve(self, inst):
+        assert parse_ssbve(write_ssbve(inst)) == inst
+
+    @given(inst=_mku_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_mku(self, inst):
+        h, k = inst
+        assert parse_mku(write_mku(h, k)) == (h, k)
+
+    @given(inst=_ssve_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_ssve(self, inst):
+        g, k = inst
+        assert parse_ssve(write_ssve(g, k)) == (g, k)
+
+
 class TestFormats:
     @given(header=_SSBVE_HEADER,
            body=st.lists(st.tuples(_PAD, _SSBVE_LINE, _PAD, _SEP),
