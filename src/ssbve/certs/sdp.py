@@ -13,7 +13,8 @@ handful of rational classes:
 and is proved positive semidefinite by an explicit decomposition
 X = Y + Z + sum over right vertices v of X^(v), each part passing a 2x2
 minor condition.  All identities are checked in exact arithmetic; the
-eigenvalue route is a guard against implementation mistakes.
+eigenvalue route, computed from the small invariant blocks of X, is a guard
+against implementation mistakes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -170,29 +170,6 @@ class SdpCertificate:
     def objective(self) -> Fraction:
         return self.s * self.tau
 
-    @cached_property
-    def a_mat(self) -> np.ndarray:
-        a = (float(self.a_off_coeff) * self.nu.astype(np.float64)
-             + float(self.a_off_const))
-        np.fill_diagonal(a, float(self.a_diag))
-        return a
-
-    @cached_property
-    def b_mat(self) -> np.ndarray:
-        b = np.full((self.s, self.s), float(self.tau) / 2.0)
-        np.fill_diagonal(b, float(self.tau))
-        return b
-
-    @cached_property
-    def c_mat(self) -> np.ndarray:
-        ce, cn = float(self.c_edge), float(self.c_nonedge)
-        return cn + (ce - cn) * self.biadj
-
-    def x_dense(self) -> np.ndarray:
-        top = np.hstack([self.a_mat, self.c_mat])
-        bottom = np.hstack([self.c_mat.T, self.b_mat])
-        return np.vstack([top, bottom])
-
 
 def build_sdp_certificate(g: BipartiteGraph, k: int) -> SdpCertificate:
     """Certificate for a biregular graph; rejects parameter regimes that
@@ -214,14 +191,57 @@ def build_sdp_certificate(g: BipartiteGraph, k: int) -> SdpCertificate:
         raise ParameterRegimeError(f"need tau < 1/8, got tau={float(tau):.4g}")
     if not 2 * alpha * k * s <= d_l * n:
         raise ParameterRegimeError("need 2*alpha*k*s <= d_l*n")
-    biadj = np.zeros((n, s))
-    biadj[np.repeat(np.arange(n), d_l),
-          np.fromiter(chain.from_iterable(g.adj_left), np.intp, n * d_l)] = 1.0
+    biadj = _biadjacency(g)
     # A float64 product runs on BLAS and is exact: every entry is an
     # integer count of at most s < 2**53.
     nu = (biadj @ biadj.T).astype(np.int64)
     return SdpCertificate(n=n, s=s, k=k, d_l=d_l, d_r=d_r, sdp_alpha=alpha,
                           tau=tau, graph=g, biadj=biadj, nu=nu)
+
+
+def _biadjacency(g: BipartiteGraph) -> np.ndarray:
+    """The 0/1 n x s biadjacency matrix of g, as float64."""
+    b = np.zeros((g.n, g.n_right))
+    b[np.repeat(np.arange(g.n), [len(nbrs) for nbrs in g.adj_left]),
+      np.fromiter(chain.from_iterable(g.adj_left), np.intp)] = 1.0
+    return b
+
+
+def _mismatches(got: np.ndarray, want: np.ndarray) -> int:
+    """Entries where two matrices differ; every entry if their shapes do."""
+    if got.shape != want.shape:
+        return max(got.size, want.size)
+    return int(np.count_nonzero(got != want))
+
+
+def _eigen_extremes(cert: SdpCertificate) -> tuple[float, float]:
+    """Minimum eigenvalue and spectral norm of X, from its invariant blocks.
+
+    With B the 0/1 biadjacency, X = [[mu BB^T + eta J + zeta I,
+    c_n J + (c_e - c_n) B], [., (tau/2)(J + I)]].  For a biregular B, each
+    singular value sigma of B off the all-ones pair gives the 2x2 block
+    [[mu sigma^2 + zeta, (c_e - c_n) sigma], [., tau/2]], the all-ones pair
+    gives one more, and the rest of the larger side has eigenvalue zeta
+    (left) or tau/2 (right).
+    """
+    b = cert.biadj
+    n, s = b.shape
+    mu, eta, zeta, ce, cn, half_tau = (float(x) for x in (
+        cert.a_off_coeff, cert.a_off_const, cert.zeta, cert.c_edge,
+        cert.c_nonedge, cert.tau / 2))
+    # sigma^2 from the smaller Gram matrix, less one copy of its top value
+    # d_l*d_r (the all-ones pair), which a disconnected graph repeats.
+    sig2 = np.clip(np.linalg.eigvalsh(b.T @ b if s <= n else b @ b.T)[:-1],
+                   0.0, None)
+    top = cert.d_l * cert.d_r
+    a = np.append(mu * sig2 + zeta, mu * top + eta * n + zeta)
+    off = np.append((ce - cn) * np.sqrt(sig2),
+                    cn * np.sqrt(n * s) + (ce - cn) * np.sqrt(top))
+    c = np.append(np.full(sig2.size, half_tau), half_tau * (s + 1))
+    mid, rad = (a + c) / 2, np.hypot((a - c) / 2, off)
+    rest = [zeta] * (n > s) + [half_tau] * (s > n)
+    eigs = np.concatenate([mid - rad, mid + rad, rest])
+    return float(eigs.min()), float(np.abs(eigs).max())
 
 
 def verify_sdp_certificate(cert: SdpCertificate,
@@ -273,37 +293,33 @@ def verify_sdp_certificate(cert: SdpCertificate,
 
     # Entrywise decomposition X = Y + Z + sum_v X^(v), case by case.
     x_uv_edge = cert.a_diag - cert.c_nonedge  # X^(v) entry on edges
-    cases = {
-        "decomp-u-diagonal":
-            mu * d_l + eta + cert.zeta == cert.a_diag,
-        "decomp-u-offdiagonal": True,  # mu*nu + eta both sides by class
-        "decomp-edge": x_uv_edge + cert.c_nonedge == cert.c_edge,
-        "decomp-nonedge": cert.c_nonedge == cert.c_nonedge,
-        "decomp-v-diagonal": tau / 2 + tau / 2 == tau,
-        "decomp-v-offdiagonal": tau / 2 == tau / 2,
-    }
-    for name, ok in cases.items():
-        rep.add_exact(name, bool(ok), 1, 1)
-    # The per-pair nu counts in sum_v X^(v) are definitionally the
-    # common-neighbor counts; cross-check the matrix is symmetric with the
-    # right diagonal.
+    rep.add_exact("decomp-u-diagonal",
+                  mu * d_l + eta + cert.zeta == cert.a_diag, 1, 1)
+    rep.add_exact("decomp-edge",
+                  x_uv_edge + cert.c_nonedge == cert.c_edge, 1, 1)
+    # The per-pair nu counts in sum_v X^(v) are the common-neighbor counts
+    # of the graph: biadj is its 0/1 matrix and nu = biadj biadj^T.  These
+    # rows and the degree rows also make the eigenvalue guard's blocks
+    # those of the X checked here.
     rep.add_exact("nu-symmetric", bool((cert.nu == cert.nu.T).all()), 1, 1)
     diag_ok = bool((cert.nu.diagonal() == d_l).all())
     rep.add_exact("nu-diagonal", diag_ok, 1, 1)
+    bad = _mismatches(cert.biadj, _biadjacency(cert.graph))
+    rep.add("biadj-graph", bad, 0, bad)
+    # Exact: a 0/1 float64 product counts integers below 2**53.
+    bad = _mismatches(cert.nu, cert.biadj @ cert.biadj.T)
+    rep.add("nu-gram", bad, 0, bad)
 
     # 2x2 minor witnesses.
     det_m1 = mu * (tau / 2) - x_uv_edge * x_uv_edge
-    rep.add_exact("psd-m1-diagonal", mu > 0 and tau > 0, 1, 1)
+    rep.add_exact("psd-m1-diagonal", min(mu, tau) > 0, min(mu, tau), 0)
     rep.add_exact("psd-m1-determinant", det_m1 >= 0, det_m1, 0)
     det_m2 = eta * (tau / 2) - cert.c_nonedge * cert.c_nonedge
     rep.add_exact("psd-m2-determinant", det_m2 >= 0, det_m2, 0)
     rep.add_exact("psd-zeta", cert.zeta >= 0, cert.zeta, 0)
 
     # Numeric eigenvalue guard.
-    x = cert.x_dense()
-    eigs = np.linalg.eigvalsh(x)
-    norm = float(max(abs(eigs[0]), abs(eigs[-1])))
-    min_eig = float(eigs[0])
+    min_eig, norm = _eigen_extremes(cert)
     rep.add("eigen-min", min_eig, -eig_tol * norm,
             max(0.0, -eig_tol * norm - min_eig))
 

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ssbve.certs import (biregularize, build_sa_certificate,
+from ssbve.certs import (SdpCertificate, biregularize, build_sa_certificate,
                          build_sdp_certificate, cap_degrees,
                          check_instance_properties, cover_cost,
                          hardness_gap_calculator, sa_lift_value,
@@ -367,6 +367,221 @@ class TestSdpCertificate:
         assert cert.nu.dtype == np.int64
         assert np.array_equal(cert.nu, b @ b.T)
         assert np.array_equal(cert.biadj, b)
+
+    def test_psd_m1_diagonal_values(self):
+        g = circulant_biregular(VALID["n"], VALID["s"], VALID["d_l"])
+        cert = build_sdp_certificate(g, VALID["k"])
+        row = report_row(verify_sdp_certificate(cert), "psd-m1-diagonal")
+        assert row.lhs == float(min(cert.a_off_coeff, cert.tau)) > 0
+        assert row.rhs == 0.0 and row.slack == 0.0
+
+
+def report_row(rep: VerifyReport, name: str):
+    row, = [r for r in rep.checks if r.constraint_id == name]
+    return row
+
+
+# Dense oracle for the eigenvalue guard: X built entry by entry from the
+# certificate's classes, and its full spectrum from LAPACK.
+
+def a_mat(cert) -> np.ndarray:
+    a = (float(cert.a_off_coeff) * cert.nu.astype(np.float64)
+         + float(cert.a_off_const))
+    np.fill_diagonal(a, float(cert.a_diag))
+    return a
+
+
+def b_mat(cert) -> np.ndarray:
+    b = np.full((cert.s, cert.s), float(cert.tau) / 2.0)
+    np.fill_diagonal(b, float(cert.tau))
+    return b
+
+
+def c_mat(cert) -> np.ndarray:
+    ce, cn = float(cert.c_edge), float(cert.c_nonedge)
+    return cn + (ce - cn) * cert.biadj
+
+
+def x_dense(cert) -> np.ndarray:
+    c = c_mat(cert)
+    return np.block([[a_mat(cert), c], [c.T, b_mat(cert)]])
+
+
+def dense_extremes(cert) -> tuple[float, float]:
+    eigs = np.linalg.eigvalsh(x_dense(cert))
+    return float(eigs[0]), float(max(abs(eigs[0]), abs(eigs[-1])))
+
+
+def fitted_biregular(n, s, d_l, d_r, seed) -> BipartiteGraph:
+    """Seeded biregular graph: a sparse random graph, capped and fitted."""
+    g = random_bipartite(seed, n, s, p=min(d_l / s, d_r / n) / 2)
+    return biregularize(cap_degrees(g, d_l, d_r), d_l, d_r)
+
+
+def disjoint_union(*graphs: BipartiteGraph) -> BipartiteGraph:
+    edges, n, s = [], 0, 0
+    for g in graphs:
+        edges += [(u + n, v + s) for u, v in g.edges()]
+        n, s = n + g.n, s + g.n_right
+    return BipartiteGraph.from_edges(n, s, edges)
+
+
+def dense_biadj(g: BipartiteGraph) -> np.ndarray:
+    b = np.zeros((g.n, g.n_right))
+    for u, v in g.edges():
+        b[u, v] = 1.0
+    return b
+
+
+def direct_certificate(g: BipartiteGraph, k: int,
+                       tau_scale: Fraction = Fraction(1)) -> SdpCertificate:
+    """SdpCertificate with the builder's alpha and tau (tau scaled), built
+    without the builder's regime guard."""
+    n, s = g.n, g.n_right
+    d_l, d_r = g.degree_left(0), g.degree_right(0)
+    alpha = Fraction(1, 2) * min(Fraction(d_l * n, k * s), Fraction(1))
+    tau = tau_scale * 2 * Fraction(d_l * d_l) / (alpha * s)
+    b = dense_biadj(g)
+    return SdpCertificate(n=n, s=s, k=k, d_l=d_l, d_r=d_r, sdp_alpha=alpha,
+                          tau=tau, graph=g, biadj=b,
+                          nu=(b @ b.T).astype(np.int64))
+
+
+def _certify_shape_graph(seed: int) -> BipartiteGraph:
+    capped = cap_degrees(gen_gap_instance(1280, 384, 2.0, seed), 3, 10)
+    return biregularize(capped, 3, 10)
+
+
+def _blocks_k32(count: int) -> BipartiteGraph:
+    k32 = BipartiteGraph.from_edges(3, 2, [(u, v) for u in range(3)
+                                           for v in range(2)])
+    return disjoint_union(*[k32] * count)
+
+
+SHRUNK = Fraction(1, 50)  # tau small enough that X is not PSD
+GUARD_CASES = {
+    "certify-987000": (lambda: _certify_shape_graph(987000), 4, 1),
+    **{f"n>s-120x36-{seed}": (
+        lambda seed=seed: fitted_biregular(120, 36, 3, 10, seed), 4, 1)
+       for seed in range(5)},
+    **{f"n>s-90x30-{seed}": (
+        lambda seed=seed: fitted_biregular(90, 30, 2, 6, seed), 3, 1)
+       for seed in (5, 6)},
+    **{f"n<s-30x60-{seed}": (
+        lambda seed=seed: fitted_biregular(30, 60, 6, 3, seed), 4, 1)
+       for seed in range(4)},
+    "n<s-24x40": (lambda: fitted_biregular(24, 40, 5, 3, 4), 3, 1),
+    "n=s-40x40": (lambda: fitted_biregular(40, 40, 3, 3, 0), 4, 1),
+    **{f"disconnected-n>s-{seed}": (
+        lambda seed=seed: disjoint_union(fitted_biregular(60, 20, 2, 6, seed),
+                                         fitted_biregular(60, 20, 2, 6,
+                                                          seed + 10)), 4, 1)
+       for seed in (0, 1)},
+    "disconnected-n<s": (
+        lambda: disjoint_union(fitted_biregular(20, 40, 4, 2, 2),
+                               fitted_biregular(20, 40, 4, 2, 3)), 4, 1),
+    "rank-deficient-circulant-12x6": (
+        lambda: circulant_biregular(12, 6, 2), 2, 1),
+    "rank-deficient-circulant-60x20": (
+        lambda: circulant_biregular(60, 20, 4), 4, 1),
+    "rank-deficient-k32-blocks": (lambda: _blocks_k32(4), 2, 1),
+    "not-psd-n>s": (lambda: fitted_biregular(120, 36, 3, 10, 0), 4, SHRUNK),
+    "not-psd-n<s": (lambda: fitted_biregular(30, 60, 6, 3, 0), 4, SHRUNK),
+    "not-psd-rank-deficient": (
+        lambda: circulant_biregular(60, 20, 4), 4, SHRUNK),
+}
+
+
+class TestEigenGuardMatchesDense:
+    """The structured guard (one eigvalsh of the smaller Gram matrix of B)
+    against the dense eigvalsh of the (n+s)^2 matrix X."""
+
+    @pytest.mark.parametrize("case", GUARD_CASES)
+    def test_extremes_match_dense(self, case):
+        make_graph, k, tau_scale = GUARD_CASES[case]
+        cert = direct_certificate(make_graph(), k, tau_scale)
+        min_eig, norm = sdp._eigen_extremes(cert)
+        dense_min, dense_norm = dense_extremes(cert)
+        assert abs(min_eig - dense_min) <= 1e-12 * dense_norm
+        assert abs(norm - dense_norm) <= 1e-12 * dense_norm
+        row = report_row(verify_sdp_certificate(cert), "eigen-min")
+        assert row.lhs == min_eig
+        if tau_scale == SHRUNK:
+            # Built to fail: both guards must flag it.
+            assert dense_min < -1e-9 * dense_norm
+            assert row.slack > 0
+
+    def test_cases_cover_the_shapes(self):
+        shapes = {name: make_graph() for name, (make_graph, _, _)
+                  in GUARD_CASES.items()}
+        assert len(shapes) >= 20
+        assert any(g.n < g.n_right for g in shapes.values())
+        assert any(g.n > g.n_right for g in shapes.values())
+        for name, g in shapes.items():
+            b = dense_biadj(g)
+            gram = np.linalg.eigvalsh(b.T @ b)
+            top = g.degree_left(0) * g.degree_right(0)
+            assert len({g.degree_left(u) for u in range(g.n)}) == 1, name
+            assert len({g.degree_right(v) for v in range(g.n_right)}) == 1
+            if name.startswith("disconnected"):
+                assert np.isclose(gram[-2], top)
+            if name.startswith("rank-deficient"):
+                assert np.linalg.matrix_rank(b) < min(g.n, g.n_right)
+
+
+class TestCorruptedSdpCertificate:
+    """Each data-dependent row catches its own fault, as a failing report
+    and never an exception."""
+
+    @staticmethod
+    def cert() -> SdpCertificate:
+        return build_sdp_certificate(_certify_shape_graph(1), 4)
+
+    def test_valid_certificate_rows_zero(self):
+        rep = verify_sdp_certificate(self.cert())
+        assert rep.passed
+        assert report_row(rep, "biadj-graph").lhs == 0.0
+        assert report_row(rep, "nu-gram").lhs == 0.0
+
+    def test_nu_entry_off_by_one(self):
+        cert = self.cert()
+        cert.nu[0, 5] += 1
+        rep = verify_sdp_certificate(cert)
+        assert not rep.passed
+        row = report_row(rep, "nu-gram")
+        assert row.lhs == 1.0 and row.slack > 0
+
+    def test_nu_switch_only_nu_gram_catches(self):
+        """+1/-1 on a 2x2 pattern (and its mirror) keeps nu symmetric, its
+        diagonal and its row sums: only nu-gram sees it."""
+        cert = self.cert()
+        for (a, b), delta in (((0, 2), 1), ((0, 3), -1),
+                              ((1, 2), -1), ((1, 3), 1)):
+            cert.nu[a, b] += delta
+            cert.nu[b, a] += delta
+        rep = verify_sdp_certificate(cert)
+        assert {r.constraint_id for r in rep.failing()} == {"nu-gram"}
+        assert report_row(rep, "nu-gram").lhs == 8.0
+
+    @pytest.mark.parametrize("present", [True, False])
+    def test_flipped_biadj_entry(self, present):
+        cert = self.cert()
+        u = 0
+        v = cert.graph.adj_left[u][0] if present else next(
+            v for v in range(cert.s) if v not in cert.graph.adj_left[u])
+        cert.biadj[u, v] = 1.0 - cert.biadj[u, v]
+        rep = verify_sdp_certificate(cert)  # biadj is not biregular now
+        assert not rep.passed
+        row = report_row(rep, "biadj-graph")
+        assert row.lhs == 1.0 and row.slack > 0
+        assert report_row(rep, "nu-gram").slack > 0
+
+    def test_biadj_wrong_shape(self):
+        cert = self.cert()
+        cert.biadj = cert.biadj[:, :-1]
+        rep = verify_sdp_certificate(cert)
+        assert not rep.passed
+        assert report_row(rep, "biadj-graph").slack > 0
 
 
 # ---------------------------------------------------------------------------
