@@ -24,7 +24,8 @@ class-based accounting: singleton and pairwise cover costs collapse to a
 fixed set of structural classes (adjacency, common-neighbor, and the rare
 far-apart pairs, which are routed through the general Steiner search), so
 every constraint instance is covered by a handful of exact class
-inequalities plus bitset-backed counts.  If any class check fails, the
+inequalities plus bitset-backed counts; the top-level value bounds are
+checked once per realised pair class.  If any class check fails, the
 verifier falls back to explicit per-edge scans, so passing reports never
 rest on an unproven shortcut.
 """
@@ -371,8 +372,9 @@ def verify_sa_certificate(cert: SaCertificate, mode: str = "exhaustive",
                           budget: int = 20_000) -> VerifyReport:
     """Check the lifted-LP constraints.
 
-    exhaustive: every constraint at levels |S|+|T| <= rounds, plus sampled
-    value-bound checks at level rounds+1.  One-round certificates use the
+    exhaustive: every constraint at levels |S|+|T| <= rounds, plus the
+    value bounds at level rounds+1: every realised top-level class at
+    rounds=1, sampled at rounds >= 2.  One-round certificates use the
     exact class-based fast path (any instance size); deeper certificates
     enumerate naively and require sum_j C(n+s, j) <= budget.
 
@@ -391,7 +393,7 @@ def verify_sa_certificate(cert: SaCertificate, mode: str = "exhaustive",
 
     if mode == "exhaustive":
         if cert.rounds == 1:
-            _verify_one_round(cert, rep, samples, seed)
+            _verify_one_round(cert, rep)
         else:
             total = sum(math.comb(cert.n + cert.s, j)
                         for j in range(cert.rounds + 1))
@@ -511,20 +513,34 @@ def _sample_top_level_bounds(cert, rep, samples, seed) -> None:
 # One-round exact fast path
 # ---------------------------------------------------------------------------
 
-def _verify_one_round(cert, rep, samples, seed) -> None:
+def _verify_one_round(cert, rep) -> None:
     """Exact verification of every level-0/1 constraint via structural cover
-    classes; falls back to explicit scans when a class inequality fails."""
+    classes, falling back to explicit scans when a class inequality fails,
+    and of every top-level value bound once per realised pair class."""
     view = cert.view
     n, s, k = cert.n, cert.s, cert.k
     alpha, beta = cert.sa_alpha, cert.sa_beta
     one = Fraction(1) if cert.exact else _MP.mpf(1)
 
-    # Singleton values, computed per vertex through the cover machinery.
+    # Singleton values, computed per vertex through the cover machinery, and
+    # their classes: left values are numbered from 0, right ones after them.
     xu = [cert.x_value([u]) for u in range(n)]
     xv = [cert.x_value([n + v]) for v in range(s)]
     xu0, xv0 = xu[0], xv[0]
-    uniform = all(x == xu0 for x in xu) and all(x == xv0 for x in xv)
+    left_of = _value_classes(xu, 0)
+    n_left = max(left_of) + 1
+    right_of = _value_classes(xv, n_left)
+    uniform = n_left == 1 and max(right_of) == n_left
     rep.add_exact("singleton-uniform", uniform, 1, 1)
+    left_masks = [0] * n_left
+    for u, c in enumerate(left_of):
+        left_masks[c] |= 1 << u
+
+    # Every top-level lift on a pair {a, b} (a < b) is a function of the
+    # classes of a and b and the cover class of {a, b}.  The loops below
+    # tally each realised triple with its pair count and one representative
+    # pair: {triple: [pairs, a, b]}.
+    top: dict = {}
 
     q = cert.scale(1)
     # Structural pair classes (each is a theorem about covers on bipartite
@@ -552,12 +568,21 @@ def _verify_one_round(cert, rep, samples, seed) -> None:
             mask |= right_masks[v]
         mask_others = mask & ~(1 << w)
         c_near = mask_others.bit_count()
+        cw = left_of[w]
+        for c, cmask in enumerate(left_masks):
+            m = (mask_others & cmask) >> (w + 1)  # near partners b > w
+            if m:
+                top.setdefault((cw, c, (2, 0, 3)), [
+                    0, w, w + (m & -m).bit_length()])[0] += m.bit_count()
         m = all_u_mask & ~mask_others & ~(1 << w)
         far_costs = []
         while m:
             low = m & (-m)
-            far_costs.append(
-                cert.key(frozenset((w, low.bit_length() - 1)))[2])
+            u2 = low.bit_length() - 1
+            key = cert.key(frozenset((w, u2)))
+            far_costs.append(key[2])
+            if u2 > w:
+                top.setdefault((cw, left_of[u2], key), [0, w, u2])[0] += 1
             m ^= low
         row_class = (xu[w], tuple(far_costs))
         rows = row_classes.get(row_class)
@@ -576,6 +601,7 @@ def _verify_one_round(cert, rep, samples, seed) -> None:
         rows_tu.append(rows[1])
 
     pair_sums_v: list = [None] * s
+    seen_right: dict = {}  # right class -> [count so far, first vertex]
     for w in range(s):
         deg = cert.graph.degree_right(w)
         total = deg * x_uv_adj + (n - deg) * x_uv_non
@@ -583,6 +609,18 @@ def _verify_one_round(cert, rep, samples, seed) -> None:
         rhs = k * xv[w]
         rep.add(f"cardinality-v{w}", float(total), float(rhs),
                 max(0.0, float(rhs - total)))
+        # Top-level uv pairs by the degree of w in each left class, and vv
+        # pairs from the right class counts before w.
+        v, cv = n + w, right_of[w]
+        for c, cmask in enumerate(left_masks):
+            for m, key in ((cmask & right_masks[w], (1, 0, 2)),
+                           (cmask & ~right_masks[w], (1, 1, 3))):
+                if m:
+                    top.setdefault((c, cv, key), [
+                        0, (m & -m).bit_length() - 1, v])[0] += m.bit_count()
+        for c, (count, first) in seen_right.items():
+            top.setdefault((c, cv, (0, 2, 2)), [0, first, v])[0] += count
+        seen_right.setdefault(cv, [0, v])[0] += 1
 
     for w, row in enumerate(rows_tu):
         rep.add(f"cardinality-tu{w}", *row)
@@ -632,7 +670,43 @@ def _verify_one_round(cert, rep, samples, seed) -> None:
     bad = sum(1 for x in xu + xv if not 0 <= x <= 1)
     rep.add("bounds-level1", bad, 0, bad)
 
-    _sample_top_level_bounds(cert, rep, samples, seed)
+    _check_top_level_classes(cert, rep, top)
+
+
+def _value_classes(values: list, first_id: int) -> list[int]:
+    """A class id per value, equal values sharing one, numbered from
+    first_id in order of first appearance."""
+    ids: dict = {}
+    return [ids.setdefault(x, first_id + len(ids)) for x in values]
+
+
+def _pair_splits(cert, a, b) -> tuple:
+    """x_{S,T} for the four splits of {a, b} (a < b): S = {a, b}, S = {a},
+    S = {b} and S = empty, summed in the order of sa_lift_value.  Not
+    through its memo: that keys on cover classes, which merge singletons
+    of different values."""
+    x_a, x_b = cert.x_value((a,)), cert.x_value((b,))
+    x_ab = cert.x_value((a, b))
+    return (x_ab, x_a - x_ab, x_b - x_ab,
+            cert.x_value(()) - x_a - x_b + x_ab)
+
+
+def _check_top_level_classes(cert, rep, top) -> None:
+    """Value bounds 0 <= x_{S,T} <= 1 at |S u T| = 2, checked once per
+    realised pair class in each split; a violation counts every pair of its
+    class."""
+    violations = 0
+    worst = 0.0
+    for pairs, a, b in top.values():
+        for val in _pair_splits(cert, a, b):
+            if 0 <= val <= 1:
+                continue
+            bad = max(0.0, float(-val), float(val) - 1.0)
+            if bad > cert.tolerance:
+                violations += pairs
+            worst = max(worst, bad)
+    rep.add("bounds-top-level-classes", violations, 0, worst)
+    rep.extra["top_level_classes"] = len(top)
 
 
 def _edge_scan_explicit(cert, rep) -> None:

@@ -207,6 +207,18 @@ def _biadjacency(g: BipartiteGraph) -> np.ndarray:
     return b
 
 
+def _common_neighbours(g: BipartiteGraph) -> np.ndarray:
+    """The n x n int64 common-neighbour counts of g (its B B^T), counted from
+    the right-vertex lists: each right vertex adds one to every ordered pair
+    of its left neighbours, the pair (u, u) included."""
+    n = g.n
+    flat = [np.empty(0, np.int64)]
+    for nbrs in g.adj_right:
+        a = np.array(nbrs, np.int64)
+        flat.append((a[:, None] * n + a).ravel())
+    return np.bincount(np.concatenate(flat), minlength=n * n).reshape(n, n)
+
+
 def _mismatches(got: np.ndarray, want: np.ndarray) -> int:
     """Entries where two matrices differ; every entry if their shapes do."""
     if got.shape != want.shape:
@@ -298,16 +310,15 @@ def verify_sdp_certificate(cert: SdpCertificate,
     rep.add_exact("decomp-edge",
                   x_uv_edge + cert.c_nonedge == cert.c_edge, 1, 1)
     # The per-pair nu counts in sum_v X^(v) are the common-neighbor counts
-    # of the graph: biadj is its 0/1 matrix and nu = biadj biadj^T.  These
-    # rows and the degree rows also make the eigenvalue guard's blocks
-    # those of the X checked here.
+    # of the graph: biadj is its 0/1 matrix and nu its B B^T, recounted
+    # here from the graph itself.  These rows and the degree rows also make
+    # the eigenvalue guard's blocks those of the X checked here.
     rep.add_exact("nu-symmetric", bool((cert.nu == cert.nu.T).all()), 1, 1)
     diag_ok = bool((cert.nu.diagonal() == d_l).all())
     rep.add_exact("nu-diagonal", diag_ok, 1, 1)
     bad = _mismatches(cert.biadj, _biadjacency(cert.graph))
     rep.add("biadj-graph", bad, 0, bad)
-    # Exact: a 0/1 float64 product counts integers below 2**53.
-    bad = _mismatches(cert.nu, cert.biadj @ cert.biadj.T)
+    bad = _mismatches(cert.nu, _common_neighbours(cert.graph))
     rep.add("nu-gram", bad, 0, bad)
 
     # 2x2 minor witnesses.

@@ -1,6 +1,7 @@
 """Certificate builders/verifiers, cover costs, instance properties, and the
 gap-exponent calculator."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -563,18 +564,61 @@ class TestCorruptedSdpCertificate:
         assert {r.constraint_id for r in rep.failing()} == {"nu-gram"}
         assert report_row(rep, "nu-gram").lhs == 8.0
 
-    @pytest.mark.parametrize("present", [True, False])
-    def test_flipped_biadj_entry(self, present):
-        cert = self.cert()
+    @staticmethod
+    def flip_biadj(cert, present):
+        """Flip biadj[0, v] for a neighbour v of left 0 (an edge removed) or
+        a non-neighbour (an edge added); return v."""
         u = 0
         v = cert.graph.adj_left[u][0] if present else next(
             v for v in range(cert.s) if v not in cert.graph.adj_left[u])
         cert.biadj[u, v] = 1.0 - cert.biadj[u, v]
+        return v
+
+    @pytest.mark.parametrize("present", [True, False])
+    def test_flipped_biadj_entry(self, present):
+        """One biadj entry flipped and nu recomputed from the flipped
+        matrix: both fail, since nu-gram counts from the graph itself."""
+        cert = self.cert()
+        v = self.flip_biadj(cert, present)
+        cert.nu = (cert.biadj @ cert.biadj.T).astype(np.int64)
         rep = verify_sdp_certificate(cert)  # biadj is not biregular now
         assert not rep.passed
         row = report_row(rep, "biadj-graph")
         assert row.lhs == 1.0 and row.slack > 0
-        assert report_row(rep, "nu-gram").slack > 0
+        # nu[0, 0] moves, and so do nu[0, u2] and nu[u2, 0] for every
+        # other left neighbour u2 of v.
+        others = len(set(cert.graph.adj_right[v]) - {0})
+        row = report_row(rep, "nu-gram")
+        assert row.lhs == 1 + 2 * others and row.slack > 0
+
+    @pytest.mark.parametrize("present", [True, False])
+    def test_flipped_biadj_entry_nu_kept(self, present):
+        """The flip alone: nu is still the graph's count, so only
+        biadj-graph fails, and the report with it."""
+        cert = self.cert()
+        self.flip_biadj(cert, present)
+        rep = verify_sdp_certificate(cert)
+        assert not rep.passed
+        assert report_row(rep, "biadj-graph").slack > 0
+        assert report_row(rep, "nu-gram").lhs == 0.0
+
+    @pytest.mark.parametrize("case", ["guard", "tier", "empty"])
+    def test_nu_gram_count_matches_product(self, case):
+        """nu-gram's count from the right-vertex lists against the float64
+        BLAS product of the 0/1 biadjacency, on biregular graphs, on graphs
+        with isolated vertices on both sides, and on edgeless ones."""
+        if case == "guard":
+            graphs = [make() for make, _, _ in GUARD_CASES.values()]
+        elif case == "tier":
+            graphs = TIER_GRAPHS
+        else:
+            graphs = [BipartiteGraph.from_edges(n, s, [])
+                      for n, s in ((1, 1), (3, 2), (2, 5))]
+        for g in graphs:
+            b = dense_biadj(g)
+            got = sdp._common_neighbours(g)
+            assert got.dtype == np.int64 and got.shape == (g.n, g.n)
+            assert np.array_equal(got, (b @ b.T).astype(np.int64))
 
     def test_biadj_wrong_shape(self):
         cert = self.cert()
@@ -1000,13 +1044,53 @@ def reference_cardinality_rows(cert):
     return rows + rows_tu
 
 
+def brute_top_level(cert):
+    """(violations, worst, classes) of the top-level value bounds at
+    rounds=1, over every pair {a, b} in its four splits with lifts from
+    reference_lift; classes counts the distinct (x_a, x_b, key({a, b}))
+    triples, a < b."""
+    violations = 0
+    worst = 0.0
+    triples = set()
+    for a, b in combinations(range(cert.n + cert.s), 2):
+        triples.add((cert.x_value([a]), cert.x_value([b]),
+                     reference_key(cert, frozenset((a, b)))))
+        for s_set in ((a, b), (a,), (b,), ()):
+            val = reference_lift(cert, s_set, {a, b}.difference(s_set))
+            if 0 <= val <= 1:
+                continue
+            bad = max(0.0, float(-val), float(val) - 1.0)
+            violations += bad > cert.tolerance
+            worst = max(worst, bad)
+    return violations, worst, len(triples)
+
+
+# Graphs up to this many vertices get the brute-force top-level oracle in
+# reference_report (gap-256 takes about 3 s); the certify instance (8.6M
+# pairs) keeps the class check, and the sampler coverage test covers it.
+BRUTE_TOP_LEVEL_MAX = 300
+CHECK_TOP_LEVEL_CLASSES = sa._check_top_level_classes
+
+
+def reference_top_level_classes(cert, rep, top):
+    """The one-round top-level row from brute_top_level, ignoring the
+    classes the verifier tallied."""
+    if cert.n + cert.s > BRUTE_TOP_LEVEL_MAX:
+        return CHECK_TOP_LEVEL_CLASSES(cert, rep, top)
+    violations, worst, classes = brute_top_level(cert)
+    rep.add("bounds-top-level-classes", violations, 0, worst)
+    rep.extra["top_level_classes"] = classes
+
+
 def reference_report(monkeypatch, cert, **kwargs):
     """verify_sa_certificate with the class tiers, the lift memo and the
-    top-level sampler replaced by their oracles."""
+    top-level checks (every pair at rounds=1, the sampler at rounds >= 2)
+    replaced by their oracles."""
     with monkeypatch.context() as m:
         m.setattr(SaCertificate, "key", reference_key)
         m.setattr(sa, "sa_lift_value", reference_lift)
         m.setattr(sa, "_sample_top_level_bounds", reference_top_level)
+        m.setattr(sa, "_check_top_level_classes", reference_top_level_classes)
         return verify_sa_certificate(cert, **kwargs)
 
 
@@ -1222,9 +1306,208 @@ class TestSaClassesMatchReference:
         counts = {r.constraint_id: r.lhs for r in rep.checks
                   if r.constraint_id in ("edge-family-explicit",
                                          "edge-family-violations",
+                                         "bounds-top-level-classes",
                                          "bounds-top-level-sampled")}
         assert len(counts) == 2 and all(c > 0 for c in counts.values())
         assert not rep.passed
+
+
+def spy_top_level(monkeypatch, cert):
+    """verify_sa_certificate(cert) at rounds=1, and the pair classes it
+    tallied for the top-level check, {triple: [pairs, a, b]}."""
+    seen = {}
+
+    def spy(cert, rep, top):
+        seen.update(top)
+        CHECK_TOP_LEVEL_CLASSES(cert, rep, top)
+
+    with monkeypatch.context() as m:
+        m.setattr(sa, "_check_top_level_classes", spy)
+        rep = verify_sa_certificate(cert)
+    return rep, seen
+
+
+def chain2(n):
+    """Left u joined to right u // 2 and u // 2 + 1: far-apart left pairs
+    of several costs at an exact n (16)."""
+    return BipartiteGraph.from_edges(
+        n, n // 2 + 1, [(u, u // 2 + d) for u in range(n) for d in (0, 1)])
+
+
+BRUTE_GRAPHS = {
+    **{f"tier-{i}": (lambda i=i: TIER_GRAPHS[i])
+       for i in range(len(TIER_GRAPHS))},
+    # One left vertex, everything isolated (exact: n = 1).
+    "isolated-1x3": lambda: BipartiteGraph.from_edges(1, 3, []),
+    "one-left-1x4": lambda: BipartiteGraph.from_edges(1, 4, [(0, 1), (0, 2)]),
+    # A connected left side with two isolated right vertices.
+    "isolated-right-4x6": lambda: BipartiteGraph.from_edges(
+        4, 6, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]),
+    "chain-10": lambda: chain(10),
+    "chain-14": lambda: chain(14),
+    "chain2-16": lambda: chain2(16),
+    "gap-16": lambda: gen_gap_instance(16, 4, 2.0, 9),
+    "gap-20": lambda: gen_gap_instance(20, 5, 3.0, 9),
+}
+
+
+# Each corruption edits a fresh one-round certificate in place and returns
+# whether it applies to the graph.
+
+def _zero_right(cert):
+    zero = Fraction(0) if cert.exact else sa._MP.mpf(0)
+    cert.class_table[reference_key(cert, frozenset({cert.n}))] = zero
+    return True
+
+
+def _far_above_left(cert):
+    """The far uu class of the smallest realised cost set above x_u, so
+    x_a - x_ab < 0 on all its pairs."""
+    keys = [_cover_outcome(reference_key, cert, frozenset(p))
+            for p in combinations(range(cert.n), 2)]
+    far = min((k for k in keys if k[0] is not NoCoverError and k[2] > 3),
+              default=None)
+    if far is None:
+        return False
+    cert.class_table[far] = 2 * cert.x_value([0])
+    return True
+
+
+def _override_singletons(cert):
+    """x_3 halved and x of the second right vertex doubled: two singleton
+    classes on each side, so pair classes with two different singleton
+    values in both orders."""
+    if cert.n <= 3 or cert.s <= 1:
+        return False
+    cert.x_table[frozenset({3})] = cert.x_value([3]) / 2
+    cert.x_table[frozenset({cert.n + 1})] = 2 * cert.x_value([cert.n + 1])
+    return True
+
+
+CORRUPTIONS = {
+    "none": lambda cert: True,
+    "right-zero": _zero_right,
+    "far-above-left": _far_above_left,
+    "singleton-override": _override_singletons,
+}
+
+
+class TestTopLevelClasses:
+    """The one-round top-level check, one representative per realised pair
+    class, against every pair and against the kept sampler."""
+
+    @staticmethod
+    def corrupted(g, corruption):
+        cert = build_sa_certificate(g, rounds=1)
+        return cert if CORRUPTIONS[corruption](cert) else None
+
+    @pytest.mark.parametrize("corruption", CORRUPTIONS)
+    @pytest.mark.parametrize("name", BRUTE_GRAPHS)
+    def test_matches_every_pair(self, monkeypatch, name, corruption):
+        g = BRUTE_GRAPHS[name]()
+        assert g.n + g.n_right <= 30
+        cert = self.corrupted(g, corruption)
+        if cert is None:
+            return  # the corruption does not apply to this graph
+        got = _cover_outcome(spy_top_level, monkeypatch, cert)
+        want = _cover_outcome(brute_top_level, self.corrupted(g, corruption))
+        if want[0] is NoCoverError:  # disconnected left vertices
+            assert got[0] is NoCoverError
+            return
+        rep, top = got
+        row = report_row(rep, "bounds-top-level-classes")
+        violations, worst, classes = want
+        assert (row.lhs, row.rhs, row.slack) == (violations, 0, worst)
+        assert rep.extra["top_level_classes"] == classes == len(top)
+        assert sum(pairs for pairs, _, _ in top.values()) == math.comb(
+            g.n + g.n_right, 2)
+
+    def test_brute_fixtures_reach_every_case(self, monkeypatch):
+        """Both value modes, far classes of several costs, non-uniform
+        singletons, corruptions that fail, isolated vertices on both sides
+        and NoCoverError all occur among the brute-force cases."""
+        seen = set()
+        for name, make in BRUTE_GRAPHS.items():
+            g = make()
+            isolated_u = any(not a for a in g.adj_left)
+            isolated_v = any(not a for a in g.adj_right)
+            for corruption in CORRUPTIONS:
+                cert = self.corrupted(g, corruption)
+                if cert is None:
+                    continue
+                out = _cover_outcome(brute_top_level, cert)
+                if out[0] is NoCoverError:
+                    seen.add("no-cover")
+                    continue
+                seen.add("exact" if cert.exact else "float")
+                seen.add(f"{corruption}-fails" if out[0] else corruption)
+                far = {k[2] for k in map(cert.key, map(
+                    frozenset, combinations(range(g.n), 2))) if k[2] > 3}
+                if len(far) >= 2:
+                    seen.add("far-costs")
+                if isolated_u:
+                    seen.add("isolated-u")
+                if isolated_v:
+                    seen.add("isolated-v")
+        assert {"exact", "float", "no-cover", "far-costs", "isolated-u",
+                "isolated-v", "none", "right-zero-fails",
+                "far-above-left-fails", "singleton-override-fails"} <= seen
+        assert "none-fails" not in seen
+
+    @staticmethod
+    def sampler_draws(monkeypatch, cert, seed):
+        """Every (S, T) the kept top-level sampler draws, 10k, seed-fixed."""
+        drawn = []
+
+        def record(cert, s_set, t_set):
+            drawn.append((frozenset(s_set), frozenset(t_set)))
+            return reference_lift(cert, s_set, t_set)
+
+        with monkeypatch.context() as m:
+            m.setattr(sa, "sa_lift_value", record)
+            sa._sample_top_level_bounds(cert, VerifyReport(), 10_000, seed)
+        return drawn
+
+    def check_coverage(self, monkeypatch, g, seed):
+        cert = build_sa_certificate(g, rounds=1)
+        _, top = spy_top_level(monkeypatch, cert)
+        enumerated = {}
+        for _, a, b in top.values():
+            triple = (cert.x_value([a]), cert.x_value([b]),
+                      reference_key(cert, frozenset((a, b))))
+            assert triple not in enumerated
+            enumerated[triple] = sa._pair_splits(cert, a, b)
+        fresh = build_sa_certificate(g, rounds=1)
+        draws = self.sampler_draws(monkeypatch, fresh, seed)
+        assert len(draws) == 10_000
+        for s_set, t_set in draws:
+            a, b = sorted(s_set | t_set)
+            triple = (fresh.x_value([a]), fresh.x_value([b]),
+                      reference_key(fresh, frozenset((a, b))))
+            split = [frozenset((a, b)), frozenset((a,)), frozenset((b,)),
+                     frozenset()].index(s_set)
+            value = enumerated[triple][split]
+            assert value == sa_lift_value(fresh, s_set, t_set)
+            assert value == reference_lift(fresh, s_set, t_set)
+        return top
+
+    @pytest.mark.parametrize("name", ONE_ROUND_GRAPHS)
+    def test_sampler_draws_are_enumerated(self, monkeypatch, name):
+        top = self.check_coverage(monkeypatch, ONE_ROUND_GRAPHS[name](),
+                                  seed=7)
+        if name == "certify-4096":
+            # uv adjacent and non-adjacent, vv, and uu near.
+            assert len(top) == 4
+
+    def test_sampler_draws_are_enumerated_tier_graphs(self, monkeypatch):
+        outcomes = [_cover_outcome(self.check_coverage, monkeypatch, g, 5)
+                    for g in TIER_GRAPHS]
+        for g, out in zip(TIER_GRAPHS, outcomes):
+            if not isinstance(out, dict):  # a left pair with no cover
+                assert out[0] is NoCoverError
+                assert _cover_outcome(brute_top_level, build_sa_certificate(
+                    g, rounds=1))[0] is NoCoverError
+        assert sum(isinstance(out, dict) for out in outcomes) >= 6
 
 
 # ---------------------------------------------------------------------------
