@@ -342,7 +342,9 @@ def sa_lift_value(cert: SaCertificate, s_set, t_set):
     """x_{S,T} = sum over J subset of T of (-1)^|J| x_{S union J}.
 
     The sum depends only on the classes of its terms, so each distinct
-    tuple of term classes is summed once per certificate."""
+    tuple of term classes is summed once per certificate.  A term whose
+    value in x_table differs from its class value (a value set by hand)
+    makes the lift its own: it is summed from its terms and not stored."""
     s_set = frozenset(s_set)
     t_set = tuple(sorted(set(t_set)))
     if len(s_set) + len(t_set) > cert.rounds + 1:
@@ -353,13 +355,16 @@ def sa_lift_value(cert: SaCertificate, s_set, t_set):
     terms = [(r % 2, s_set.union(j)) for r in range(len(t_set) + 1)
              for j in combinations(t_set, r)]
     classes = tuple(cert.key(term) for _, term in terms)
-    total = cert.lift_table.get(classes)
+    shared = all(cert.x_table.get(term, value) == value for (_, term), value
+                 in zip(terms, map(cert.class_table.get, classes)))
+    total = cert.lift_table.get(classes) if shared else None
     if total is None:
         total = 0
         for odd, term in terms:
             x = cert.x_value(term)
             total = total - x if odd else total + x
-        cert.lift_table[classes] = total
+        if shared:
+            cert.lift_table[classes] = total
     return total
 
 

@@ -183,9 +183,18 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file; a file that cannot be opened or decoded
+    is bad input."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_instance(path: str) -> SsbveInstance:
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_input(path)
     head = text.lstrip().split(None, 2)
     if len(head) >= 2 and head[0] == "p" and head[1] == "mku":
         h, k = formats.parse_mku(text)
@@ -254,8 +263,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_ssve(args) -> int:
-    with open(args.input) as fh:
-        g, k_file = formats.parse_ssve(fh.read())
+    g, k_file = formats.parse_ssve(_read_input(args.input))
     k = args.k if args.k is not None else k_file
     oracle = SseOracle(kind="bruteforce" if args.oracle == "brute"
                        else "sweep")

@@ -37,27 +37,70 @@ def _header(lines: list[list[str]], kind: str, argc: int) -> list[int]:
 
 
 def parse_ssbve(text: str) -> SsbveInstance:
-    lines = _content_lines(text)
-    n, n_right, k = _header(lines, "ssbve", 3)
-    edges: list[tuple[int, int]] = []
+    lines = [line for line in map(str.lstrip, text.splitlines())
+             if line and line[0] != "c"]
+    head = [line.split() for line in lines[:1]]
+    n, n_right, k = _header(head, "ssbve", 3)
+    if n < 0 or n_right < 0:
+        raise FormatError(f"negative part size in header: {n} {n_right}")
+    body = lines[1:]
+    rows = _edge_rows(body, n, n_right)
+    if rows is None:
+        _raise_edge_fault(body, n, n_right)
+    return SsbveInstance(graph=BipartiteGraph.from_rows(n_right, rows), k=k)
+
+
+def _edge_rows(body: list[str], n: int,
+               n_right: int) -> list[tuple[int, ...]] | None:
+    """Sorted left rows of the ``e <u> <v>`` lines in one bulk pass over
+    all their fields, or None if any line has a fault.
+
+    Every line starts with ``e`` (one "\\ne" per line below), so no line's
+    first field is an integer; with 3m fields, ``e`` at every third and
+    integers at the rest, each line is then exactly ``e <u> <v>``."""
+    m = len(body)
+    joined = "\n" + "\n".join(body)
+    tok = joined.split()
+    if joined.count("\ne") != m or len(tok) != 3 * m \
+            or tok[0::3].count("e") != m:
+        return None
     try:
-        for fields in lines[1:]:
-            if fields[0] != "e" or len(fields) != 3:
-                raise FormatError(f"bad edge line: {' '.join(fields)}")
+        us = list(map(int, tok[1::3]))
+        vs = list(map(int, tok[2::3]))
+    except ValueError:
+        return None
+    del joined, tok  # the 3m field strings set the peak memory: free them
+    if m and not (1 <= min(us) and max(us) <= n
+                  and 1 <= min(vs) and max(vs) <= n_right):
+        return None
+    rows: list[set[int]] = [set() for _ in range(n + 1)]  # 1-based u
+    for u, v in zip(us, vs):
+        rows[u].add(v - 1)
+    del rows[0]
+    if sum(map(len, rows)) != m:  # a duplicate edge line
+        return None
+    return [tuple(sorted(r)) for r in rows]
+
+
+def _raise_edge_fault(body: list[str], n: int, n_right: int) -> None:
+    """Raise the first fault of the edge lines in line order; a duplicate
+    line is reported only when no line has another fault."""
+    seen: set[tuple[int, int]] = set()
+    dup = None
+    for line in body:
+        fields = line.split()
+        if fields[0] != "e" or len(fields) != 3:
+            raise FormatError(f"bad edge line: {' '.join(fields)}")
+        try:
             u, v = int(fields[1]), int(fields[2])
-            if not (1 <= u <= n and 1 <= v <= n_right):
-                raise FormatError(f"edge ({u},{v}) out of range")
-            edges.append((u - 1, v - 1))
-    except ValueError as exc:
-        raise FormatError(f"non-integer edge field: {exc}") from exc
-    if len(set(edges)) != len(edges):
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if (u, v) in seen:
-                raise FormatError(f"duplicate edge line ({u + 1},{v + 1})")
-            seen.add((u, v))
-    return SsbveInstance(graph=BipartiteGraph.from_edges(n, n_right, edges),
-                         k=k)
+        except ValueError as exc:
+            raise FormatError(f"non-integer edge field: {exc}") from exc
+        if not (1 <= u <= n and 1 <= v <= n_right):
+            raise FormatError(f"edge ({u},{v}) out of range")
+        if dup is None and (u, v) in seen:
+            dup = (u, v)
+        seen.add((u, v))
+    raise FormatError(f"duplicate edge line ({dup[0]},{dup[1]})")
 
 
 def write_ssbve(inst: SsbveInstance) -> str:

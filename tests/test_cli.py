@@ -1,6 +1,9 @@
 """CLI subcommands, exit codes, and benchmark reports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -80,12 +83,38 @@ class TestGenSolve:
         bad.write_text("p ssbve 2 2 1\ne 1 x\n")
         assert run(["solve", "--algo", "les", "--input", str(bad)]) == 4
 
+    @pytest.mark.parametrize("argv", [["solve", "--algo", "planted"],
+                                      ["ssve"]])
+    def test_unreadable_input_exit_code(self, tmp_path, capsys, argv):
+        # A byte that is not UTF-8 and a directory: both bad input, not a
+        # traceback.
+        undecodable = tmp_path / "bad.txt"
+        undecodable.write_bytes(b"p ssbve 2 2 1\ne 1 \xff\n")
+        for path in (undecodable, tmp_path):
+            assert run(argv + ["--input", str(path)]) == 4
+            assert capsys.readouterr().err.startswith("bad input:")
+
     def test_budget_exit_code(self, tmp_path):
         inst = tmp_path / "big.txt"
         lines = ["p ssbve 40 5 20"]
         lines += [f"e {u} {1 + (u % 5)}" for u in range(1, 41)]
         inst.write_text("\n".join(lines) + "\n")
         assert run(["solve", "--algo", "exact", "--input", str(inst)]) == 3
+
+
+class TestSolveImports:
+    def test_solve_path_loads_no_numpy_or_scipy(self):
+        # The parser, LES and the approximation pipeline run without numpy
+        # and scipy, whose import alone costs tens of MB of resident memory.
+        code = ("import sys, ssbve.formats, ssbve.les, ssbve.approx; "
+                "print(sorted({m.split('.')[0] for m in sys.modules} "
+                "& {'numpy', 'scipy'}))")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestCertifyCli:

@@ -1201,6 +1201,30 @@ class TestSaClassesMatchReference:
                         s_set, t_set)
         assert cert.lift_table
 
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    @pytest.mark.parametrize("n, s, rounds, override", [
+        (16, 4, 1, [3]), (16, 4, 1, [19]), (10, 3, 2, [2, 11]),
+        (10, 3, 2, [4])])
+    def test_lifts_with_overridden_values(self, order, n, s, rounds,
+                                          override):
+        # One x_table entry set apart from its class value: every lift on
+        # every (S, T) of the top level must still be its own sum, whichever
+        # lift filled the class memo first.
+        g = gen_gap_instance(n, s, 2.0, 1)
+        cert = build_sa_certificate(g, rounds=rounds)
+        ref = build_sa_certificate(g, rounds=rounds)
+        for c in (cert, ref):
+            c.x_table[frozenset(override)] = c.x_value(override) / 2
+        calls = [(frozenset(j), frozenset(members).difference(j))
+                 for members in combinations(range(n + s), rounds + 1)
+                 for r in range(rounds + 2)
+                 for j in combinations(members, r)]
+        for s_set, t_set in calls[::order]:
+            assert (_cover_outcome(sa_lift_value, cert, s_set, t_set)
+                    == _cover_outcome(reference_lift, ref, s_set, t_set)), (
+                        s_set, t_set)
+        assert cert.lift_table
+
     @pytest.mark.parametrize("name, exact", [
         ("gap-256", True), ("certify-4096", True), ("gap-100", False),
         ("chain-16", True), ("chain-10", False)])

@@ -12,6 +12,7 @@ from ssbve.errors import (CliqueTooSmallError, EmptySetError, FormatError,
 from ssbve.exact import exact_ssbve
 from ssbve.formats import (parse_mku, parse_ssbve, parse_ssve, write_mku,
                            write_ssbve, write_ssve)
+from ssbve.generators import PlantedSpec, gen_planted, gen_random_bipartite
 from ssbve.graph import (BipartiteGraph, Hypergraph, SsbveInstance,
                          UndirectedGraph, expansion, induced_left_subgraph,
                          mku_to_ssbve, neighborhood, ssbve_to_mku,
@@ -437,3 +438,101 @@ class TestFormats:
         assert inst.graph.num_edges() == 1
         indented = "  c x\r\np ssbve 2 1 1\x0c\t c\x1ce 1 1\r\n \x0b e 2 1\n"
         assert parse_ssbve(indented).graph.num_edges() == 2
+
+
+@pytest.fixture(scope="module")
+def planted_texts():
+    """Two planted instances of the benchmark's size (n=4096, 64 right
+    vertices, about 45k edge lines), as written."""
+    return [write_ssbve(gen_planted(PlantedSpec(
+        n=4096, alpha=0.5, beta=0.5, gamma=0.2, r_degree=12, seed=seed))[0])
+        for seed in (3, 4)]
+
+
+def _decorated(text: str, seed: int) -> str:
+    """The same instance with CRLF line ends and comment, indented comment
+    and blank lines between its lines."""
+    rng = stream(seed, 0x6465)
+    extras = ["", "c note", "  c 1 2", "\t", "c"]
+    lines = []
+    for line in text.splitlines():
+        lines.append(line)
+        if rng.bernoulli(0.2):
+            lines.append(rng.choice(extras))
+    return "\r\n".join(lines) + "\r\n"
+
+
+class TestSsbveParserFullSize:
+    """The bulk parser against the line-by-line reference on large texts,
+    where a fault can sit far from the lines that show it."""
+
+    def test_planted_matches_reference(self, planted_texts):
+        for seed, text in enumerate(planted_texts):
+            got = parse_ssbve(text)
+            assert got == reference_parse_ssbve(text)
+            got.graph.validate()
+            assert got.graph.num_edges() == text.count("\ne")
+            decorated = _decorated(text, seed)
+            assert parse_ssbve(decorated) == got
+            assert reference_parse_ssbve(decorated) == got
+
+    def test_random_texts_match_reference(self):
+        # Edge lines in a seeded random order, so that rows are sorted by
+        # the parser and not by the writer.
+        for seed in range(20):
+            inst = SsbveInstance(
+                graph=gen_random_bipartite(120, 40, 0.15, seed), k=6)
+            header, *edges = write_ssbve(inst).splitlines()
+            stream(seed, 0x7368).shuffle(edges)
+            text = "\n".join([header] + edges) + "\n"
+            assert parse_ssbve(text) == reference_parse_ssbve(text) == inst
+
+    @pytest.mark.parametrize("last", [
+        "e 1 2 e", "e 1", "e", "e 1 x", "e 4097 1", "e 1 65", "e 0 1",
+        "e 1 0", "e1 2 3", "f 1 2", "p ssbve 1 1 1", "e 1 2 3 4"])
+    def test_fault_on_last_line(self, planted_texts, last):
+        text = planted_texts[0] + last + "\n"
+        want = _outcome(reference_parse_ssbve, text)
+        assert isinstance(want, tuple)
+        assert _outcome(parse_ssbve, text) == want
+
+    def test_first_duplicate_is_reported(self, planted_texts):
+        text = planted_texts[0]
+        lines = text.splitlines()
+        for extra in ([lines[1]], [lines[5], lines[1]]):
+            bad = text + "\n".join(extra) + "\n"
+            want = _outcome(reference_parse_ssbve, bad)
+            assert want[1].startswith("duplicate edge line")
+            assert _outcome(parse_ssbve, bad) == want
+
+    def test_far_duplicate_reported_after_range_fault(self, planted_texts):
+        # The reference stops at the duplicate; the parser reports every
+        # other fault first, here an out-of-range edge after it.
+        text = planted_texts[1]
+        first = text.splitlines()[1]
+        text += first + "\ne 2 1\ne 4097 3\n"
+        with pytest.raises(FormatError, match=r"^duplicate edge line"):
+            reference_parse_ssbve(text)
+        with pytest.raises(FormatError,
+                           match=r"^edge \(4097,3\) out of range$"):
+            parse_ssbve(text)
+
+    @pytest.mark.parametrize("text, message", [
+        # Three fields to a line on average, and "e" at every third field:
+        # only the line check sees that the first line is too long.
+        ("p ssbve 4 4 1\ne 1 2 e\n3 4\n", "bad edge line: e 1 2 e"),
+        ("p ssbve 4 4 1\ne1 2 3\n", "bad edge line: e1 2 3"),
+        ("p ssbve 4 4 1\ne 1 2\ne1 2 3\n", "bad edge line: e1 2 3"),
+        ("p ssbve 4 4 1\ne 1 2\n1 e 2\n", "bad edge line: 1 e 2"),
+    ])
+    def test_line_faults_the_field_pattern_misses(self, text, message):
+        assert _outcome(reference_parse_ssbve, text) == (FormatError,
+                                                          message)
+        with pytest.raises(FormatError) as exc:
+            parse_ssbve(text)
+        assert str(exc.value) == message
+
+    def test_negative_header_size_rejected(self):
+        for header in ("p ssbve -1 2 1", "p ssbve 2 -1 1"):
+            with pytest.raises(FormatError, match="negative"):
+                parse_ssbve(header + "\n")
