@@ -21,20 +21,22 @@ changed.
 
 Verification at one round scales to large instances through exact
 class-based accounting: singleton and pairwise cover costs collapse to a
-fixed set of structural classes (adjacency, common-neighbor, and the rare
-far-apart pairs, which are routed through the general Steiner search), so
-every constraint instance is covered by a handful of exact class
-inequalities plus bitset-backed counts; the top-level value bounds are
-checked once per realised pair class.  If any class check fails, the
-verifier falls back to explicit per-edge scans, so passing reports never
-rest on an unproven shortcut.
+fixed set of structural classes (one per side for singletons; adjacency,
+common-neighbor, and the rare far-apart pairs, which are routed through the
+general Steiner search), so every constraint instance is covered by a
+handful of exact class inequalities plus bitset-backed counts.  Singleton
+values are grouped into value classes (more than one per side only when
+x_table overrides a value), and the sum of the left values, the level-1
+bounds and the top-level value bounds are checked once per class.  If any
+class check fails, the verifier falls back to explicit per-edge scans, so
+passing reports never rest on an unproven shortcut.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -61,9 +63,10 @@ class _View:
         self.n = g.n
         self.s = g.n_right
         self.total = g.n + g.n_right
+        n = g.n
         self.adj: list[tuple[int, ...]] = [
-            tuple(n_ + g.n for n_ in g.adj_left[u]) for u in range(g.n)
-        ] + [g.adj_right[v] for v in range(g.n_right)]
+            tuple([v + n for v in row]) for row in g.adj_left
+        ] + list(g.adj_right)
         self.adj_sets = [frozenset(a) for a in self.adj]
         self._right_masks: list[int] | None = None
 
@@ -255,13 +258,18 @@ class SaCertificate:
     def key(self, subset: frozenset[int]) -> tuple[int, int, int]:
         """Cover class (|S_U|, |S_V|, cost(S)) of a subset.
 
-        Pairs take their structural tier: a left-right pair costs 2 when
-        adjacent (the right vertex is then forced) and 3 otherwise, two
-        right vertices cost 2, and two left vertices with a common neighbor
-        cost 3.  Far-apart left pairs, singletons and larger sets run the
-        general cover search, memoised by subset."""
+        Singletons and pairs take their structural tier: a left vertex costs
+        2 (itself in a tree) and a right one 1 (itself in S'), whether
+        isolated or not; a left-right pair costs 2 when adjacent (the right
+        vertex is then forced) and 3 otherwise, two right vertices cost 2,
+        and two left vertices with a common neighbor cost 3.  Far-apart left
+        pairs and larger sets run the general cover search, memoised by
+        subset."""
         n = self.n
         size = len(subset)
+        if size == 1:
+            (w,) = subset
+            return (1, 0, 2) if w < n else (0, 1, 1)
         if size == 2:
             a, b = subset
             if a > b:
@@ -527,15 +535,19 @@ def _verify_one_round(cert, rep) -> None:
     alpha, beta = cert.sa_alpha, cert.sa_beta
     one = Fraction(1) if cert.exact else _MP.mpf(1)
 
-    # Singleton values, computed per vertex through the cover machinery, and
-    # their classes: left values are numbered from 0, right ones after them.
-    xu = [cert.x_value([u]) for u in range(n)]
-    xv = [cert.x_value([n + v]) for v in range(s)]
+    # Singleton values (structural keys, so overrides in x_table are what
+    # can tell vertices apart) and their classes: left values are numbered
+    # from 0, right ones after them, with the value and size of each class.
+    xu = [cert.x_value((u,)) for u in range(n)]
+    xv = [cert.x_value((n + v,)) for v in range(s)]
     xu0, xv0 = xu[0], xv[0]
-    left_of = _value_classes(xu, 0)
-    n_left = max(left_of) + 1
-    right_of = _value_classes(xv, n_left)
-    uniform = n_left == 1 and max(right_of) == n_left
+    left_of, left_values = _value_classes(xu, 0)
+    n_left = len(left_values)
+    right_of, right_values = _value_classes(xv, n_left)
+    class_values = left_values + right_values
+    class_sizes = Counter(left_of)
+    class_sizes.update(right_of)
+    uniform = n_left == 1 and len(right_values) == 1
     rep.add_exact("singleton-uniform", uniform, 1, 1)
     left_masks = [0] * n_left
     for u, c in enumerate(left_of):
@@ -556,7 +568,7 @@ def _verify_one_round(cert, rep) -> None:
     x_uu_near = beta * beta * q ** 3
 
     # --- Cardinality constraints -----------------------------------------
-    sum_xu = sum(xu)
+    sum_xu = sum(class_sizes[c] * x for c, x in enumerate(left_values))
     rep.add("cardinality--", float(sum_xu), float(k),
             max(0.0, float(k - sum_xu)))
 
@@ -589,7 +601,7 @@ def _verify_one_round(cert, rep) -> None:
             if u2 > w:
                 top.setdefault((cw, left_of[u2], key), [0, w, u2])[0] += 1
             m ^= low
-        row_class = (xu[w], tuple(far_costs))
+        row_class = (cw, tuple(far_costs))
         rows = row_classes.get(row_class)
         if rows is None:
             total = xu[w] + c_near * x_uu_near
@@ -672,17 +684,27 @@ def _verify_one_round(cert, rep) -> None:
     rep.add("edge-family-mode", 0 if class_ok else 1, 0, 0)
 
     # Bounds at level <= 1 are implied by 0 <= x_w <= 1 for all w.
-    bad = sum(1 for x in xu + xv if not 0 <= x <= 1)
+    bad = sum(class_sizes[c] for c, x in enumerate(class_values)
+              if not 0 <= x <= 1)
     rep.add("bounds-level1", bad, 0, bad)
 
     _check_top_level_classes(cert, rep, top)
 
 
-def _value_classes(values: list, first_id: int) -> list[int]:
+def _value_classes(values: list, first_id: int) -> tuple[list[int], list]:
     """A class id per value, equal values sharing one, numbered from
-    first_id in order of first appearance."""
+    first_id in order of first appearance; and the value of each class.
+    Values mostly share one object, so each distinct object is hashed once
+    (a Fraction's hash is a modular inverse)."""
     ids: dict = {}
-    return [ids.setdefault(x, first_id + len(ids)) for x in values]
+    by_object: dict = {}
+    of = []
+    for x in values:
+        c = by_object.get(id(x))
+        if c is None:
+            c = by_object[id(x)] = ids.setdefault(x, first_id + len(ids))
+        of.append(c)
+    return of, list(ids)
 
 
 def _pair_splits(cert, a, b) -> tuple:
@@ -745,7 +767,9 @@ def sample_property_checks(cert: SaCertificate, n_samples: int,
     on neighbor-hitting pairs, the two-sided lift bounds, and the
     left-vertex growth floor."""
     rep = VerifyReport(tolerance=cert.tolerance)
-    tol = cert.tolerance
+    # An exact zero in exact mode: the float 0.0 would round the Fractions
+    # it is added to.
+    tol = 0 if cert.exact else cert.tolerance
     rng = stream(seed, 0x434C)
     view = cert.view
     n, s, r = cert.n, cert.s, cert.rounds

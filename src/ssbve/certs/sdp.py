@@ -20,6 +20,7 @@ against implementation mistakes.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -63,7 +64,13 @@ def biregularize(g: BipartiteGraph, d_l_target: int,
                  d_r_target: int) -> BipartiteGraph:
     """Add edges until every left degree is d_l_target and every right degree
     is d_r_target.  Greedy largest-deficiency pairing, with an augmenting
-    edge swap whenever the greedy stalls."""
+    edge swap whenever the greedy stalls.
+
+    The left vertex comes from a heap, most deficient first and then the
+    lowest id.  The deficient right vertices sit in one ascending list per
+    deficiency, so the right vertex is found by walking down from the top
+    list and skipping u's neighbours (at most d_l_target of them): again
+    most deficient first, then the lowest id."""
     if g.n * d_l_target != g.n_right * d_r_target:
         raise InfeasibleError(
             f"n*d_l = {g.n * d_l_target} != s*d_r = {g.n_right * d_r_target}")
@@ -78,40 +85,40 @@ def biregularize(g: BipartiteGraph, d_l_target: int,
     adj = [set(nbrs) for nbrs in g.adj_left]
     radj = [set(nbrs) for nbrs in g.adj_right]
     def_l = [d_l_target - len(a) for a in adj]
-    def_r = [d_r_target - len(a) for a in radj]
-    # A step lowers only def_l[u] and def_r[v] (the swap keeps u2's and v2's
-    # degrees), so the popped u is the only heap entry to renew.
+    # A step adds one edge at u and one at v (the swap keeps u2's and v2's
+    # degrees), so the popped u is the only heap entry to renew and v the
+    # only right vertex to move down one bucket.
     heap = [(-d, u) for u, d in enumerate(def_l) if d > 0]
     heapq.heapify(heap)
-    open_r = [v for v in range(g.n_right) if def_r[v] > 0]
+    buckets: list[list[int]] = [[] for _ in range(d_r_target + 1)]
+    for v, nbrs in enumerate(radj):
+        if len(nbrs) < d_r_target:
+            buckets[d_r_target - len(nbrs)].append(v)
+    top = d_r_target
     while heap:
         _, u = heapq.heappop(heap)
         adj_u = adj[u]
-        # One pass: the best deficient right vertex, and the best one that
-        # is not yet a neighbour of u, both by (def_r, -v).
-        best = free = None
-        for v in open_r:
-            d = def_r[v]
-            if best is None or d > def_r[best]:
-                best = v
-            if v not in adj_u and (free is None or d > def_r[free]):
-                free = v
-        if free is not None:
-            v = free
+        while not buckets[top]:
+            top -= 1
+        v = next((w for d in range(top, 0, -1) for w in buckets[d]
+                  if w not in adj_u), None)
+        if v is not None:
             adj_u.add(v)
             radj[v].add(u)
         else:
             # Greedy stall: every deficient right vertex already neighbors u.
-            v = best
+            v = buckets[top][0]
             if not _augment_swap(g.n, g.n_right, adj, radj, u, v):
                 raise StalledError(
                     f"no augmenting swap for left {u} / right {v}")
         def_l[u] -= 1
-        def_r[v] -= 1
         if def_l[u]:
             heapq.heappush(heap, (-def_l[u], u))
-        if not def_r[v]:
-            open_r.remove(v)
+        d = d_r_target - len(radj[v]) + 1  # v's deficiency before the step
+        bucket = buckets[d]
+        del bucket[bisect_left(bucket, v)]
+        if d > 1:
+            insort(buckets[d - 1], v)
     return BipartiteGraph.from_rows(g.n_right, [tuple(sorted(a)) for a in adj])
 
 
@@ -311,9 +318,9 @@ def verify_sdp_certificate(cert: SdpCertificate,
                   x_uv_edge + cert.c_nonedge == cert.c_edge, 1, 1)
     # The per-pair nu counts in sum_v X^(v) are the common-neighbor counts
     # of the graph: biadj is its 0/1 matrix and nu its B B^T, recounted
-    # here from the graph itself.  These rows and the degree rows also make
-    # the eigenvalue guard's blocks those of the X checked here.
-    rep.add_exact("nu-symmetric", bool((cert.nu == cert.nu.T).all()), 1, 1)
+    # here from the graph itself (so nu-gram also fails any asymmetric nu).
+    # These rows and the degree rows also make the eigenvalue guard's
+    # blocks those of the X checked here.
     diag_ok = bool((cert.nu.diagonal() == d_l).all())
     rep.add_exact("nu-diagonal", diag_ok, 1, 1)
     bad = _mismatches(cert.biadj, _biadjacency(cert.graph))

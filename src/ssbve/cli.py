@@ -124,10 +124,18 @@ def _emit(args, payload: dict, table: str | None = None) -> None:
     else:
         text = json.dumps(payload, indent=2, default=str) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is bad input."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
 
 
 def _solution_payload(sol: Solution, algo: str, seed: int) -> dict:
@@ -164,8 +172,7 @@ def _cmd_gen(args) -> int:
         inst, filled = gen_planted(spec)
         text = formats.write_ssbve(inst)
         if args.sidecar:
-            with open(args.sidecar, "w") as fh:
-                fh.write(formats.planted_sidecar(filled))
+            _write_text(args.sidecar, formats.planted_sidecar(filled))
     else:  # hdvr
         if None in (args.alpha, args.beta, args.r, args.k_planted):
             raise FormatError(
@@ -176,8 +183,7 @@ def _cmd_gen(args) -> int:
         h = gen_hdvr(spec)
         text = formats.write_mku(h, args.k or 1)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -317,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceededError, TooLargeError, ArityTooLargeError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FormatError, FileNotFoundError) as exc:
+    except FormatError as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except SsbveError as exc:

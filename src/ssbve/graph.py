@@ -100,11 +100,17 @@ class BipartiteGraph:
             raise ValueError("adjacency views disagree on the edge set")
 
 
-def _mask(indices: Iterable[int]) -> int:
-    m = 0
+def _mask(indices: Sequence[int]) -> int:
+    """Bitmask with bit i set for each i, from one base-2 parse of a digit
+    string (the highest index first): linear in the top index, where one
+    big-int OR per bit would copy the growing mask each time."""
+    if not indices:
+        return 0
+    top = max(indices)
+    digits = bytearray(b"0" * (top + 1))
     for i in indices:
-        m |= 1 << i
-    return m
+        digits[top - i] = 49  # ord("1")
+    return int(digits, 2)
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,33 @@ class TestGenSolve:
             assert run(argv + ["--input", str(path)]) == 4
             assert capsys.readouterr().err.startswith("bad input:")
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--algo", "exact", "--input", "INST"],
+        ["gen", "--family", "planted", "--n", "64", "--alpha", "0.5",
+         "--beta", "0.5", "--gamma", "0.2", "--r", "4"],
+        ["gapcalc", "--r", "4", "--regime", "by_n"]])
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, argv,
+                                         target):
+        # An output path that cannot be opened for writing is bad input:
+        # exit 4 and one line on stderr, not a traceback.
+        inst = tmp_path / "inst.txt"
+        inst.write_text("p ssbve 2 2 1\ne 1 1\ne 2 2\n")
+        out = (tmp_path if target == "directory"
+               else tmp_path / "no-such-dir" / "out.json")
+        argv = [str(inst) if a == "INST" else a for a in argv]
+        assert run(["--out", str(out)] + argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("bad input: cannot write")
+        assert err.count("\n") == 1
+
+    def test_unwritable_sidecar_exit_code(self, tmp_path, capsys):
+        assert run(["gen", "--family", "planted", "--n", "64", "--alpha",
+                    "0.5", "--beta", "0.5", "--gamma", "0.2", "--r", "4",
+                    "--out", str(tmp_path / "p.txt"),
+                    "--sidecar", str(tmp_path)]) == 4
+        assert capsys.readouterr().err.startswith("bad input: cannot write")
+
     def test_budget_exit_code(self, tmp_path):
         inst = tmp_path / "big.txt"
         lines = ["p ssbve 40 5 20"]

@@ -1,7 +1,10 @@
 """Certificate builders/verifiers, cover costs, instance properties, and the
 gap-exponent calculator."""
 
+import hashlib
+import json
 import math
+import os
 from fractions import Fraction
 from itertools import combinations
 
@@ -198,6 +201,24 @@ def _fit_cases():
 FIT_CASES = _fit_cases()
 
 
+def _small_fit_cases(count=300):
+    """(graph, d_l target, d_r target) on small random graphs of every
+    density; left targets up to s + 1, which no graph can meet, so some
+    runs stall."""
+    cases = []
+    for i in range(count):
+        rng = stream(i, 0x4252)
+        n, s = 2 + rng.randrange(11), 1 + rng.randrange(8)
+        targets = [t for t in range(1, s + 2) if n * t % s == 0]
+        d_l = targets[rng.randrange(len(targets))]
+        g = random_bipartite(4000 + i, n, s, (0.2, 0.5, 0.8, 0.95)[i % 4])
+        cases.append((g, d_l, n * d_l // s))
+    return cases
+
+
+SMALL_FIT_CASES = _small_fit_cases()
+
+
 class TestDegreeFittingMatchesReference:
     """cap_degrees and biregularize against their rescanning oracles."""
 
@@ -219,6 +240,39 @@ class TestDegreeFittingMatchesReference:
             capped = cap_degrees(g, d_l, d_r)
             assert capped == reference_cap_degrees(g, d_l, d_r)
             capped.validate()
+
+    @pytest.mark.parametrize("bench_seed", [0, 300, 3103])
+    def test_certify_gap_seeds(self, bench_seed):
+        # The benchmark's certify SDP instance at these seeds, capped to the
+        # CLI's targets for --dl 2 (3 left, 10 right).
+        g = gen_gap_instance(1280, 384, 2.0, 10_000 + 1_000 * bench_seed)
+        capped = cap_degrees(g, 3, 10)
+        assert capped == reference_cap_degrees(g, 3, 10)
+        got = _fit_outcome(biregularize, capped, 3, 10)
+        assert not isinstance(got[0], type)
+        assert got == _fit_outcome(reference_biregularize, capped, 3, 10)
+
+    def test_small_random_cases(self, monkeypatch):
+        swaps = []
+        real_swap = sdp._augment_swap
+
+        def counting_swap(*args):
+            swaps.append(args)
+            return real_swap(*args)
+
+        monkeypatch.setattr(sdp, "_augment_swap", counting_swap)
+        kinds = set()
+        for g, d_l, d_r in SMALL_FIT_CASES:
+            capped = cap_degrees(g, d_l, d_r)
+            before = len(swaps)
+            got = _fit_outcome(biregularize, capped, d_l, d_r)
+            assert got == _fit_outcome(reference_biregularize, capped, d_l,
+                                       d_r)
+            kinds.add(got[0] if isinstance(got[0], type)
+                      else "swap" if len(swaps) > before else "greedy")
+            assert (_fit_outcome(biregularize, g, d_l, d_r)
+                    == _fit_outcome(reference_biregularize, g, d_l, d_r))
+        assert kinds == {"greedy", "swap", StalledError}
 
     def test_cases_reach_swap_stall_and_rejects(self, monkeypatch):
         swaps = []
@@ -564,6 +618,18 @@ class TestCorruptedSdpCertificate:
         assert {r.constraint_id for r in rep.failing()} == {"nu-gram"}
         assert report_row(rep, "nu-gram").lhs == 8.0
 
+    def test_asymmetric_nu_fails_nu_gram(self):
+        """nu[0, 2] up and nu[0, 3] down by one: asymmetric, with the same
+        diagonal and row sums, so nu-gram is the row that catches it."""
+        cert = self.cert()
+        cert.nu[0, 2] += 1
+        cert.nu[0, 3] -= 1
+        assert not (cert.nu == cert.nu.T).all()
+        rep = verify_sdp_certificate(cert)
+        assert {r.constraint_id for r in rep.failing()} == {"nu-gram"}
+        assert report_row(rep, "nu-gram").lhs == 2.0
+        assert all(r.constraint_id != "nu-symmetric" for r in rep.checks)
+
     @staticmethod
     def flip_biadj(cert, present):
         """Flip biadj[0, v] for a neighbour v of left 0 (an edge removed) or
@@ -867,6 +933,20 @@ class TestSaCertificate:
         rep = sample_property_checks(cert, 2000, seed=5)
         assert rep.passed, rep.failing()
 
+    @pytest.mark.parametrize("graph_seed, seed", [
+        (17003, 3), (17005, 5), (17007, 7)])
+    def test_rounds2_property_samples_compare_exactly(self, graph_seed, seed):
+        # Exact mode must compare Fractions against an exact zero
+        # tolerance: adding the float 0.0 turned alpha*x_S and x_S/2 into
+        # rounded floats, and true decay and lift-range samples failed.
+        g = gen_gap_instance(256, 32, 8.0, graph_seed)
+        cert = build_sa_certificate(g, rounds=2)
+        assert cert.exact
+        rep = sample_property_checks(cert, 2000, seed=seed)
+        assert rep.passed, rep.failing()
+        assert rep.extra["samples_decay"] > 300
+        assert rep.extra["samples_lift-range"] > 300
+
     def test_mpmath_branch(self):
         g = gen_gap_instance(10, 3, 2.0, 1)
         cert = build_sa_certificate(g, rounds=1)
@@ -1135,9 +1215,15 @@ ONE_ROUND_GRAPHS = {
     # The benchmark's certify instance at seed 300.
     "certify-4096": lambda: gen_gap_instance(4096, 64, 32.0, 310_000),
     "gap-100": lambda: gen_gap_instance(100, 20, 10.0, 31),
+    "gap-300": lambda: gen_gap_instance(300, 30, 10.0, 5),
     "chain-16": lambda: chain(16),
     "chain-10": lambda: chain(10),
 }
+
+
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "sa_one_round_float.json")) as _fh:
+    FLOAT_GOLDEN = json.load(_fh)
 
 
 def reference_edge_scan(cert):
@@ -1183,6 +1269,52 @@ class TestSaClassesMatchReference:
                 NoCoverError} <= seen
         assert any(k[0] == 2 and k[2] > 3 for k in seen if k is not
                    NoCoverError)  # a far-apart left pair with a cover
+
+    def test_singleton_keys_are_structural(self):
+        # Against the general cover search on every vertex, isolated ones
+        # included; the structural tier runs no search.
+        graphs = TIER_GRAPHS + [
+            random_bipartite(950 + seed, 6 + seed, 5, 0.1)
+            for seed in range(6)]
+        isolated = set()
+        for g in graphs:
+            cert = build_sa_certificate(g, rounds=1)
+            for w in range(g.n + g.n_right):
+                isolated.add((w < g.n, not cert.view.adj[w]))
+                assert cert.key(frozenset({w})) == (
+                    int(w < g.n), int(w >= g.n),
+                    sa._cover_cost(cert.view, frozenset({w})))
+            assert not cert.cost_table
+        assert isolated == {(True, True), (True, False), (False, True),
+                            (False, False)}
+
+    def test_value_classes_share_equal_values(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        values = [half, half, third, Fraction(1, 2), third, Fraction(2, 3)]
+        assert sa._value_classes(values, 4) == (
+            [4, 4, 5, 4, 5, 6], [half, third, Fraction(2, 3)])
+
+    @pytest.mark.parametrize("name", sorted(FLOAT_GOLDEN))
+    def test_float_one_round_report_golden(self, name):
+        """One-round reports in 60-digit mode, row for row, against those
+        recorded before singleton keys became structural and the level-1
+        sums went by value class (tests/data/sa_one_round_float.json holds
+        each report's row count, failing-row count, worst slack, extra and
+        the SHA-256 of its compact JSON rows [id, lhs, rhs, slack])."""
+        graph, corruption = name.split("/")
+        g = ONE_ROUND_GRAPHS[graph]()
+        cert = build_sa_certificate(g, rounds=1)
+        assert not cert.exact
+        assert CORRUPTIONS[corruption](cert)
+        rep = verify_sa_certificate(cert, samples=2000, seed=g.n)
+        rows = [[r.constraint_id, r.lhs, r.rhs, r.slack] for r in rep.checks]
+        want = FLOAT_GOLDEN[name]
+        assert len(rows) == want["checks"]
+        assert sum(r[3] > cert.tolerance for r in rows) == want["failing"]
+        assert rep.max_violation == want["max_violation"]
+        assert json.loads(json.dumps(rep.extra)) == want["extra"]
+        blob = json.dumps(rows, separators=(",", ":")).encode()
+        assert hashlib.sha256(blob).hexdigest() == want["rows_sha256"]
 
     @pytest.mark.parametrize("which", range(0, len(TIER_GRAPHS), 3))
     @pytest.mark.parametrize("rounds", [1, 2])

@@ -16,7 +16,7 @@ from ssbve.generators import PlantedSpec, gen_planted, gen_random_bipartite
 from ssbve.graph import (BipartiteGraph, Hypergraph, SsbveInstance,
                          UndirectedGraph, expansion, induced_left_subgraph,
                          mku_to_ssbve, neighborhood, ssbve_to_mku,
-                         ssbve_to_ssveu, ssveu_to_ssbve)
+                         ssbve_to_ssveu, ssveu_to_ssbve, _mask)
 from ssbve.rng import stream
 
 from conftest import random_bipartite, random_undirected
@@ -63,6 +63,14 @@ class TestExpansion:
             expansion(tiny_star, [])
 
 
+def reference_mask(indices) -> int:
+    """One big-int OR per bit; the oracle of graph._mask."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
 class TestGraphInvariants:
     @pytest.mark.parametrize("seed", range(10))
     def test_validate_random(self, seed):
@@ -86,6 +94,20 @@ class TestGraphInvariants:
         assert BipartiteGraph.from_rows(g.n_right, g.adj_left) == g
         assert BipartiteGraph.from_rows(4, []) == \
             BipartiteGraph.from_edges(0, 4, [])
+
+    @pytest.mark.parametrize("indices", [
+        (), (0,), (5,), (0, 1, 2, 3), (3, 64, 65), (1, 4099), (10_000,),
+        (0, 7, 8, 63, 64, 127, 128, 4095)])
+    def test_mask_matches_bit_loop(self, indices):
+        assert _mask(indices) == reference_mask(indices)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_masks_match_bit_loop(self, seed):
+        # Isolated vertices on both sides give empty rows.
+        g = random_bipartite(seed + 500, 12 + seed, 3 + 2 * seed,
+                             (0.05, 0.3, 0.9)[seed % 3])
+        assert g.left_masks() == [reference_mask(a) for a in g.adj_left]
+        assert g.right_masks() == [reference_mask(a) for a in g.adj_right]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_induced_subgraph_matches_edge_build(self, seed):
