@@ -13,6 +13,13 @@ planted random instances and degrades gracefully on arbitrary ones:
 * every collected at-most-k set is fed through the at-most -> exact-k
   conversion, and the best of everything (including baselines) wins.
 
+A t guess that does not subsample repeats its bucket's candidate: the same
+graph object, k, p/q, c and V_D.  Within one at-most round such candidates
+share a step memo, so each First, Hair and Final step runs once per group
+and state.  Backbone steps stay out of it: they subsample their branches
+from the popped state's seed, which differs between the copies, and their
+LES work is already served by the solve-scoped LES memo.
+
 High-degree right vertices (the set V_D) are excluded from expansion targets
 during the walk and re-absorbed only in final accounting; their total size is
 bounded, so they cannot dominate the neighborhood of the output.
@@ -27,11 +34,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, islice, product
 from typing import Callable
 
-from .errors import (NoRootError, NotCoprimeError, PreconditionViolatedError,
-                     SolverStalledError)
+from .errors import (InvalidParameterError, NoRootError, NotCoprimeError,
+                     PreconditionViolatedError, SolverStalledError)
 from .graph import (BipartiteGraph, Solution, SsbveInstance,
                     induced_left_subgraph, neighborhood)
 from .les import least_expanding_set, least_expanding_subset, memo_scope
@@ -84,6 +91,9 @@ class PreprocessedInstance:
 
 @dataclass(frozen=True)
 class BranchState:
+    """A working set (ascending, duplicate-free left vertices of the
+    candidate graph) with the guesses that led to it."""
+
     current: tuple[int, ...]
     guesses: tuple[int, ...]
     step_index: int
@@ -250,12 +260,25 @@ def pruning_constant(p: int, q: int, eps: float) -> float:
     return 0.9 * min(bounds)
 
 
+def _check_parameters(eps: float, q_max: int) -> None:
+    """Reject a q_max with no exponent p/q to snap to, and an eps that is
+    not a finite nonnegative number (NaN would make every threshold
+    comparison false)."""
+    if q_max < 2:
+        raise InvalidParameterError(f"q_max must be at least 2, got {q_max}")
+    if not 0.0 <= eps < math.inf:
+        raise InvalidParameterError(
+            f"eps must be finite and nonnegative, got {eps}")
+
+
 def preprocess(inst: SsbveInstance, eps: float, q_max: int = 3,
                seed: int = 0) -> list[PreprocessedInstance]:
     """Full preprocessing: bucket+regularize, guess the optimum neighborhood
     size on the geometric grid {r*2^j}, subsample when the derived
     back-degree overshoots, snap the exponent, and compute the pruning
-    constants and the high-degree right set V_D."""
+    constants and the high-degree right set V_D.  Raises
+    InvalidParameterError for q_max < 2 or a negative or non-finite eps."""
+    _check_parameters(eps, q_max)
     out: list[PreprocessedInstance] = []
     for cand_idx, cand in enumerate(bucket_and_regularize(inst)):
         t = cand.r
@@ -407,21 +430,22 @@ def hair_step(pre: PreprocessedInstance, st: BranchState) -> StepResult:
     early exit (big calm core, or small-expansion set) or one branch per
     admissible guess, each shrinking the working set."""
     g, r, k, c, eps = pre.graph, pre.r, pre.k, pre.c, pre.eps
-    u_hat = set(st.current)
-    n_hat = len(u_hat)
-    d_hat = n_hat / k ** (1.0 - c * eps)
+    d_hat = len(st.current) / k ** (1.0 - c * eps)
     thr = _thr(r / k ** (c * eps))
     adj = g.adj_left
     counts = Counter(chain.from_iterable(adj[u] for u in st.current))
     v_hat_d = {v for v, cnt in counts.items() if cnt >= d_hat}
-    u_d = [u for u in st.current
-           if len(adj[u]) - len(v_hat_d.intersection(adj[u])) <= thr]
+    # The scan stops at k calm vertices; fewer means it saw every one.
+    u_d = list(islice(
+        (u for u in st.current
+         if len(adj[u]) - len(v_hat_d.intersection(adj[u])) <= thr), k))
     if len(u_d) >= k:
-        return Done(tuple(u_d[:k]))
+        return Done(tuple(u_d))
     if u_d:
         sol = least_expanding_subset(g, u_d)
         if sol.expansion <= Fraction(thr):
             return Done(sol.chosen)
+    u_hat = set(st.current)
     states = []
     # Only a right vertex that meets the working set gives a nonempty branch.
     for v in sorted(counts):
@@ -485,18 +509,29 @@ def final_step(pre: PreprocessedInstance, st: BranchState) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _run_candidate(pre: PreprocessedInstance, schedule: CaterpillarSchedule,
-                   branch_cap: int, seed: int,
-                   cand_tag: int) -> list[tuple[int, ...]]:
+                   branch_cap: int, seed: int, cand_tag: int,
+                   memo: dict) -> list[tuple[int, ...]]:
     """Best-first branch exploration with a pop budget; returns the chosen
     sets it collects, in candidate-graph ids.
 
     Each state is keyed by a priority derived from its guess path alone, so
     raising branch_cap extends the pop sequence without reordering it and
     the collected set list only grows.
+
+    `memo` holds the first, hair and final step results shared by the
+    candidates of the round that the steps cannot tell apart (see
+    `_best_atmost`).  A result depends only on those shared fields and the
+    state, and is keyed by the whole state (working set, guesses and step
+    index), so a stored result is exactly what a fresh call would return.
+    Backbone steps stay out: their branches are subsampled from the popped
+    state's seed, which differs between candidates (their LES work is
+    served by the `les` memo).
     """
     collected: list[tuple[int, ...]] = []
     q = schedule.q
-    res = first_step(pre)
+    res = memo.get(())
+    if res is None:
+        res = memo[()] = first_step(pre)
     if isinstance(res, Done):
         collected.append(res.chosen)
         return collected
@@ -518,16 +553,20 @@ def _run_candidate(pre: PreprocessedInstance, schedule: CaterpillarSchedule,
         pops += 1
         step = schedule.steps[state.step_index] \
             if state.step_index < q else Step.FINAL
-        if step is Step.FINAL:
-            collected.append(final_step(pre, state))
-            continue
-        if step is Step.HAIR:
-            out = hair_step(pre, state)
-        else:
+        if step is Step.BACKBONE:
             try:
                 out = backbone_step(pre, state, seed=state_seed)
             except PreconditionViolatedError as exc:
                 logger.debug("dropping branch %s: %s", state.guesses, exc)
+                continue
+        else:
+            key = (state.current, state.guesses, state.step_index)
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = final_step(pre, state) \
+                    if step is Step.FINAL else hair_step(pre, state)
+            if step is Step.FINAL:
+                collected.append(out)
                 continue
         if isinstance(out, Done):
             collected.append(out.chosen)
@@ -558,9 +597,24 @@ def _best_atmost(inst: SsbveInstance, eps: float, q_max: int,
     candidates: list[Solution] = []
     # min keeps the first of equal keys, so a repeated set cannot win.
     measured: set[tuple[int, ...]] = set()
-    for idx, pre in enumerate(preprocess(inst, eps, q_max=q_max, seed=seed)):
+    pres = preprocess(inst, eps, q_max=q_max, seed=seed)
+    # One step memo per group of candidates that differ only in t, d and
+    # the seed tag, which no memoised step reads; p/q is in the key so that
+    # a step index names the same step.  Graphs and id maps are keyed by
+    # identity, safe while pres keeps them all alive; a chosen set already
+    # mapped through the same ids cannot add a candidate.
+    memos: dict[tuple, dict] = {}
+    mapped_from: set[tuple[int, tuple[int, ...]]] = set()
+    for idx, pre in enumerate(pres):
         schedule = caterpillar_schedule(pre.p, pre.q)
-        for chosen in _run_candidate(pre, schedule, branch_cap, seed, idx):
+        group = (id(pre.graph), pre.r, pre.k, pre.c, pre.eps, pre.v_d,
+                 pre.p, pre.q)
+        memo = memos.setdefault(group, {})
+        for chosen in _run_candidate(pre, schedule, branch_cap, seed, idx,
+                                     memo):
+            if (id(pre.left_ids), chosen) in mapped_from:
+                continue
+            mapped_from.add((id(pre.left_ids), chosen))
             mapped = _trim_lex((pre.left_ids[u] for u in chosen), k)
             if mapped and mapped not in measured:
                 measured.add(mapped)
@@ -579,7 +633,16 @@ def solve_worst_case(inst: SsbveInstance, eps: float = 0.1,
     """Best exactly-k solution over the full pipeline and the baselines.
 
     LES subproblems repeat across branches and at-most rounds; one memo
-    (`les.memo_scope`) serves the whole solve and ends with it."""
+    (`les.memo_scope`) serves the whole solve and ends with it.  Within one
+    at-most round, the candidates that differ only in their t guess share
+    a step memo, so each first, hair and final step runs once per state
+    (see `_run_candidate`); backbone steps run on every pop, since their
+    branches depend on the popped state's seed.
+
+    Raises InvalidParameterError for q_max < 2 or a negative or non-finite
+    eps, before any work."""
+    _check_parameters(eps, q_max)
+
     def inner(sub: SsbveInstance) -> Solution:
         return _best_atmost(sub, eps, q_max, branch_cap, seed)
 

@@ -61,6 +61,10 @@ class NotCoprimeError(SsbveError):
     """Schedule parameters p, q must be coprime with 0 < p < q."""
 
 
+class InvalidParameterError(SsbveError):
+    """A solver parameter lies outside the range the solver accepts."""
+
+
 class PreconditionViolatedError(SsbveError):
     """A step operation was invoked on a state violating its precondition."""
 

@@ -1,10 +1,12 @@
 """Schedule construction, preprocessing, step operations, and the solvers."""
 
 import contextlib
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +17,8 @@ from ssbve.approx import (BranchState, Branches, Done, Step,
                           hair_step, backbone_step, preprocess,
                           pruning_constant, solve_gamma, solve_planted,
                           solve_worst_case, subsample_left, trivial_ksubset)
-from ssbve.errors import (NotCoprimeError, PreconditionViolatedError,
-                          SolverStalledError)
+from ssbve.errors import (InvalidParameterError, NotCoprimeError,
+                          PreconditionViolatedError, SolverStalledError)
 from ssbve.exact import exact_les, exact_ssbve
 from ssbve.generators import PlantedSpec, gen_planted
 from ssbve.graph import (BipartiteGraph, Solution, SsbveInstance, expansion,
@@ -27,6 +29,9 @@ from ssbve.les import least_expanding_subset
 from ssbve.rng import stream
 
 from conftest import random_bipartite, random_instance
+
+with open(Path(__file__).parent / "data" / "golden_worst_family.json") as fh:
+    GOLDEN_FAMILY = json.load(fh)
 
 
 class TestTrivialKsubset:
@@ -225,6 +230,15 @@ class TestPreprocess:
             c.graph.n_right / c.r for c in buckets)))
         assert len(preprocess(inst, 0.1)) <= len(buckets) * grid
 
+    @pytest.mark.parametrize("kw", [{"q_max": 1}, {"q_max": -2},
+                                    {"eps": math.nan}, {"eps": -0.5}])
+    def test_rejects_bad_parameters(self, kw):
+        g = gen_random_bipartite(20, 8, 0.3, 1)
+        args = {"eps": 0.1, "q_max": 3, **kw}
+        with pytest.raises(InvalidParameterError):
+            preprocess(SsbveInstance(graph=g, k=3), args["eps"],
+                       q_max=args["q_max"])
+
     def test_v_d_bound(self):
         g = random_bipartite(10, 20, 8)
         inst = SsbveInstance(graph=g, k=6)
@@ -401,6 +415,42 @@ class TestStepsMatchReference:
                             following += out.states
                 frontier = following
         assert checked
+
+    @pytest.mark.parametrize("n_calm, k, relation", [
+        (5, 3, "more"), (3, 3, "exactly"), (3, 4, "fewer")])
+    def test_hair_calm_count_around_k(self, n_calm, k, relation):
+        # r = 2: a calm vertex meets the hub and one private right vertex,
+        # a loud one two private ones.  Loud vertices come first and between
+        # the calm ones, so the scan must skip them and may stop early.
+        from ssbve.approx import PreprocessedInstance
+        kinds = ["loud", "calm"] * n_calm + ["loud"]
+        edges, private = [], 1
+        for u, kind in enumerate(kinds):
+            if kind == "calm":
+                edges += [(u, 0), (u, private)]
+                private += 1
+            else:
+                edges += [(u, private), (u, private + 1)]
+                private += 2
+        g = BipartiteGraph.from_edges(len(kinds), private, edges)
+        pre = PreprocessedInstance(
+            graph=g, r=2, k=k, left_ids=tuple(range(g.n)), t_guess=2,
+            d=2.0, p=1, q=3, eps=0.1, c=0.45, cap_d=1e9, v_d=frozenset())
+        st = BranchState(current=tuple(range(g.n)), guesses=(0,),
+                         step_index=1)
+        d_hat = g.n / k ** (1 - pre.c * pre.eps)
+        thr = max(1.0, pre.r / k ** (pre.c * pre.eps))
+        hubs = {v for v in range(g.n_right)
+                if len(g.adj_right[v]) >= d_hat}
+        calm = [u for u in st.current
+                if len(set(g.adj_left[u]) - hubs) <= thr]
+        assert calm == [u for u, kind in enumerate(kinds) if kind == "calm"]
+        assert {"more": len(calm) > k, "exactly": len(calm) == k,
+                "fewer": len(calm) < k}[relation]
+        out = hair_step(pre, st)
+        assert out == reference_hair_step(pre, st)
+        if relation != "fewer":
+            assert out == Done(tuple(calm[:k]))
 
 
 class TestSteps:
@@ -637,6 +687,132 @@ class TestSolveWorstCase:
             solve_worst_case(inst, branch_cap=8)
         assert active == [True]
         assert les._MEMO.get() is None
+
+    @staticmethod
+    def solve_traced(monkeypatch, inst, fresh_memo, **kw):
+        """solve_worst_case with its rounds recorded: the Solution, the sets
+        each _run_candidate call collected, and per _best_atmost call the
+        (step, candidate group, arguments) of every step call.  With
+        fresh_memo each _run_candidate call gets its own empty step memo."""
+        run, best = approx._run_candidate, approx._best_atmost
+        collected, rounds = [], []
+
+        def run_recorded(pre, schedule, branch_cap, seed, cand_tag, memo):
+            out = run(pre, schedule, branch_cap, seed, cand_tag,
+                      {} if fresh_memo else memo)
+            collected.append(out)
+            return out
+
+        graphs: dict[int, int] = {}
+
+        def best_recorded(*args):
+            rounds.append([])
+            graphs.clear()
+            return best(*args)
+
+        def recorded(name, fn):
+            def wrapper(pre, *args, **kwargs):
+                # Graphs by order of first use in the round, comparable
+                # across solves.
+                graph = graphs.setdefault(id(pre.graph), len(graphs))
+                group = (graph, pre.r, pre.k, pre.c, pre.eps, pre.v_d)
+                rounds[-1].append((name, group, args,
+                                   tuple(sorted(kwargs.items()))))
+                return fn(pre, *args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(approx, "_run_candidate", run_recorded)
+            m.setattr(approx, "_best_atmost", best_recorded)
+            for name in ("first_step", "hair_step", "backbone_step",
+                         "final_step"):
+                m.setattr(approx, name, recorded(name, getattr(approx, name)))
+            sol = solve_worst_case(inst, **kw)
+        return sol, collected, rounds
+
+    def assert_memo_transparent(self, monkeypatch, inst, **kw):
+        with_memo = self.solve_traced(monkeypatch, inst, False, **kw)[:2]
+        assert with_memo == self.solve_traced(monkeypatch, inst, True,
+                                              **kw)[:2]
+
+    @pytest.mark.parametrize("cap", [64, 4])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_step_memo_matches_memo_free_oracle_small(self, seed, cap,
+                                                      monkeypatch):
+        self.assert_memo_transparent(monkeypatch, _random_small_instance(seed),
+                                     branch_cap=cap, seed=seed)
+
+    @pytest.mark.parametrize("cap", [64, 4])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_step_memo_matches_memo_free_random(self, seed, cap,
+                                                monkeypatch):
+        rng = stream(seed, 0x3E30)
+        g = gen_random_bipartite(30 + rng.randrange(40),
+                                 10 + rng.randrange(15), 0.15, seed + 900)
+        inst = SsbveInstance(graph=g, k=2 + rng.randrange(5))
+        self.assert_memo_transparent(monkeypatch, inst, branch_cap=cap,
+                                     seed=seed)
+
+    @pytest.mark.parametrize("cap", [64, 4])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_step_memo_matches_memo_free_bench_family(self, seed, cap,
+                                                      monkeypatch):
+        # The benchmark's worst-case family: 120x40, p = 0.15, k = 6.
+        g = gen_random_bipartite(120, 40, 0.15, 8100 + seed)
+        self.assert_memo_transparent(monkeypatch, SsbveInstance(graph=g, k=6),
+                                     branch_cap=cap, seed=seed)
+
+    def test_step_memo_runs_each_step_once_per_round(self, monkeypatch):
+        g = gen_random_bipartite(120, 40, 0.15, 8003)
+        inst = SsbveInstance(graph=g, k=6)
+        _, _, rounds = self.solve_traced(monkeypatch, inst, False)
+        _, _, free_rounds = self.solve_traced(monkeypatch, inst, True)
+        assert len(rounds) == len(free_rounds) > 1
+
+        def calls(round_, names):
+            return [c for c in round_ if c[0] in names]
+
+        memoised = ("first_step", "hair_step", "final_step")
+        repeats = 0
+        for mine, free in zip(rounds, free_rounds):
+            once = calls(mine, memoised)
+            assert len(set(once)) == len(once)
+            assert set(once) == set(calls(free, memoised))
+            repeats += len(calls(free, memoised)) - len(once)
+            # Backbone steps are not memoised: one call per pop, with the
+            # same states and seeds as the memo-free walk.
+            assert calls(mine, ("backbone_step",)) == \
+                calls(free, ("backbone_step",))
+        assert repeats > 0
+
+    @pytest.mark.parametrize("case", GOLDEN_FAMILY["cases"],
+                             ids=lambda c: str(c["graph_seed"]))
+    def test_golden_bench_family(self, case):
+        gold = GOLDEN_FAMILY
+        g = gen_random_bipartite(gold["n"], gold["n_right"], gold["p"],
+                                 case["graph_seed"])
+        sol = solve_worst_case(SsbveInstance(graph=g, k=gold["k"]),
+                               eps=gold["eps"], branch_cap=gold["branch_cap"],
+                               seed=gold["seed"], q_max=gold["q_max"])
+        assert sol == Solution(chosen=tuple(case["chosen"]),
+                               neighborhood_size=case["neighborhood_size"],
+                               expansion=Fraction(case["expansion"]))
+
+    @pytest.mark.parametrize("q_max", [1, 0, -2])
+    def test_rejects_q_max_below_two(self, q_max):
+        with pytest.raises(InvalidParameterError, match="q_max"):
+            solve_worst_case(random_instance(3), q_max=q_max)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1.0,
+                                     -1e-12])
+    def test_rejects_bad_eps(self, eps):
+        with pytest.raises(InvalidParameterError, match="eps"):
+            solve_worst_case(random_instance(3), eps=eps)
+
+    def test_accepts_eps_zero_and_q_max_two(self):
+        inst = random_instance(5)
+        sol = solve_worst_case(inst, eps=0.0, branch_cap=8, q_max=2)
+        assert len(sol.chosen) == inst.k
 
     def test_monotone_in_branch_cap(self):
         g = random_bipartite(33, 12, 7, 0.35)

@@ -121,6 +121,23 @@ class TestGenSolve:
                     "--sidecar", str(tmp_path)]) == 4
         assert capsys.readouterr().err.startswith("bad input: cannot write")
 
+    @pytest.mark.parametrize("flag", [
+        ["--qmax", "1"], ["--qmax", "0"], ["--qmax", "-2"],
+        ["--eps", "nan"], ["--eps", "inf"], ["--eps", "-1"]])
+    def test_worst_bad_parameter_exit_code(self, tmp_path, capsys, flag):
+        # A q_max with no exponent p/q to snap to, or an eps that is not a
+        # finite nonnegative number: exit 4 and one line on stderr.
+        inst = tmp_path / "inst.txt"
+        inst.write_text("p ssbve 3 2 2\ne 1 1\ne 2 1\ne 3 2\n")
+        out = tmp_path / "r.json"
+        assert run(["--out", str(out), "solve", "--algo", "worst",
+                    "--input", str(inst)] + flag) == 4
+        err = capsys.readouterr().err
+        name = {"--qmax": "q_max", "--eps": "eps"}[flag[0]]
+        assert err.startswith(f"error: {name} ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_budget_exit_code(self, tmp_path):
         inst = tmp_path / "big.txt"
         lines = ["p ssbve 40 5 20"]
