@@ -27,9 +27,10 @@ general Steiner search), so every constraint instance is covered by a
 handful of exact class inequalities plus bitset-backed counts.  Singleton
 values are grouped into value classes (more than one per side only when
 x_table overrides a value), and the sum of the left values, the level-1
-bounds and the top-level value bounds are checked once per class.  If any
-class check fails, the verifier falls back to explicit per-edge scans, so
-passing reports never rest on an unproven shortcut.
+bounds and the top-level value bounds are checked once per class.  The
+edge class rows assume one value per side: a certificate with overridden
+singleton values fails the singleton-uniform row instead of being scanned
+edge by edge.
 """
 
 from __future__ import annotations
@@ -528,8 +529,10 @@ def _sample_top_level_bounds(cert, rep, samples, seed) -> None:
 
 def _verify_one_round(cert, rep) -> None:
     """Exact verification of every level-0/1 constraint via structural cover
-    classes, falling back to explicit scans when a class inequality fails,
-    and of every top-level value bound once per realised pair class."""
+    classes, and of every top-level value bound once per realised pair
+    class.  With pair values at their class values, the edge rows bound
+    every edge instance of their class, so a failing instance fails its
+    class row or singleton-uniform."""
     view = cert.view
     n, s, k = cert.n, cert.s, cert.k
     alpha, beta = cert.sa_alpha, cert.sa_beta
@@ -657,9 +660,9 @@ def _verify_one_round(cert, rep) -> None:
         ("edges-sv-guess-at-v", xv0, x_uv_adj),
         ("edges-sv-adj", x_vv, x_uv_adj),
         ("edges-sv-non", x_vv, x_uv_non),
-        # S = {w in U}: (u'=w) equality; (v in N(w)) beta q^2 >= beta^2 q^3;
-        # else alpha*beta*q^3 >= beta^2 q^3.
-        ("edges-su-self", x_uv_adj, x_uv_adj),
+        # S = {w in U}: (u'=w) x_{u,v} >= x_u, the row edges-tv-self;
+        # (v in N(w)) beta q^2 >= beta^2 q^3; else alpha*beta*q^3 >=
+        # beta^2 q^3.
         ("edges-su-adj", x_uv_adj, x_uu_near),
         ("edges-su-non", x_uv_non, x_uu_near),
         # T = {w in V}: (v=w) 0 >= 0 by the forced equality x_{u,w} = x_u on
@@ -670,18 +673,12 @@ def _verify_one_round(cert, rep) -> None:
         ("edges-tu-adj", xv0 - x_uv_adj, xu0),
         ("edges-tu-non", xv0 - x_uv_non, xu0),
     ]
-    class_ok = uniform
     for name, lhs, rhs in checks:
-        ok = lhs >= rhs
-        class_ok = class_ok and ok
-        rep.add(name, float(lhs), float(rhs), 0.0 if ok else float(rhs - lhs))
+        rep.add(name, lhs, rhs, rhs - lhs)
     # The far-apart uu class only shrinks right-hand sides (cost >= 4), and
     # x_{u,w} <= x_u needs cost monotonicity, which holds by cover
-    # restriction; so if every class check passed, all level-1 edge
-    # constraints hold.  Otherwise rescan explicitly.
-    if not class_ok:
-        _edge_scan_explicit(cert, rep)
-    rep.add("edge-family-mode", 0 if class_ok else 1, 0, 0)
+    # restriction; so with uniform singletons and every class row passing,
+    # all level-1 edge constraints hold.
 
     # Bounds at level <= 1 are implied by 0 <= x_w <= 1 for all w.
     bad = sum(class_sizes[c] for c, x in enumerate(class_values)
@@ -734,26 +731,6 @@ def _check_top_level_classes(cert, rep, top) -> None:
             worst = max(worst, bad)
     rep.add("bounds-top-level-classes", violations, 0, worst)
     rep.extra["top_level_classes"] = len(top)
-
-
-def _edge_scan_explicit(cert, rep) -> None:
-    """Fallback: check every level-<=1 edge constraint literally."""
-    n, s = cert.n, cert.s
-    edges = [(u, cert.n + v) for u, v in cert.graph.edges()]
-    contexts = [(frozenset(), frozenset())]
-    contexts += [({w}, frozenset()) for w in range(n + s)]
-    contexts += [(frozenset(), {w}) for w in range(n + s)]
-    worst = 0.0
-    count = 0
-    for s_set, t_set in contexts:
-        s_set, t_set = frozenset(s_set), frozenset(t_set)
-        for u, v in edges:
-            lhs = sa_lift_value(cert, s_set | {v}, t_set)
-            rhs = sa_lift_value(cert, s_set | {u}, t_set)
-            if lhs < rhs:
-                count += rhs - lhs > cert.tolerance
-                worst = max(worst, float(rhs - lhs))
-    rep.add("edge-family-explicit", count, 0, worst)
 
 
 # ---------------------------------------------------------------------------

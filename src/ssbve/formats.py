@@ -6,7 +6,8 @@ MkU:    ``p mku <n_elements> <m> <k>`` then one ``s <size> <e1> ...`` line
         per set, 1-indexed elements.
 SSVE:   ``p ssve <n> <k>`` then ``e <u> <v>`` lines, 1-indexed, simple graph.
 
-Blank lines and lines starting with ``c`` are comments.
+Blank lines and lines starting with ``c`` are comments.  Every header field
+but the trailing ``k`` is a size, from 0 to ``MAX_HEADER_SIZE``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ import json
 
 from .errors import FormatError
 from .graph import BipartiteGraph, Hypergraph, SsbveInstance, UndirectedGraph
+
+# Largest size a header may declare: far above any instance built here, and
+# small enough that the per-vertex rows a parser allocates from the header
+# alone stay in the hundreds of megabytes.
+MAX_HEADER_SIZE = 1 << 20
 
 
 def _content_lines(text: str) -> list[list[str]]:
@@ -31,9 +37,14 @@ def _header(lines: list[list[str]], kind: str, argc: int) -> list[int]:
             or lines[0][1] != kind:
         raise FormatError(f"expected header 'p {kind}' with {argc} integers")
     try:
-        return [int(x) for x in lines[0][2:]]
+        values = [int(x) for x in lines[0][2:]]
     except ValueError as exc:
         raise FormatError(f"non-integer header field: {exc}") from exc
+    for size in values[:-1]:
+        if not 0 <= size <= MAX_HEADER_SIZE:
+            raise FormatError(f"header size {size} is negative or above "
+                              f"{MAX_HEADER_SIZE}")
+    return values
 
 
 def parse_ssbve(text: str) -> SsbveInstance:
@@ -41,8 +52,6 @@ def parse_ssbve(text: str) -> SsbveInstance:
              if line and line[0] != "c"]
     head = [line.split() for line in lines[:1]]
     n, n_right, k = _header(head, "ssbve", 3)
-    if n < 0 or n_right < 0:
-        raise FormatError(f"negative part size in header: {n} {n_right}")
     body = lines[1:]
     rows = _edge_rows(body, n, n_right)
     if rows is None:

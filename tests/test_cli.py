@@ -83,6 +83,21 @@ class TestGenSolve:
         bad.write_text("p ssbve 2 2 1\ne 1 x\n")
         assert run(["solve", "--algo", "les", "--input", str(bad)]) == 4
 
+    @pytest.mark.parametrize("argv, text", [
+        (["solve", "--algo", "baseline"], "p ssbve -3 1 1\n"),
+        (["solve", "--algo", "baseline"], "p ssbve 1000000000 1 1\n"),
+        (["solve", "--algo", "baseline"], "p mku -2 0 1\n"),
+        (["solve", "--algo", "baseline"], "p mku 1 1000000000 1\n"),
+        (["ssve"], "p ssve -3 1\n"),
+        (["ssve"], "p ssve 1000000000 1\n"),
+    ])
+    def test_header_size_out_of_bounds_exit_code(self, tmp_path, capsys,
+                                                  argv, text):
+        inst = tmp_path / "inst.txt"
+        inst.write_text(text)
+        assert run(argv + ["--input", str(inst)]) == 4
+        assert capsys.readouterr().err.startswith("bad input: header size")
+
     @pytest.mark.parametrize("argv", [["solve", "--algo", "planted"],
                                       ["ssve"]])
     def test_unreadable_input_exit_code(self, tmp_path, capsys, argv):

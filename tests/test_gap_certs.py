@@ -593,10 +593,36 @@ class TestCorruptedSdpCertificate:
         return build_sdp_certificate(_certify_shape_graph(1), 4)
 
     def test_valid_certificate_rows_zero(self):
-        rep = verify_sdp_certificate(self.cert())
+        cert = self.cert()
+        rep = verify_sdp_certificate(cert)
         assert rep.passed
         assert report_row(rep, "biadj-graph").lhs == 0.0
         assert report_row(rep, "nu-gram").lhs == 0.0
+        row = report_row(rep, "decomp-u-diagonal")
+        assert row.lhs == row.rhs == float(cert.a_diag)
+        row = report_row(rep, "nu-diagonal")
+        assert (row.lhs, row.rhs) == (0.0, 0.0)
+
+    def test_nu_diagonal_counts_entries(self):
+        """Two diagonal entries off d_l: nu-diagonal counts them (its slack
+        stays 1), and nu-gram sees the same entries."""
+        cert = self.cert()
+        cert.nu[0, 0] += 1
+        cert.nu[3, 3] -= 1
+        rep = verify_sdp_certificate(cert)
+        row = report_row(rep, "nu-diagonal")
+        assert (row.lhs, row.rhs, row.slack) == (2.0, 0.0, 1.0)
+        assert report_row(rep, "nu-gram").lhs == 2.0
+
+    def test_decomp_u_diagonal_values(self):
+        """A zeta that breaks mu*d_l + eta + zeta = a_diag shows both sides."""
+        cert = self.cert()
+        cert.zeta += Fraction(1, 7)
+        rep = verify_sdp_certificate(cert)
+        row = report_row(rep, "decomp-u-diagonal")
+        assert row.lhs == float(cert.a_off_coeff * cert.d_l
+                                + cert.a_off_const + cert.zeta)
+        assert row.rhs == float(cert.a_diag) and row.slack == 1.0
 
     def test_nu_entry_off_by_one(self):
         cert = self.cert()
@@ -1227,23 +1253,43 @@ with open(os.path.join(os.path.dirname(__file__), "data",
 
 
 def reference_edge_scan(cert):
-    """(count above tolerance, count of any shortfall, worst shortfall)
-    over every level-<=1 edge constraint."""
-    n, s = cert.n, cert.s
-    contexts = [(frozenset(), frozenset())]
-    contexts += [(frozenset({w}), frozenset()) for w in range(n + s)]
-    contexts += [(frozenset(), frozenset({w})) for w in range(n + s)]
-    above = anything = 0
-    worst = 0.0
-    for s_set, t_set in contexts:
-        for u, v in cert.graph.edges():
-            short = (reference_lift(cert, s_set | {u}, t_set)
-                     - reference_lift(cert, s_set | {n + v}, t_set))
+    """{family: (count above tolerance, count of any shortfall, worst
+    shortfall)} over every level-<=1 edge constraint x_{S+v,T} >= x_{S+u,T},
+    (u, v) an edge, by context family: "base" (S = T = empty), "sv"/"su"
+    (S = {w}, w right/left) and "tv"/"tu" (T = {w}).  Each context's lifts
+    come from cert.x_value by inclusion-exclusion (so values set by hand
+    count); its instances are grouped by the pair of lift values they
+    compare, and each distinct pair is subtracted once."""
+    n = cert.n
+    edges = list(cert.graph.edges())
+    ends = sorted({u for u, _ in edges} | {n + v for _, v in edges})
+    at = {z: i for i, z in enumerate(ends)}
+    eu = np.array([at[u] for u, _ in edges], dtype=np.int64)
+    ev = np.array([at[n + v] for _, v in edges], dtype=np.int64)
+    x = [cert.x_value([z]) for z in ends]  # lifts at each edge end z
+    contexts = [("base", x)]
+    for w in range(n + cert.s):
+        x_w = [cert.x_value([w, z]) for z in ends]
+        side = "v" if w >= n else "u"
+        contexts += [("s" + side, x_w),
+                     ("t" + side, [a - b for a, b in zip(x, x_w)])]
+    out = dict.fromkeys(("base", "sv", "su", "tv", "tu"), (0, 0, 0.0))
+    for family, lifts in contexts:
+        above, anything, worst = out[family]
+        ids: dict = {}
+        of = np.array([ids.setdefault(val, len(ids)) for val in lifts],
+                      dtype=np.int64)
+        values = list(ids)
+        keys, counts = np.unique(of[eu] * len(values) + of[ev],
+                                 return_counts=True)
+        for key, count in zip(keys.tolist(), counts.tolist()):
+            short = values[key // len(values)] - values[key % len(values)]
             if short > 0:
-                anything += 1
-                above += short > cert.tolerance
+                anything += count
+                above += count * (short > cert.tolerance)
                 worst = max(worst, float(short))
-    return above, anything, worst
+        out[family] = above, anything, worst
+    return out
 
 
 class TestSaClassesMatchReference:
@@ -1298,9 +1344,11 @@ class TestSaClassesMatchReference:
     def test_float_one_round_report_golden(self, name):
         """One-round reports in 60-digit mode, row for row, against those
         recorded before singleton keys became structural and the level-1
-        sums went by value class (tests/data/sa_one_round_float.json holds
-        each report's row count, failing-row count, worst slack, extra and
-        the SHA-256 of its compact JSON rows [id, lhs, rhs, slack])."""
+        sums went by value class, less the rows edges-su-self,
+        edge-family-mode and edge-family-explicit, dropped since
+        (tests/data/sa_one_round_float.json holds each report's row count,
+        failing-row count, worst slack, extra and the SHA-256 of its compact
+        JSON rows [id, lhs, rhs, slack])."""
         graph, corruption = name.split("/")
         g = ONE_ROUND_GRAPHS[graph]()
         cert = build_sa_certificate(g, rounds=1)
@@ -1423,30 +1471,12 @@ class TestSaClassesMatchReference:
         assert row in ref.checks
         assert row.lhs == 0 and 0 < row.slack <= 1e-40
 
-    def test_explicit_summary_skips_rounding_noise(self):
-        # x_v just below x_u fails the edge classes; the level-0 edge rows
-        # then fall short by 1e-50 only, while other contexts truly fail.
-        for g in (gen_gap_instance(20, 5, 3.0, 9), chain(16)):
-            cert = build_sa_certificate(g, rounds=1)
-            x_u = cert.x_value([0])
-            cert.class_table[(0, 1, 1)] = x_u - (
-                Fraction(1, 10 ** 50) if cert.exact else sa._MP.mpf("1e-50"))
-            rep = verify_sa_certificate(cert, samples=100, seed=1)
-            row, = (r for r in rep.checks
-                    if r.constraint_id == "edge-family-explicit")
-            above, anything, worst = reference_edge_scan(cert)
-            assert (row.lhs, row.slack) == (above, worst)
-            if cert.exact:
-                assert above == anything
-            else:
-                assert 0 < above < anything
-
     @pytest.mark.parametrize("n, s, d_l, rounds", [
         (16, 4, 2.0, 1), (20, 5, 3.0, 1), (16, 4, 2.0, 2), (10, 3, 2.0, 2)])
     def test_corrupted_class_counts(self, monkeypatch, n, s, d_l, rounds):
-        # x_v = 0 for every right vertex: the edge classes fail, so the
-        # one-round verifier rescans edges explicitly, and lifts such as
-        # x_{v} - x_{u,v} go negative at the top level.
+        # x_v = 0 for every right vertex: the edge class rows (one round) or
+        # the edge rows (two rounds) fail, and lifts such as x_{v} - x_{u,v}
+        # go negative at the top level.
         g = gen_gap_instance(n, s, d_l, 9)
 
         def corrupted():
@@ -1460,11 +1490,12 @@ class TestSaClassesMatchReference:
         ref = reference_report(monkeypatch, corrupted(), **kwargs)
         assert rep.checks == ref.checks
         counts = {r.constraint_id: r.lhs for r in rep.checks
-                  if r.constraint_id in ("edge-family-explicit",
-                                         "edge-family-violations",
+                  if r.constraint_id in ("edge-family-violations",
                                          "bounds-top-level-classes",
                                          "bounds-top-level-sampled")}
-        assert len(counts) == 2 and all(c > 0 for c in counts.values())
+        assert len(counts) == rounds and all(c > 0 for c in counts.values())
+        if rounds == 1:
+            assert report_row(rep, "edges-base") in rep.failing()
         assert not rep.passed
 
 
@@ -1664,6 +1695,71 @@ class TestTopLevelClasses:
                 assert _cover_outcome(brute_top_level, build_sa_certificate(
                     g, rounds=1))[0] is NoCoverError
         assert sum(isinstance(out, dict) for out in outcomes) >= 6
+
+
+def _nudge_right(cert):
+    """x_v set 1e-50 below x_u for every right vertex: the level-0 edge
+    instances fall short by that much only (below the float tolerance),
+    while other contexts truly fail."""
+    cert.class_table[(0, 1, 1)] = cert.x_value([0]) - (
+        Fraction(1, 10 ** 50) if cert.exact else sa._MP.mpf("1e-50"))
+    return True
+
+
+EDGE_SCAN_GRAPHS = {**BRUTE_GRAPHS, **{
+    name: ONE_ROUND_GRAPHS[name]
+    for name in ("gap-100", "gap-256", "gap-300", "chain-16")}}
+EDGE_SCAN_CORRUPTIONS = {
+    **{name: CORRUPTIONS[name]
+       for name in ("none", "right-zero", "singleton-override")},
+    "nudge": _nudge_right,
+}
+# The rows that bound each context family of reference_edge_scan besides
+# singleton-uniform.  In S = {u} the inequality x_{u,v} >= x_u is
+# edges-tv-self's; in T = {v} it is what makes the lifts at u and v zero.
+EDGE_FAMILY_ROWS = {
+    "base": ("edges-base",),
+    "sv": ("edges-sv-guess-at-v", "edges-sv-adj", "edges-sv-non"),
+    "su": ("edges-su-adj", "edges-su-non", "edges-tv-self"),
+    "tv": ("edges-tv", "edges-tv-self"),
+    "tu": ("edges-tu-adj", "edges-tu-non"),
+}
+
+
+class TestEdgeRowsAgainstScan:
+    """The one-round edge class rows against every level-<=1 edge instance.
+    Far pair values set by hand are left out: the rows take pair values
+    from their formulas, so only the top-level check sees those."""
+
+    @pytest.mark.parametrize("corruption", EDGE_SCAN_CORRUPTIONS)
+    @pytest.mark.parametrize("name", EDGE_SCAN_GRAPHS)
+    def test_rows_bound_every_edge_instance(self, name, corruption):
+        cert = build_sa_certificate(EDGE_SCAN_GRAPHS[name](), rounds=1)
+        if not EDGE_SCAN_CORRUPTIONS[corruption](cert):
+            return  # the corruption does not apply to this graph
+        rep = _cover_outcome(verify_sa_certificate, cert)
+        if isinstance(rep, tuple):  # a left pair with no cover
+            assert rep[0] is NoCoverError
+            return
+        slack = {r.constraint_id: r.slack for r in rep.checks}
+        assert {r for rows in EDGE_FAMILY_ROWS.values() for r in rows} == {
+            r for r in slack if r.startswith("edges-")}
+        # The scan reads the values the verifier cached: no new cover search.
+        scan = reference_edge_scan(cert)
+        for family, (above, anything, worst) in scan.items():
+            bound = max(slack[r] for r in EDGE_FAMILY_ROWS[family]
+                        + ("singleton-uniform",))
+            # Each family's rows bound its worst shortfall (up to float-mode
+            # rounding), so running the scan in the verifier would change no
+            # verdict and no max_violation.
+            assert worst <= bound + cert.tolerance, family
+            if above:
+                assert bound > cert.tolerance, family
+        if corruption == "nudge":
+            above, anything, _ = map(sum, zip(*scan.values()))
+            if anything:
+                assert (above == anything) if cert.exact else (
+                    0 < above < anything)
 
 
 # ---------------------------------------------------------------------------

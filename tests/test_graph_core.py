@@ -1,5 +1,6 @@
 """Graph substrate, expansion arithmetic, and the equivalence reductions."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from ssbve.errors import (CliqueTooSmallError, EmptySetError, FormatError,
                           InvalidBudgetError, SsbveError)
 from ssbve.exact import exact_ssbve
-from ssbve.formats import (parse_mku, parse_ssbve, parse_ssve, write_mku,
-                           write_ssbve, write_ssve)
+from ssbve.formats import (MAX_HEADER_SIZE, parse_mku, parse_ssbve,
+                           parse_ssve, write_mku, write_ssbve, write_ssve)
 from ssbve.generators import PlantedSpec, gen_planted, gen_random_bipartite
 from ssbve.graph import (BipartiteGraph, Hypergraph, SsbveInstance,
                          UndirectedGraph, expansion, induced_left_subgraph,
@@ -558,3 +559,35 @@ class TestSsbveParserFullSize:
         for header in ("p ssbve -1 2 1", "p ssbve 2 -1 1"):
             with pytest.raises(FormatError, match="negative"):
                 parse_ssbve(header + "\n")
+
+    @pytest.mark.parametrize("parse, header", [
+        (parse_ssbve, f"p ssbve {MAX_HEADER_SIZE + 1} 1 1"),
+        (parse_ssbve, f"p ssbve 1 {MAX_HEADER_SIZE + 1} 1"),
+        (parse_ssve, "p ssve -3 1"),
+        (parse_ssve, f"p ssve {MAX_HEADER_SIZE + 1} 1"),
+        (parse_mku, "p mku -2 0 1"),
+        (parse_mku, "p mku 1 -1 1"),
+        (parse_mku, f"p mku {MAX_HEADER_SIZE + 1} 0 1"),
+        (parse_mku, f"p mku 1 {MAX_HEADER_SIZE + 1} 1"),
+    ])
+    def test_header_size_out_of_bounds_rejected(self, parse, header):
+        with pytest.raises(FormatError, match="^header size .* negative or "
+                           f"above {MAX_HEADER_SIZE}$"):
+            parse(header + "\n")
+
+    def test_header_size_bounds_accepted(self):
+        assert parse_ssbve("p ssbve 1 0 1\n").graph.n_right == 0
+        assert parse_ssve("p ssve 0 1\n")[0].n == 0
+        h, _ = parse_mku(f"p mku {MAX_HEADER_SIZE} 0 1\n")
+        assert h.n_elements == MAX_HEADER_SIZE and h.sets == ()
+
+    def test_huge_header_rejected_before_allocating(self):
+        # 10^9 declared left vertices would ask for about 220 GB of rows.
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                parse_ssbve("p ssbve 1000000000 1 1\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
