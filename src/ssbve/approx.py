@@ -18,7 +18,9 @@ graph object, k, p/q, c and V_D.  Within one at-most round such candidates
 share a step memo, so each First, Hair and Final step runs once per group
 and state.  Backbone steps stay out of it: they subsample their branches
 from the popped state's seed, which differs between the copies, and their
-LES work is already served by the solve-scoped LES memo.
+LES work is already served by the solve-scoped LES memo.  A schedule with no
+Backbone step thus walks one fixed tree per group, and once a copy has
+walked all of it, the later copies through the same ids are skipped.
 
 High-degree right vertices (the set V_D) are excluded from expansion targets
 during the walk and re-absorbed only in final accounting; their total size is
@@ -509,10 +511,11 @@ def final_step(pre: PreprocessedInstance, st: BranchState) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _run_candidate(pre: PreprocessedInstance, schedule: CaterpillarSchedule,
-                   branch_cap: int, seed: int, cand_tag: int,
-                   memo: dict) -> list[tuple[int, ...]]:
+                   branch_cap: int, seed: int, cand_tag: int, memo: dict
+                   ) -> tuple[list[tuple[int, ...]], bool]:
     """Best-first branch exploration with a pop budget; returns the chosen
-    sets it collects, in candidate-graph ids.
+    sets it collects, in candidate-graph ids, and whether it walked the
+    whole tree (its heap emptied within the budget).
 
     Each state is keyed by a priority derived from its guess path alone, so
     raising branch_cap extends the pop sequence without reordering it and
@@ -534,7 +537,7 @@ def _run_candidate(pre: PreprocessedInstance, schedule: CaterpillarSchedule,
         res = memo[()] = first_step(pre)
     if isinstance(res, Done):
         collected.append(res.chosen)
-        return collected
+        return collected, True
     heap: list[tuple[int, int, int, BranchState]] = []
     seq = 0
 
@@ -572,7 +575,7 @@ def _run_candidate(pre: PreprocessedInstance, schedule: CaterpillarSchedule,
             collected.append(out.chosen)
         else:
             push(out.states, state_seed)
-    return collected
+    return collected, not heap
 
 
 def les_exactly_k(inst: SsbveInstance) -> Solution:
@@ -602,16 +605,26 @@ def _best_atmost(inst: SsbveInstance, eps: float, q_max: int,
     # the seed tag, which no memoised step reads; p/q is in the key so that
     # a step index names the same step.  Graphs and id maps are keyed by
     # identity, safe while pres keeps them all alive; a chosen set already
-    # mapped through the same ids cannot add a candidate.
+    # mapped through the same ids cannot add a candidate.  Without a
+    # backbone step every step of a group is memoised, so each copy walks
+    # the same tree; once one walk has emptied its heap, a later copy
+    # through the same ids could only collect sets already mapped, and is
+    # skipped.
     memos: dict[tuple, dict] = {}
     mapped_from: set[tuple[int, tuple[int, ...]]] = set()
+    walked: set[tuple[tuple, int]] = set()
     for idx, pre in enumerate(pres):
         schedule = caterpillar_schedule(pre.p, pre.q)
         group = (id(pre.graph), pre.r, pre.k, pre.c, pre.eps, pre.v_d,
                  pre.p, pre.q)
+        if (group, id(pre.left_ids)) in walked:
+            continue
         memo = memos.setdefault(group, {})
-        for chosen in _run_candidate(pre, schedule, branch_cap, seed, idx,
-                                     memo):
+        sets, whole = _run_candidate(pre, schedule, branch_cap, seed, idx,
+                                     memo)
+        if whole and Step.BACKBONE not in schedule.steps:
+            walked.add((group, id(pre.left_ids)))
+        for chosen in sets:
             if (id(pre.left_ids), chosen) in mapped_from:
                 continue
             mapped_from.add((id(pre.left_ids), chosen))

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+
+REPORT_ROWS = 200       # rows that as_dict writes out
+_INDEX = re.compile(r"\d+$")
 
 
 @dataclass(frozen=True)
@@ -44,12 +48,25 @@ class VerifyReport:
         return [r for r in self.checks if r.slack > self.tolerance]
 
     def as_dict(self) -> dict:
-        rows = sorted(self.checks, key=lambda r: -r.slack)
+        """The summary and the first REPORT_ROWS rows: the violations,
+        highest slack first, then one row of each constraint family not yet
+        shown (the id without its trailing vertex index), then the rest in
+        check order.  A passing report thus shows every kind of check."""
+        shown: list[CheckRow] = []
+        rest: list[CheckRow] = []
+        families: set[str] = set()
+        for row in sorted(self.checks, key=lambda r: -r.slack):
+            family = _INDEX.sub("", row.constraint_id)
+            if row.slack > 0 or family not in families:
+                families.add(family)
+                shown.append(row)
+            else:
+                rest.append(row)
         return {
             "passed": self.passed,
             "max_violation": self.max_violation,
             "tolerance": self.tolerance,
             "num_checks": len(self.checks),
-            "checks": [r.as_dict() for r in rows[:200]],
+            "checks": [r.as_dict() for r in (shown + rest)[:REPORT_ROWS]],
             **self.extra,
         }

@@ -16,15 +16,23 @@ on which maximum flow was found) and never worse for the ratio.
 
 One `_Network` is built per LES solve, straight from the graph's left
 adjacency over the allowed left vertices: edges into forbidden right
-vertices are dropped, and each right vertex keeps the list of edges into it.
-Every Dinkelbach lambda is then an integer max flow on that one structure:
-a greedy first-fit flow, then Dinic phases (BFS levels, iterative blocking
-flow) on the implicit residual graph.  Its left -> right arcs need no
-capacity: the max flow is at most b * n_right, so they never bind.  The
-maximal source side is the set of left vertices with no residual path to the
-sink, found by a reverse BFS from the sink that also yields |N(S)| as the
-count of right vertices it misses.  `maxflow.Dinic` is the reference oracle
-the tests compare this kernel with.
+vertices are dropped.  Every Dinkelbach lambda is then an integer max flow
+on that one structure: a greedy first-fit flow, then Dinic phases (BFS
+levels, iterative blocking flow) on the implicit residual graph.  Its
+left -> right arcs need no capacity: the max flow is at most b * n_right, so
+they never bind.  A right -> left residual arc exists only on an edge that
+carries flow, so each cut keeps, per right vertex, the list of edges into it
+that have carried flow, and walks back along those alone.
+
+The maximal source side is the set of left vertices with no residual path
+to the sink, found by a reverse BFS from the sink that also yields |N(S)| as
+the count of right vertices it misses.  That search needs every edge into a
+right vertex, but only from right vertices the flow leaves with room: when
+the flow saturates every right vertex with an edge, which is how the cut at
+lambda = |N(W)|/|W| confirms that W itself is least expanding, S is all of W
+and nothing is searched.  The full reverse adjacency is built only for the
+first cut that needs it.  `maxflow.Dinic` is the reference oracle the tests
+compare this kernel with.
 
 An LES result depends only on the allowed vertices' rows, in ascending
 vertex order, after dropping forbidden right vertices.  Inside `memo_scope`
@@ -74,11 +82,16 @@ class _Network:
     """The source -> left -> right -> sink network of one LES solve.
 
     Left vertex i has the right vertices rows[i] (ids below n_right); its
-    edges are ids start[i]..start[i+1]-1, edge e runs from left vertex
-    tail[e] to right vertex head[e], and into[v] lists the edges ending at v.
+    edges are ids start[i]..start[i+1]-1, and edge e runs from left vertex
+    tail[e] to right vertex head[e].  size counts the distinct heads, the
+    |N| of all the rows.  A cut walks back from a right vertex only along
+    its carrier list, the edges into it that have carried flow in that cut.
+    The reverse adjacency (every edge into each right vertex) is built only
+    when a cut's sink-side search needs it, and is then kept for the
+    network's later cuts.
     """
 
-    __slots__ = ("n", "start", "head", "tail", "into")
+    __slots__ = ("n", "n_right", "start", "head", "tail", "size", "_into")
 
     def __init__(self, rows: Sequence[Sequence[int]], n_right: int) -> None:
         start = [0]
@@ -88,20 +101,23 @@ class _Network:
             head += row
             tail += [i] * len(row)
             start.append(len(head))
-        into: list[list[int]] = [[] for _ in range(n_right)]
-        for e, v in enumerate(head):
-            into[v].append(e)
-        self.n = len(rows)
-        self.start, self.head, self.tail, self.into = start, head, tail, into
+        self.n, self.n_right = len(rows), n_right
+        self.start, self.head, self.tail = start, head, tail
+        self.size = len(set(head))
+        self._into: list[list[int]] | None = None
 
     def cut(self, a: int, b: int) -> tuple[list[int], int]:
         """(S, |N(S)|) for the maximal minimizer S of b|N(S)| - a|S|, as
         ascending left indices."""
         start, head = self.start, self.head
-        n, n_right = self.n, len(self.into)
+        n, n_right = self.n, self.n_right
         flow = [0] * len(head)
         supply = [a] * n       # residual source -> left
         room = [b] * n_right   # residual right -> sink
+        # carry[j] lists the edges into j that have carried flow, each added
+        # when its flow turns positive; it holds every edge with flow into j,
+        # plus stale entries whose flow has gone back to 0.
+        carry: list[list[int]] = [[] for _ in range(n_right)]
         if a:
             for i in range(n):
                 rem = a
@@ -111,20 +127,21 @@ class _Network:
                     if c:
                         d = c if c < rem else rem
                         flow[e] = d
+                        carry[j].append(e)
                         room[j] = c - d
                         rem -= d
                         if not rem:
                             break
                 supply[i] = rem
-            while self._phase(flow, supply, room):
+            while self._phase(flow, supply, room, carry):
                 pass
-        return self._sink_side(flow, room)
+        return self._sink_side(flow, room, b)
 
-    def _phase(self, flow: list[int], supply: list[int],
-               room: list[int]) -> bool:
+    def _phase(self, flow: list[int], supply: list[int], room: list[int],
+               carry: list[list[int]]) -> bool:
         """One Dinic phase; False when no augmenting path is left."""
-        start, head, tail, into = self.start, self.head, self.tail, self.into
-        n, n_right = self.n, len(into)
+        start, head, tail = self.start, self.head, self.tail
+        n, n_right = self.n, self.n_right
         # Left vertices at depth d have level d, and so do the right vertices
         # they reach first; a right vertex at depth d leads to left d + 1.
         lvl_l = [-1] * n
@@ -148,7 +165,7 @@ class _Network:
             depth += 1
             frontier = []
             for j in reached:
-                for e in into[j]:
+                for e in carry[j]:
                     if flow[e]:
                         i = tail[e]
                         if lvl_l[i] < 0:
@@ -160,7 +177,9 @@ class _Network:
         # Blocking flow by iterative DFS with current-arc pointers.  path
         # holds edge ids: even positions are left -> right arcs, odd ones are
         # right -> left residual arcs (cancelling flow).  A dead end gets
-        # level -1 so that no later walk in this phase enters it.
+        # level -1 so that no later walk in this phase enters it.  An edge
+        # added to carry during the phase joins two vertices of equal level,
+        # so it is never admissible before the next phase.
         ptr_l = start[:-1]
         ptr_r = [0] * n_right
         for i0 in sources:
@@ -191,6 +210,8 @@ class _Network:
                         if flow[e] < d:
                             d = flow[e]
                     for e in path[0::2]:
+                        if not flow[e]:
+                            carry[head[e]].append(e)
                         flow[e] += d
                     for e in back:
                         flow[e] -= d
@@ -201,7 +222,7 @@ class _Network:
                     path = []
                     node, at_left = i0, True
                     continue
-                arcs, k, want = into[node], ptr_r[node], lvl_r[node] + 1
+                arcs, k, want = carry[node], ptr_r[node], lvl_r[node] + 1
                 m = len(arcs)
                 while k < m and not (flow[arcs[k]]
                                      and lvl_l[tail[arcs[k]]] == want):
@@ -216,15 +237,23 @@ class _Network:
                 ptr_l[node] += 1
         return True
 
-    def _sink_side(self, flow: list[int],
-                   room: list[int]) -> tuple[list[int], int]:
+    def _sink_side(self, flow: list[int], room: list[int],
+                   b: int) -> tuple[list[int], int]:
         """Reverse BFS from the sink over residual arcs.  Unreached left
         vertices form the maximal source side S; a right vertex is unreached
-        exactly when it is in N(S), since it is then saturated by flow from S."""
-        start, head, tail, into = self.start, self.head, self.tail, self.into
-        n = self.n
+        exactly when it is in N(S), since it is then saturated by flow from S.
+        When the flow saturates every head (a right vertex with no edge keeps
+        its room b), the search reaches no left vertex, so S is every row."""
+        n, n_right, size = self.n, self.n_right, self.size
+        if sum(room) == b * (n_right - size):
+            return list(range(n)), size
+        start, head, tail, into = self.start, self.head, self.tail, self._into
+        if into is None:
+            into = self._into = [[] for _ in range(n_right)]
+            for e, v in enumerate(head):
+                into[v].append(e)
         seen_l = bytearray(n)
-        seen_r = bytearray(len(into))
+        seen_r = bytearray(n_right)
         queue = [j for j, c in enumerate(room) if c]
         for j in queue:
             seen_r[j] = 1
@@ -238,7 +267,7 @@ class _Network:
                             seen_r[head[f]] = 1
                             queue.append(head[f])
         chosen = [i for i in range(n) if not seen_l[i]]
-        return chosen, len(into) - len(queue)
+        return chosen, n_right - len(queue)
 
 
 def min_cut_select(g: BipartiteGraph, lam: Fraction | int) -> CutSelection:
@@ -262,7 +291,7 @@ def _dinkelbach(rows: Sequence[Sequence[int]], n_right: int
                      if net.start[i] == net.start[i + 1])
     if isolated:
         return isolated, 0, Fraction(0), [Fraction(0)]
-    current, size = range(len(rows)), len(net.into) - net.into.count([])
+    current, size = range(len(rows)), net.size
     lam = Fraction(size, len(current))
     trace = [lam]
     # |N(S)|/|S| takes at most n*n' distinct values and strictly decreases.

@@ -11,7 +11,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import TooLargeError, UnsupportedRegimeError
+from .errors import (InvalidBudgetError, TooLargeError,
+                     UnsupportedRegimeError)
 from .graph import UndirectedGraph
 
 
@@ -34,7 +35,7 @@ def sse_solve(g: UndirectedGraph, k: int,
     """Set S with |S| <= k minimizing |E(S, complement)|/|S|, exactly for the
     bruteforce oracle and heuristically for the spectral sweep."""
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise InvalidBudgetError(f"budget k={k} must be at least 1")
     if oracle.kind == "bruteforce":
         if g.n > oracle.budget:
             raise TooLargeError(

@@ -690,24 +690,30 @@ class TestSolveWorstCase:
 
     @staticmethod
     def solve_traced(monkeypatch, inst, fresh_memo, **kw):
-        """solve_worst_case with its rounds recorded: the Solution, the sets
-        each _run_candidate call collected, and per _best_atmost call the
-        (step, candidate group, arguments) of every step call.  With
-        fresh_memo each _run_candidate call gets its own empty step memo."""
+        """solve_worst_case with its rounds recorded: the Solution, the
+        (round, candidate tag, ids, sets) of each _run_candidate call, with
+        the candidate's left_ids numbered by first use in the round, and per
+        _best_atmost call the (step, candidate group, arguments) of every
+        step call.  With fresh_memo each _run_candidate call gets its own
+        empty step memo and no walk counts as whole, so the solve walks
+        every candidate."""
         run, best = approx._run_candidate, approx._best_atmost
         collected, rounds = [], []
 
         def run_recorded(pre, schedule, branch_cap, seed, cand_tag, memo):
-            out = run(pre, schedule, branch_cap, seed, cand_tag,
-                      {} if fresh_memo else memo)
-            collected.append(out)
-            return out
+            sets, whole = run(pre, schedule, branch_cap, seed, cand_tag,
+                              {} if fresh_memo else memo)
+            left = left_ids.setdefault(id(pre.left_ids), len(left_ids))
+            collected.append((len(rounds), cand_tag, left, sets))
+            return sets, whole and not fresh_memo
 
         graphs: dict[int, int] = {}
+        left_ids: dict[int, int] = {}
 
         def best_recorded(*args):
             rounds.append([])
             graphs.clear()
+            left_ids.clear()
             return best(*args)
 
         def recorded(name, fn):
@@ -731,9 +737,25 @@ class TestSolveWorstCase:
         return sol, collected, rounds
 
     def assert_memo_transparent(self, monkeypatch, inst, **kw):
-        with_memo = self.solve_traced(monkeypatch, inst, False, **kw)[:2]
-        assert with_memo == self.solve_traced(monkeypatch, inst, True,
-                                              **kw)[:2]
+        """The shared memo and the skipped copies change nothing: every
+        walk made collects what the memo-free walk collects, and every set
+        of a skipped copy was already collected in its round through the
+        same ids.  Returns the number of copies skipped."""
+        sol, mine, _ = self.solve_traced(monkeypatch, inst, False, **kw)
+        ref, free, _ = self.solve_traced(monkeypatch, inst, True, **kw)
+        assert sol == ref
+        walked = {call[:2]: call for call in mine}
+        assert len(walked) == len(mine)
+        seen = set()
+        for call in free:
+            rnd, _, left, sets = call
+            if call[:2] in walked:
+                assert walked.pop(call[:2]) == call
+            else:
+                assert all((rnd, left, c) in seen for c in sets)
+            seen.update((rnd, left, c) for c in sets)
+        assert not walked
+        return len(free) - len(mine)
 
     @pytest.mark.parametrize("cap", [64, 4])
     @pytest.mark.parametrize("seed", range(20))
@@ -761,6 +783,17 @@ class TestSolveWorstCase:
         g = gen_random_bipartite(120, 40, 0.15, 8100 + seed)
         self.assert_memo_transparent(monkeypatch, SsbveInstance(graph=g, k=6),
                                      branch_cap=cap, seed=seed)
+
+    def test_skips_copies_of_a_walked_tree(self, monkeypatch):
+        # On the benchmark family, schedules without a backbone step empty
+        # their heaps, so later copies of a candidate are skipped.
+        skipped = sum(
+            self.assert_memo_transparent(
+                monkeypatch, SsbveInstance(
+                    graph=gen_random_bipartite(120, 40, 0.15, 8100 + seed),
+                    k=6), seed=seed)
+            for seed in range(2))
+        assert skipped > 0
 
     def test_step_memo_runs_each_step_once_per_round(self, monkeypatch):
         g = gen_random_bipartite(120, 40, 0.15, 8003)

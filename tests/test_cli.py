@@ -4,15 +4,26 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssbve.bench import format_table, run_benchmark
 from ssbve.cli import main
+from ssbve.formats import MAX_HEADER_SIZE
 
 
 def run(argv):
     return main(argv)
+
+
+def _child_env(**extra) -> dict:
+    """The environment of a child Python that imports ssbve from src."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 class TestGenSolve:
@@ -168,12 +179,68 @@ class TestSolveImports:
         code = ("import sys, ssbve.formats, ssbve.les, ssbve.approx; "
                 "print(sorted({m.split('.')[0] for m in sys.modules} "
                 "& {'numpy', 'scipy'}))")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", code], env=env,
+        out = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+
+# Short texts: arbitrary ones, and lines built from instance-like fields
+# (mostly small integers, some sizes past the header bound, some fields that
+# are not plain decimal integers).
+_FIELDS = st.one_of(
+    st.integers(-1, 12).map(str),
+    st.sampled_from([str(MAX_HEADER_SIZE + 1), str(2 ** 64), "-0", "+3",
+                     "1e3", "0x10", "\u0663", "e"]))
+_LINES = st.one_of(
+    st.builds("e {} {}".format, st.integers(1, 6), st.integers(1, 6)),
+    st.builds(lambda tag, fields: " ".join([tag, *fields]),
+              st.sampled_from(["e", "s", "c", "p"]),
+              st.lists(_FIELDS, max_size=4)))
+_TEXTS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+    st.builds(lambda kind, fields, body: "\n".join(
+        [" ".join(["p", kind, *fields]), *body]),
+        st.sampled_from(["ssbve", "ssve", "mku"]),
+        st.lists(_FIELDS, min_size=2, max_size=3),
+        st.lists(_LINES, max_size=6)))
+
+# Runs `solve --algo baseline` and `ssve` on one input file under an address
+# space limit, and prints their exit codes.  An exception that main does not
+# map to an exit code, MemoryError included, ends the child with status 1.
+_BOUNDED_CHILD = """
+import os, resource, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from ssbve.cli import main
+path = sys.argv[2]
+print(main(["--out", os.devnull, "solve", "--algo", "baseline",
+            "--input", path]),
+      main(["--out", os.devnull, "ssve", "--input", path]))
+"""
+
+
+class TestBoundedMemory:
+    # The largest header the parsers accept (2^20 left and right vertices)
+    # peaks at about 400 MB of address space in `solve`.
+    ADDRESS_SPACE = 1 << 30
+
+    @given(_TEXTS)
+    @settings(max_examples=20, deadline=None)
+    def test_short_texts_exit_with_a_documented_code(self, text):
+        # One child at a time, each with its own limit; the limit is set in
+        # the child, so this process keeps its own.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out = subprocess.run(
+                [sys.executable, "-c", _BOUNDED_CHILD,
+                 str(self.ADDRESS_SPACE), path],
+                env=_child_env(OPENBLAS_NUM_THREADS="1"),
+                capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        codes = [int(c) for c in out.stdout.split()]
+        assert len(codes) == 2 and set(codes) <= {0, 2, 3, 4}, out.stderr
 
 
 class TestCertifyCli:
@@ -198,6 +265,20 @@ class TestCertifyCli:
         rep = json.loads(out.read_text())
         assert rep["passed"] is False
 
+    def test_certify_sa_report_shows_every_family(self, tmp_path):
+        # 8335 rows, 8320 of them cardinality rows; the written 200 still
+        # hold the rows that carry the verdict.
+        out = tmp_path / "sa.json"
+        assert run(["--seed", "1", "certify", "--kind", "sa", "--n", "4096",
+                    "--s", "64", "--dl", "32", "--rounds", "1",
+                    "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        ids = [row["id"] for row in rep["checks"]]
+        assert rep["passed"] and rep["num_checks"] == 8335
+        assert len(ids) == 200
+        assert any(i.startswith("edges-") for i in ids)
+        assert "bounds-level1" in ids and "bounds-top-level-classes" in ids
+
     def test_certify_sdp_bad_divisibility(self):
         assert run(["certify", "--kind", "sdp", "--n", "100", "--s", "7",
                     "--dl", "2"]) == 4
@@ -215,6 +296,12 @@ class TestSsveCli:
         rep = json.loads(out.read_text())
         assert rep["schema"] == 1
         assert len(rep["chosen"]) <= 2
+
+    @pytest.mark.parametrize("header", ["p ssve 0 0", "p ssve 4 -1"])
+    def test_ssve_budget_below_one(self, tmp_path, header):
+        path = tmp_path / "g.txt"
+        path.write_text(header + "\n")
+        assert run(["ssve", "--input", str(path)]) == 4
 
     def test_ssve_unsupported_regime(self, tmp_path):
         path = tmp_path / "g.txt"

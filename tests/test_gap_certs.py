@@ -436,6 +436,24 @@ def report_row(rep: VerifyReport, name: str):
     return row
 
 
+class TestReportRows:
+    def test_violations_then_one_row_per_family_then_the_rest(self):
+        rep = VerifyReport()
+        for u in range(300):
+            rep.add(f"card-u{u}", 0, 0, 0.5 if u in (7, 9) else 0.0)
+        rep.add("edges-a", 1, 0, 2.0)
+        rep.add("edges-b", 0, 0, 0.0)
+        rep.add("bounds-level1", 0, 0, 0.0)
+        d = rep.as_dict()
+        ids = [row["id"] for row in d["checks"]]
+        assert d["num_checks"] == 303 and len(ids) == 200
+        # card-u7 already shows the card-u family, so card-u0 waits.
+        assert ids[:5] == ["edges-a", "card-u7", "card-u9", "edges-b",
+                           "bounds-level1"]
+        assert ids[5:] == [f"card-u{u}" for u in range(197)
+                           if u not in (7, 9)]
+
+
 # Dense oracle for the eigenvalue guard: X built entry by entry from the
 # certificate's classes, and its full spectrum from LAPACK.
 

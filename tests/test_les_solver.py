@@ -7,6 +7,7 @@ import pytest
 
 from ssbve.errors import EmptyLeftSideError, NegativeLambdaError
 from ssbve.exact import exact_les
+from ssbve.generators import PlantedSpec, gen_planted
 from ssbve.graph import (BipartiteGraph, expansion, induced_left_subgraph,
                          neighborhood)
 from ssbve import les
@@ -89,6 +90,81 @@ class TestKernelMatchesDinic:
     def test_all_right_forbidden(self):
         g = random_bipartite(5100, 7, 5)
         self.check(g, range(7), range(5))
+
+    @pytest.fixture
+    def phases(self, monkeypatch):
+        """Per Dinic phase of the kernel: whether it augmented, and whether
+        it cancelled flow on some edge (a right -> left arc in a path)."""
+        log: list[tuple[bool, bool]] = []
+        phase = _Network._phase
+
+        def recorded(net, flow, supply, room, carry):
+            before = flow[:]
+            found = phase(net, flow, supply, room, carry)
+            log.append((found, any(map(int.__lt__, flow, before))))
+            return found
+
+        monkeypatch.setattr(_Network, "_phase", recorded)
+        return log
+
+    @staticmethod
+    def skewed_bipartite(rng, n: int, n_right: int) -> BipartiteGraph:
+        """Each left vertex draws 1-5 right vertices, each the lower of two
+        uniform draws: low ids are popular, so their rooms overflow and the
+        flow must be rerouted through right -> left arcs."""
+        edges = {(u, min(rng.randrange(n_right), rng.randrange(n_right)))
+                 for u in range(n) for _ in range(1 + rng.randrange(5))}
+        return BipartiteGraph.from_edges(n, n_right, sorted(edges))
+
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_mid_size_random(self, skewed, phases):
+        # n 40-200, n_right 8-40: the sizes where a cut takes several
+        # phases and paths through right -> left arcs.
+        for seed in range(40):
+            rng = stream(seed, 0x4B53)
+            n, n_right = 40 + rng.randrange(161), 8 + rng.randrange(33)
+            if skewed:
+                g = self.skewed_bipartite(rng, n, n_right)
+            else:
+                p = (0.05, 0.15, 0.4)[rng.randrange(3)]
+                g = random_bipartite(seed + 5200, n, n_right, p)
+            forbidden = [v for v in range(n_right) if rng.bernoulli(0.1)]
+            self.check(g, range(n), forbidden)
+        runs = "".join("1" if found else "0" for found, _ in phases)
+        assert "11" in runs  # some cut augmented in two phases or more
+        assert any(cancelled for _, cancelled in phases)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planted_neighbourhoods(self, seed):
+        # W = N(v) on the planted family at n=4096, cut at the first
+        # Dinkelbach lambda |N(W)|/|W|: for v in the planted T the cut drops
+        # most of W, for another v it confirms W.
+        inst, filled = gen_planted(PlantedSpec(
+            n=4096, alpha=0.5, beta=0.5, gamma=0.2, r_degree=12, seed=seed))
+        g = inst.graph
+        outside = min(set(range(g.n_right)) - set(filled.planted_t))
+        for v, confirms in ((filled.planted_t[0], False), (outside, True)):
+            w = sorted(g.adj_right[v])
+            net = _Network([g.adj_left[u] for u in w], g.n_right)
+            lam = Fraction(net.size, len(w))
+            got = net.cut(lam.numerator, lam.denominator)
+            assert got == dinic_source_side(g, w, (), lam)
+            assert (got == (list(range(len(w))), net.size)) == confirms
+
+    def test_reverse_adjacency_only_when_the_cut_drops_vertices(self):
+        # A confirming cut (every head saturated) builds no reverse
+        # adjacency; the first cut that drops a vertex builds it, and later
+        # cuts reuse it.
+        g = BipartiteGraph.from_edges(3, 2, [(0, 0), (1, 1), (2, 0), (2, 1)])
+        net = _Network(g.adj_left, g.n_right)
+        assert net.size == 2
+        assert net.cut(2, 3) == ([0, 1, 2], 2)
+        assert net._into is None
+        assert net.cut(1, 3) == ([], 0)
+        into = net._into
+        assert into == [[0, 2], [1, 3]]
+        assert net.cut(0, 1) == ([], 0)
+        assert net._into is into
 
     def test_source_side_is_maximal_on_ties(self):
         # At lambda = 1 both {} and {0} minimize |N(S)| - |S| on a single
