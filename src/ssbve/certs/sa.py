@@ -24,13 +24,19 @@ class-based accounting: singleton and pairwise cover costs collapse to a
 fixed set of structural classes (one per side for singletons; adjacency,
 common-neighbor, and the rare far-apart pairs, which are routed through the
 general Steiner search), so every constraint instance is covered by a
-handful of exact class inequalities plus bitset-backed counts.  Singleton
-values are grouped into value classes (more than one per side only when
-x_table overrides a value), and the sum of the left values, the level-1
-bounds and the top-level value bounds are checked once per class.  The
-edge class rows assume one value per side: a certificate with overridden
-singleton values fails the singleton-uniform row instead of being scanned
-edge by edge.
+handful of exact class inequalities plus bitset-backed counts.  The pair
+tiers test membership on the sorted adjacency tuples; no per-vertex set is
+kept.  Singleton values are each side's structural class value, patched
+with the singleton entries of x_table, and are grouped into value classes
+(more than one per side only when x_table overrides a value); the sum of
+the left values, the level-1 bounds and the top-level value bounds are
+checked once per class.  A left vertex's near partners come from a two-hop
+bitset that stops growing once it holds every left vertex, so only
+vertices with far partners pay for the cover search.  The cardinality rows
+are class rows: one report row per family for each class of vertices whose
+rows agree, with the class size as its count.  The edge class rows assume
+one value per side: a certificate with overridden singleton values fails
+the singleton-uniform row instead of being scanned edge by edge.
 """
 
 from __future__ import annotations
@@ -57,7 +63,10 @@ _INF = float("inf")
 # ---------------------------------------------------------------------------
 
 class _View:
-    """Combined adjacency over global ids with cached bitsets."""
+    """Combined adjacency over global ids: one sorted tuple per vertex, and
+    the graph's right-vertex bitsets, built on first use.  No per-vertex
+    sets: the pair tiers and the path search test membership on the tuples
+    and build a set only for the pair at hand."""
 
     def __init__(self, g: BipartiteGraph) -> None:
         self.g = g
@@ -68,7 +77,6 @@ class _View:
         self.adj: list[tuple[int, ...]] = [
             tuple([v + n for v in row]) for row in g.adj_left
         ] + list(g.adj_right)
-        self.adj_sets = [frozenset(a) for a in self.adj]
         self._right_masks: list[int] | None = None
 
     def is_u(self, w: int) -> bool:
@@ -88,20 +96,18 @@ def _path_ucount(view: _View, a: int, b: int) -> int:
     included.  Exact tiers for the common cases, 0/1-BFS otherwise."""
     if a == b:
         return view.weight(a)
+    adj = view.adj
     au, bu = view.is_u(a), view.is_u(b)
-    if au and bu:
-        if view.adj_sets[a] & view.adj_sets[b]:
-            return 2
-    elif au != bu:
+    if au != bu:
         u, v = (a, b) if au else (b, a)
-        if v in view.adj_sets[u]:
+        if v in adj[u]:
             return 1
-        for mid in view.adj[v]:
-            if mid != u and view.adj_sets[mid] & view.adj_sets[u]:
+        near_u = set(adj[u])
+        for mid in adj[v]:
+            if mid != u and not near_u.isdisjoint(adj[mid]):
                 return 2
-    else:
-        if view.adj_sets[a] & view.adj_sets[b]:
-            return 1
+    elif not set(adj[a]).isdisjoint(adj[b]):
+        return 2 if au else 1
     return _bfs01(view, a, b)
 
 
@@ -275,12 +281,12 @@ class SaCertificate:
             a, b = subset
             if a > b:
                 a, b = b, a
-            adj_sets = self.view.adj_sets
+            adj = self.view.adj
             if b < n:
-                if not adj_sets[a].isdisjoint(adj_sets[b]):
+                if not set(adj[a]).isdisjoint(adj[b]):
                     return (2, 0, 3)
             elif a < n:
-                return (1, 0, 2) if b in adj_sets[a] else (1, 1, 3)
+                return (1, 0, 2) if b in adj[a] else (1, 1, 3)
             else:
                 return (0, 2, 2)
         s_u = [w for w in subset if w < n]
@@ -308,16 +314,19 @@ class SaCertificate:
                 f"|S|={len(subset)} exceeds rounds+1={self.rounds + 1}")
         got = self.x_table.get(subset)
         if got is None:
-            key = self.key(subset)
-            got = self.class_table.get(key)
-            if got is None:
-                n_u, n_v, cost = key
-                base = self.sa_beta ** n_u * self.sa_alpha ** n_v
-                scale = self.scale(cost)
-                got = base * scale if self.exact else _MP.mpf(
-                    base.numerator) / base.denominator * scale
-                self.class_table[key] = got
-            self.x_table[subset] = got
+            got = self.x_table[subset] = self.class_value(self.key(subset))
+        return got
+
+    def class_value(self, key: tuple[int, int, int]):
+        """The value of a cover class, as class_table holds it."""
+        got = self.class_table.get(key)
+        if got is None:
+            n_u, n_v, cost = key
+            base = self.sa_beta ** n_u * self.sa_alpha ** n_v
+            scale = self.scale(cost)
+            got = base * scale if self.exact else _MP.mpf(
+                base.numerator) / base.denominator * scale
+            self.class_table[key] = got
         return got
 
     @property
@@ -532,17 +541,30 @@ def _verify_one_round(cert, rep) -> None:
     classes, and of every top-level value bound once per realised pair
     class.  With pair values at their class values, the edge rows bound
     every edge instance of their class, so a failing instance fails its
-    class row or singleton-uniform."""
+    class row or singleton-uniform.
+
+    The cardinality rows are class rows: vertices whose rows must agree
+    (left: singleton value class and far pair costs in order; right: degree
+    and value class) share one row per family, whose count is the class
+    size and whose id ends with the class's first vertex."""
     view = cert.view
     n, s, k = cert.n, cert.s, cert.k
     alpha, beta = cert.sa_alpha, cert.sa_beta
     one = Fraction(1) if cert.exact else _MP.mpf(1)
 
-    # Singleton values (structural keys, so overrides in x_table are what
-    # can tell vertices apart) and their classes: left values are numbered
-    # from 0, right ones after them, with the value and size of each class.
-    xu = [cert.x_value((u,)) for u in range(n)]
-    xv = [cert.x_value((n + v,)) for v in range(s)]
+    # Singleton values: each side's structural class value, patched with
+    # the singleton entries of x_table (the values set by hand are what can
+    # tell vertices apart).  Their classes: left values are numbered from
+    # 0, right ones after them, with the value and size of each class.
+    xu = [cert.class_value((1, 0, 2))] * n
+    xv = [cert.class_value((0, 1, 1))] * s
+    for subset, x in cert.x_table.items():
+        if len(subset) == 1:
+            (w,) = subset
+            if w < n:
+                xu[w] = x
+            else:
+                xv[w - n] = x
     xu0, xv0 = xu[0], xv[0]
     left_of, left_values = _value_classes(xu, 0)
     n_left = len(left_values)
@@ -576,18 +598,20 @@ def _verify_one_round(cert, rep) -> None:
             max(0.0, float(k - sum_xu)))
 
     # Per-left-vertex pair sums from bitsets.  Both rows of w depend only
-    # on x_w and the far pair costs in order (c_near is n - 1 minus their
-    # count), so each such class is summed and rounded to floats once.
+    # on x_w and the far pair costs in order (w has n - 1 minus their count
+    # near partners), so left vertices are tallied by that row class:
+    # {(class of x_w, far costs): [vertices, first vertex]}.  The two-hop
+    # mask stops growing once it holds every left vertex.
     right_masks = view.right_masks()
     all_u_mask = (1 << n) - 1
     row_classes: dict = {}
-    rows_tu = []
     for w in range(n):
         mask = 0
         for v in cert.graph.adj_left[w]:
             mask |= right_masks[v]
+            if mask == all_u_mask:
+                break
         mask_others = mask & ~(1 << w)
-        c_near = mask_others.bit_count()
         cw = left_of[w]
         for c, cmask in enumerate(left_masks):
             m = (mask_others & cmask) >> (w + 1)  # near partners b > w
@@ -604,31 +628,27 @@ def _verify_one_round(cert, rep) -> None:
             if u2 > w:
                 top.setdefault((cw, left_of[u2], key), [0, w, u2])[0] += 1
             m ^= low
-        row_class = (cw, tuple(far_costs))
-        rows = row_classes.get(row_class)
-        if rows is None:
-            total = xu[w] + c_near * x_uu_near
-            for cost in far_costs:
-                total += beta * beta * cert.scale(cost)
-            rhs = k * xu[w]
-            # (S, T) = (empty, {w}): sum_u (x_u - x_{u,w}) >= k (1 - x_w).
-            lhs_t = sum_xu - total
-            rhs_t = k * (one - xu[w])
-            rows = row_classes[row_class] = (
-                (float(total), float(rhs), max(0.0, float(rhs - total))),
-                (float(lhs_t), float(rhs_t), max(0.0, float(rhs_t - lhs_t))))
-        rep.add(f"cardinality-u{w}", *rows[0])
-        rows_tu.append(rows[1])
+        row_classes.setdefault((cw, tuple(far_costs)), [0, w])[0] += 1
 
-    pair_sums_v: list = [None] * s
+    for (cw, far_costs), (count, w) in row_classes.items():
+        x_w = class_values[cw]
+        total = x_w + (n - 1 - len(far_costs)) * x_uu_near
+        for cost in far_costs:
+            total += beta * beta * cert.scale(cost)
+        rhs = k * x_w
+        rep.add(f"cardinality-u{w}", total, rhs, rhs - total, count)
+        # (S, T) = (empty, {w}): sum_u (x_u - x_{u,w}) >= k (1 - x_w).
+        lhs = sum_xu - total
+        rhs = k * (one - x_w)
+        rep.add(f"cardinality-tu{w}", lhs, rhs, rhs - lhs, count)
+
+    # Right vertices by degree and value class, {(degree, class): [vertices,
+    # first vertex]}.
+    right_classes: dict = {}
     seen_right: dict = {}  # right class -> [count so far, first vertex]
     for w in range(s):
-        deg = cert.graph.degree_right(w)
-        total = deg * x_uv_adj + (n - deg) * x_uv_non
-        pair_sums_v[w] = total
-        rhs = k * xv[w]
-        rep.add(f"cardinality-v{w}", float(total), float(rhs),
-                max(0.0, float(rhs - total)))
+        right_classes.setdefault((cert.graph.degree_right(w), right_of[w]),
+                                 [0, w])[0] += 1
         # Top-level uv pairs by the degree of w in each left class, and vv
         # pairs from the right class counts before w.
         v, cv = n + w, right_of[w]
@@ -642,13 +662,13 @@ def _verify_one_round(cert, rep) -> None:
             top.setdefault((c, cv, (0, 2, 2)), [0, first, v])[0] += count
         seen_right.setdefault(cv, [0, v])[0] += 1
 
-    for w, row in enumerate(rows_tu):
-        rep.add(f"cardinality-tu{w}", *row)
-    for w in range(s):
-        lhs = sum_xu - pair_sums_v[w]
-        rhs = k * (one - xv[w])
-        rep.add(f"cardinality-tv{w}", float(lhs), float(rhs),
-                max(0.0, float(rhs - lhs)))
+    for (deg, cv), (count, w) in right_classes.items():
+        total = deg * x_uv_adj + (n - deg) * x_uv_non
+        rhs = k * class_values[cv]
+        rep.add(f"cardinality-v{w}", total, rhs, rhs - total, count)
+        lhs = sum_xu - total
+        rhs = k * (one - class_values[cv])
+        rep.add(f"cardinality-tv{w}", lhs, rhs, rhs - lhs, count)
 
     # --- Edge constraints --------------------------------------------------
     # Class inequalities; each covers a family of constraint instances whose

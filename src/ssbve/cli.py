@@ -15,12 +15,6 @@ from fractions import Fraction
 from . import formats
 from .approx import (caterpillar_schedule, solve_planted, solve_worst_case,
                      trivial_ksubset)
-from .bench import format_table, run_benchmark
-from .certs import (biregularize, build_sa_certificate,
-                    build_sdp_certificate, cap_degrees,
-                    check_instance_properties, hardness_gap_calculator,
-                    sample_property_checks, verify_sa_certificate,
-                    verify_sdp_certificate)
 from .errors import (ArityTooLargeError, BudgetExceededError, FormatError,
                      SsbveError, TooLargeError)
 from .exact import exact_ssbve
@@ -28,7 +22,9 @@ from .generators import (HdvrSpec, PlantedSpec, gen_gap_instance, gen_hdvr,
                          gen_planted, gen_random_bipartite)
 from .graph import SsbveInstance, Solution, mku_to_ssbve
 from .les import least_expanding_set
-from .ssve import SseOracle, ssve_via_sse
+
+# bench, certs and ssve load numpy and mpmath; the subcommands that use them
+# import them, so `gen` and `solve` run without either.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 2
@@ -235,6 +231,10 @@ def _parse_mode(mode: str) -> tuple[str, int]:
 
 
 def _cmd_certify(args) -> int:
+    from .certs import (biregularize, build_sa_certificate,
+                        build_sdp_certificate, cap_degrees,
+                        check_instance_properties, sample_property_checks,
+                        verify_sa_certificate, verify_sdp_certificate)
     if args.kind == "sdp":
         d_l = args.dl + (args.dl % 2)  # forced even, rounding up
         if (3 * args.n * d_l) % (2 * args.s) != 0:
@@ -269,6 +269,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_ssve(args) -> int:
+    from .ssve import SseOracle, ssve_via_sse
     g, k_file = formats.parse_ssve(_read_input(args.input))
     k = args.k if args.k is not None else k_file
     oracle = SseOracle(kind="bruteforce" if args.oracle == "brute"
@@ -288,6 +289,7 @@ def _cmd_ssve(args) -> int:
 
 
 def _cmd_gapcalc(args) -> int:
+    from .certs import hardness_gap_calculator
     eps = Fraction(args.eps) if "/" in args.eps or "." not in args.eps \
         else float(args.eps)
     out = hardness_gap_calculator(args.r, eps, args.regime)
@@ -296,6 +298,7 @@ def _cmd_gapcalc(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import format_table, run_benchmark
     planted_cfg = {"n": args.n} if args.n else None
     report = run_benchmark(args.suite, seeds=args.seeds, out_path=None,
                            planted_cfg=planted_cfg)

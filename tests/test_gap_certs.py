@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -1168,6 +1170,47 @@ def reference_cardinality_rows(cert):
     return rows + rows_tu
 
 
+def reference_right_cardinality_rows(cert):
+    """Rows cardinality-v* and -tv* vertex by vertex: the pair sum of right
+    vertex v is deg(v) adjacent uv pairs and n - deg(v) others."""
+    n, k, alpha, beta = cert.n, cert.k, cert.sa_alpha, cert.sa_beta
+    one = Fraction(1) if cert.exact else sa._MP.mpf(1)
+    q = cert.scale(1)
+    sum_xu = sum(cert.x_value([u]) for u in range(n))
+    rows, rows_tv = [], []
+    for v in range(cert.s):
+        deg = cert.graph.degree_right(v)
+        x_v = cert.x_value([n + v])
+        total = deg * beta * q ** 2 + (n - deg) * beta * alpha * q ** 3
+        rows.append((f"cardinality-v{v}", float(total), float(k * x_v),
+                     max(0.0, float(k * x_v - total))))
+        lhs, rhs = sum_xu - total, k * (one - x_v)
+        rows_tv.append((f"cardinality-tv{v}", float(lhs), float(rhs),
+                        max(0.0, float(rhs - lhs))))
+    return rows + rows_tv
+
+
+def check_cardinality_class_rows(rep, cert):
+    """The one-round cardinality class rows against the per-vertex
+    references: each row is its first vertex's reference row exactly, and
+    rows weighted by their counts make the references' multiset of
+    (family, lhs, rhs, slack)."""
+    ref = {cid: tuple(row) for cid, *row in reference_cardinality_rows(cert)
+           + reference_right_cardinality_rows(cert)}
+    got = Counter()
+    for r in rep.checks:
+        family = re.sub(r"\d+$", "", r.constraint_id)
+        if family in ("cardinality-u", "cardinality-tu", "cardinality-v",
+                      "cardinality-tv"):
+            assert (r.lhs, r.rhs, r.slack) == ref[r.constraint_id], r
+            got[family, r.lhs, r.rhs, r.slack] += r.count
+        else:
+            assert r.count == 1, r
+    assert got == Counter((re.sub(r"\d+$", "", cid), *row)
+                          for cid, row in ref.items())
+    return {r.constraint_id: r for r in rep.checks}
+
+
 def brute_top_level(cert):
     """(violations, worst, classes) of the top-level value bounds at
     rounds=1, over every pair {a, b} in its four splits with lifts from
@@ -1360,23 +1403,25 @@ class TestSaClassesMatchReference:
 
     @pytest.mark.parametrize("name", sorted(FLOAT_GOLDEN))
     def test_float_one_round_report_golden(self, name):
-        """One-round reports in 60-digit mode, row for row, against those
-        recorded before singleton keys became structural and the level-1
-        sums went by value class, less the rows edges-su-self,
-        edge-family-mode and edge-family-explicit, dropped since
-        (tests/data/sa_one_round_float.json holds each report's row count,
-        failing-row count, worst slack, extra and the SHA-256 of its compact
-        JSON rows [id, lhs, rhs, slack])."""
+        """One-round reports in 60-digit mode against those recorded before
+        singleton keys became structural and the level-1 sums went by value
+        class, less the rows edges-su-self, edge-family-mode and
+        edge-family-explicit, dropped since
+        (tests/data/sa_one_round_float.json holds each report's instance
+        count, failing-instance count, worst slack and extra, all from the
+        per-vertex rows, and the SHA-256 of the compact JSON class rows
+        [id, lhs, rhs, slack, count])."""
         graph, corruption = name.split("/")
         g = ONE_ROUND_GRAPHS[graph]()
         cert = build_sa_certificate(g, rounds=1)
         assert not cert.exact
         assert CORRUPTIONS[corruption](cert)
         rep = verify_sa_certificate(cert, samples=2000, seed=g.n)
-        rows = [[r.constraint_id, r.lhs, r.rhs, r.slack] for r in rep.checks]
+        rows = [[r.constraint_id, r.lhs, r.rhs, r.slack, r.count]
+                for r in rep.checks]
         want = FLOAT_GOLDEN[name]
-        assert len(rows) == want["checks"]
-        assert sum(r[3] > cert.tolerance for r in rows) == want["failing"]
+        assert rep.as_dict()["num_checks"] == want["checks"]
+        assert sum(r.count for r in rep.failing()) == want["failing"]
         assert rep.max_violation == want["max_violation"]
         assert json.loads(json.dumps(rep.extra)) == want["extra"]
         blob = json.dumps(rows, separators=(",", ":")).encode()
@@ -1436,11 +1481,12 @@ class TestSaClassesMatchReference:
                                samples=2000, seed=seed)
         assert rep.checks == ref.checks
         assert rep.extra == ref.extra
-        rows = {r.constraint_id: r for r in rep.checks}
-        for cid, lhs, rhs, slack in reference_cardinality_rows(
-                build_sa_certificate(g, rounds=1)):
-            assert (rows[cid].lhs, rows[cid].rhs, rows[cid].slack) == (
-                lhs, rhs, slack), cid
+        rows = check_cardinality_class_rows(rep,
+                                            build_sa_certificate(g, rounds=1))
+        if name == "certify-4096":
+            # Every two-hop mask saturates: one left class for all n.
+            assert rows["cardinality-u0"].count == g.n
+            assert rows["cardinality-tu0"].count == g.n
 
     @pytest.mark.parametrize("mode, rounds", [
         ("exhaustive", 2), ("sampled", 1), ("sampled", 2)])
@@ -1461,9 +1507,26 @@ class TestSaClassesMatchReference:
         cert = build_sa_certificate(ONE_ROUND_GRAPHS["gap-256"](), rounds=1)
         cert.x_table[frozenset({5})] = cert.x_value([5]) / 2
         rep = verify_sa_certificate(cert, samples=10, seed=1)
-        rows = {r.constraint_id: (r.lhs, r.rhs, r.slack) for r in rep.checks}
-        for cid, *row in reference_cardinality_rows(cert):
-            assert rows[cid] == tuple(row), cid
+        rows = check_cardinality_class_rows(rep, cert)
+        assert rows["cardinality-u5"].count == 1
+        assert rows["cardinality-tu5"].count == 1
+
+    @pytest.mark.parametrize("right", [False, True])
+    @pytest.mark.parametrize("name", ["gap-256", "gap-100", "chain-16",
+                                      "chain-10"])
+    def test_cardinality_rows_with_vertex_0_overridden(self, name, right):
+        # The class values come from the cover classes, not from vertex 0,
+        # so an override on vertex 0 (and on right vertex 0) shows as a
+        # class of its own.
+        cert = build_sa_certificate(ONE_ROUND_GRAPHS[name](), rounds=1)
+        for w in (0, cert.n) if right else (0,):
+            cert.x_table[frozenset({w})] = cert.x_value([w]) / 2
+        rep = verify_sa_certificate(cert, samples=10, seed=1)
+        rows = check_cardinality_class_rows(rep, cert)
+        for fam in ("uv" if right else "u"):
+            assert rows[f"cardinality-{fam}0"].count == 1
+            assert rows[f"cardinality-t{fam}0"].count == 1
+        assert report_row(rep, "singleton-uniform") in rep.failing()
 
     def test_naive_summary_skips_rounding_noise(self):
         # Float mode, rounds=2: some edge rows fall short by about 1e-63,
