@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -37,6 +38,42 @@ class _Parser(argparse.ArgumentParser):
         raise FormatError(message)
 
 
+def _count(text: str) -> int:
+    """A flag value that must be an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _mode(text: str) -> tuple[str, int]:
+    """--mode of certify: exhaustive, or sampled:N with N >= 1 samples."""
+    if text == "exhaustive":
+        return "exhaustive", 10_000
+    kind, _, samples = text.partition(":")
+    if kind == "sampled":
+        return "sampled", _count(samples)
+    raise argparse.ArgumentTypeError(
+        f"expected exhaustive or sampled:N, got {text!r}")
+
+
+def _number(text: str) -> Fraction | float:
+    """An integer or a rational like 1/10 exactly; a decimal as a float.
+    Either must be finite as a float."""
+    try:
+        value = (Fraction(text) if "/" in text or "." not in text
+                 else float(text))
+        if math.isfinite(value):
+            return value
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+
+
 def _add_globals(parser, suppress: bool) -> None:
     d = argparse.SUPPRESS if suppress else None
     parser.add_argument("--seed", type=int,
@@ -54,21 +91,21 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     _add_globals(common, suppress=True)
     sub = p.add_subparsers(dest="command", required=True,
-                           parser_class=argparse.ArgumentParser)
+                           parser_class=_Parser)
 
     g = sub.add_parser("gen", help="generate an instance", parents=[common])
     g.add_argument("--family", required=True,
                    choices=("random", "planted", "hdvr", "gap"))
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--s", type=int, help="right side size (random/gap)")
+    g.add_argument("--n", type=_count, required=True)
+    g.add_argument("--s", type=_count, help="right side size (random/gap)")
     g.add_argument("--p", type=float, help="edge probability (random)")
-    g.add_argument("--k", type=int, help="budget written to the instance")
+    g.add_argument("--k", type=_count, help="budget written to the instance")
     g.add_argument("--alpha", type=float)
     g.add_argument("--beta", type=float)
     g.add_argument("--gamma", type=float)
-    g.add_argument("--r", type=int, help="left degree / hyperedge arity")
+    g.add_argument("--r", type=_count, help="left degree / hyperedge arity")
     g.add_argument("--dl", type=float, help="expected left degree (gap)")
-    g.add_argument("--k-planted", type=int, dest="k_planted")
+    g.add_argument("--k-planted", type=_count, dest="k_planted")
     g.add_argument("--mode", choices=("random", "planted"), default="random")
     g.add_argument("--sidecar", type=str,
                    help="ground-truth JSON path (planted family)")
@@ -85,12 +122,12 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("certify", help="build and verify a gap certificate", parents=[common])
     c.add_argument("--kind", required=True, choices=("sdp", "sa"))
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--s", type=int, required=True)
-    c.add_argument("--k", type=int)
-    c.add_argument("--dl", type=int, required=True)
-    c.add_argument("--rounds", type=int, default=1)
-    c.add_argument("--mode", default="exhaustive",
+    c.add_argument("--n", type=_count, required=True)
+    c.add_argument("--s", type=_count, required=True)
+    c.add_argument("--k", type=_count)
+    c.add_argument("--dl", type=_count, required=True)
+    c.add_argument("--rounds", type=_count, default=1)
+    c.add_argument("--mode", type=_mode, default="exhaustive",
                    help="exhaustive or sampled:N")
     c.add_argument("--check-instance", action="store_true",
                    help="also run the instance property checks")
@@ -102,15 +139,15 @@ def _build_parser() -> _Parser:
 
     gc = sub.add_parser("gapcalc", help="distinguishing-gap exponents", parents=[common])
     gc.add_argument("--r", type=int, required=True)
-    gc.add_argument("--eps", type=str, default="0",
+    gc.add_argument("--eps", type=_number, default="0",
                     help="float or rational like 1/10")
     gc.add_argument("--regime", required=True, choices=("by_m", "by_n"))
 
     b = sub.add_parser("bench", help="benchmark suites", parents=[common])
     b.add_argument("--suite", required=True,
                    choices=("oracle_small", "planted", "gap_certs"))
-    b.add_argument("--seeds", type=int, default=5)
-    b.add_argument("--n", type=int, help="planted suite size override")
+    b.add_argument("--seeds", type=_count, default=5)
+    b.add_argument("--n", type=_count, help="planted suite size override")
     return p
 
 
@@ -222,14 +259,6 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _parse_mode(mode: str) -> tuple[str, int]:
-    if mode == "exhaustive":
-        return "exhaustive", 10_000
-    if mode.startswith("sampled:"):
-        return "sampled", int(mode.split(":", 1)[1])
-    raise FormatError(f"bad --mode {mode!r}")
-
-
 def _cmd_certify(args) -> int:
     from .certs import (biregularize, build_sa_certificate,
                         build_sdp_certificate, cap_degrees,
@@ -251,7 +280,7 @@ def _cmd_certify(args) -> int:
     else:
         g = gen_gap_instance(args.n, args.s, float(args.dl), args.seed)
         cert = build_sa_certificate(g, rounds=args.rounds)
-        mode, samples = _parse_mode(args.mode)
+        mode, samples = args.mode
         rep = verify_sa_certificate(cert, mode=mode, samples=samples,
                                     seed=args.seed)
         props = sample_property_checks(cert, min(samples, 2000),
@@ -290,16 +319,14 @@ def _cmd_ssve(args) -> int:
 
 def _cmd_gapcalc(args) -> int:
     from .certs import hardness_gap_calculator
-    eps = Fraction(args.eps) if "/" in args.eps or "." not in args.eps \
-        else float(args.eps)
-    out = hardness_gap_calculator(args.r, eps, args.regime)
+    out = hardness_gap_calculator(args.r, args.eps, args.regime)
     _emit(args, {"schema": 1, **out.as_dict()})
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
     from .bench import format_table, run_benchmark
-    planted_cfg = {"n": args.n} if args.n else None
+    planted_cfg = None if args.n is None else {"n": args.n}
     report = run_benchmark(args.suite, seeds=args.seeds, out_path=None,
                            planted_cfg=planted_cfg)
     _emit(args, report, table=format_table(report))

@@ -22,7 +22,12 @@ levels, iterative blocking flow) on the implicit residual graph.  Its
 left -> right arcs need no capacity: the max flow is at most b * n_right, so
 they never bind.  A right -> left residual arc exists only on an edge that
 carries flow, so each cut keeps, per right vertex, the list of edges into it
-that have carried flow, and walks back along those alone.
+that have carried flow, and walks back along those alone.  The first fit
+scans left vertex i's row from position i mod its degree and wraps round,
+so that the low-id right vertices do not fill first.  A phase's BFS stops
+as soon as every right vertex with an edge has a level: the rest of its
+sweep could label nothing new, and on a planted neighbourhood that happens
+within the first few dozen of hundreds of left vertices.
 
 The maximal source side is the set of left vertices with no residual path
 to the sink, found by a reverse BFS from the sink that also yields |N(S)| as
@@ -120,8 +125,13 @@ class _Network:
         carry: list[list[int]] = [[] for _ in range(n_right)]
         if a:
             for i in range(n):
+                # Row i from position i mod its degree, wrapping round.
                 rem = a
-                for e in range(start[i], start[i + 1]):
+                lo, hi = start[i], start[i + 1]
+                deg = hi - lo
+                mid = lo + i % deg if deg else lo
+                for k in range(mid, mid + deg):
+                    e = k if k < hi else k - deg
                     j = head[e]
                     c = room[j]
                     if c:
@@ -144,11 +154,15 @@ class _Network:
         n, n_right = self.n, self.n_right
         # Left vertices at depth d have level d, and so do the right vertices
         # they reach first; a right vertex at depth d leads to left d + 1.
+        # Once every head has a level, the rest of the frontier can label
+        # nothing, so its scan stops there; the levels are those of a full
+        # sweep.  If no head with room was found by then, none exists.
         lvl_l = [-1] * n
         lvl_r = [-1] * n_right
         sources = [i for i in range(n) if supply[i]]
         for i in sources:
             lvl_l[i] = 0
+        todo = self.size  # heads with no level yet
         frontier, depth, found = sources, 0, False
         while frontier:
             reached = []
@@ -160,8 +174,13 @@ class _Network:
                         reached.append(j)
                         if room[j]:
                             found = True
+                if len(reached) == todo:
+                    break
             if found:
                 break
+            todo -= len(reached)
+            if not todo:
+                return False
             depth += 1
             frontier = []
             for j in reached:

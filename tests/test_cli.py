@@ -164,6 +164,45 @@ class TestGenSolve:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--kind", "sa", "--n", "64", "--s", "8", "--dl", "4",
+         "--mode", "sampled:x"],
+        ["certify", "--kind", "sa", "--n", "64", "--s", "8", "--dl", "4",
+         "--mode", "sampled:-3"],
+        ["certify", "--kind", "sa", "--n", "64", "--s", "8", "--dl", "4",
+         "--mode", "everything"],
+        ["certify", "--kind", "sa", "--n", "64", "--s", "8", "--dl", "4",
+         "--rounds", "0"],
+        ["certify", "--kind", "sa", "--n", "64", "--s", "0", "--dl", "4"],
+        ["certify", "--kind", "sa", "--n", "0", "--s", "8", "--dl", "4"],
+        ["certify", "--kind", "sdp", "--n", "64", "--s", "0", "--dl", "4"],
+        ["certify", "--kind", "sdp", "--n", "0", "--s", "8", "--dl", "4"],
+        ["certify", "--kind", "sdp", "--n", "64", "--s", "8", "--dl", "4",
+         "--k", "-1"],
+        ["certify", "--kind", "sdp", "--n", "x", "--s", "8", "--dl", "4"],
+        ["gen", "--family", "planted", "--n", "0", "--alpha", "0.5",
+         "--beta", "0.5", "--gamma", "0.2", "--r", "4"],
+        ["gen", "--family", "planted", "--n", "-4", "--alpha", "0.5",
+         "--beta", "0.5", "--gamma", "0.2", "--r", "4"],
+        ["gen", "--family", "gap", "--n", "3", "--s", "0", "--dl", "1"],
+        ["gen", "--family", "random", "--n", "3", "--s", "-1", "--p", "0.5"],
+        ["gen", "--family", "nope", "--n", "3"],
+        ["gapcalc", "--r", "4", "--eps", "abc", "--regime", "by_n"],
+        ["gapcalc", "--r", "4", "--eps", "1/0", "--regime", "by_n"],
+        ["gapcalc", "--r", "4", "--eps", "1e400", "--regime", "by_n"],
+        ["bench", "--suite", "oracle_small", "--seeds", "0"],
+        ["bench", "--suite", "planted", "--n", "0"],
+    ])
+    def test_bad_argument_exit_code(self, tmp_path, capsys, argv):
+        # A flag value out of its range is bad input, found before any
+        # work: exit 4, one line on stderr and no output file.
+        out = tmp_path / "out.json"
+        assert run(["--out", str(out)] + argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("bad input: argument --")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_budget_exit_code(self, tmp_path):
         inst = tmp_path / "big.txt"
         lines = ["p ssbve 40 5 20"]

@@ -54,6 +54,12 @@ def dinic_source_side(g: BipartiteGraph, allowed, forbidden,
     return chosen, len(neighborhood(sub, chosen))
 
 
+def planted_instance(seed: int):
+    """The planted family at n=4096 that the `planted` benchmark solves."""
+    return gen_planted(PlantedSpec(n=4096, alpha=0.5, beta=0.5, gamma=0.2,
+                                   r_degree=12, seed=seed))
+
+
 class TestKernelMatchesDinic:
     """The bipartite kernel against the explicit Dinic network."""
 
@@ -134,13 +140,32 @@ class TestKernelMatchesDinic:
         assert "11" in runs  # some cut augmented in two phases or more
         assert any(cancelled for _, cancelled in phases)
 
+    def test_few_of_many_right_ids(self, phases):
+        # Rows draw from a pool of 8-40 of 400 right ids, so size < n_right
+        # and the BFS stops at size labelled heads, not n_right; the skewed
+        # draws make cuts take several phases and cancel flow.
+        for seed in range(30):
+            rng = stream(seed, 0x4B54)
+            n, n_right = 40 + rng.randrange(161), 400
+            pool = sorted({rng.randrange(n_right)
+                           for _ in range(8 + rng.randrange(33))})
+            edges = {(u, pool[min(rng.randrange(len(pool)),
+                                  rng.randrange(len(pool)))])
+                     for u in range(n) for _ in range(1 + rng.randrange(5))}
+            g = BipartiteGraph.from_edges(n, n_right, sorted(edges))
+            assert _Network(g.adj_left, n_right).size < n_right
+            forbidden = [v for v in pool if rng.bernoulli(0.1)]
+            self.check(g, range(n), forbidden)
+        runs = "".join("1" if found else "0" for found, _ in phases)
+        assert "11" in runs
+        assert any(cancelled for _, cancelled in phases)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_planted_neighbourhoods(self, seed):
         # W = N(v) on the planted family at n=4096, cut at the first
         # Dinkelbach lambda |N(W)|/|W|: for v in the planted T the cut drops
         # most of W, for another v it confirms W.
-        inst, filled = gen_planted(PlantedSpec(
-            n=4096, alpha=0.5, beta=0.5, gamma=0.2, r_degree=12, seed=seed))
+        inst, filled = planted_instance(seed)
         g = inst.graph
         outside = min(set(range(g.n_right)) - set(filled.planted_t))
         for v, confirms in ((filled.planted_t[0], False), (outside, True)):
@@ -150,6 +175,54 @@ class TestKernelMatchesDinic:
             got = net.cut(lam.numerator, lam.denominator)
             assert got == dinic_source_side(g, w, (), lam)
             assert (got == (list(range(len(w))), net.size)) == confirms
+
+    def test_every_planted_neighbourhood(self):
+        # Every W = N(v) of one planted instance, cut at |N(W)|/|W|.
+        inst, _ = planted_instance(0)
+        g = inst.graph
+        confirmed = 0
+        for v in range(g.n_right):
+            w = sorted(g.adj_right[v])
+            net = _Network([g.adj_left[u] for u in w], g.n_right)
+            lam = Fraction(net.size, len(w))
+            got = net.cut(lam.numerator, lam.denominator)
+            assert got == dinic_source_side(g, w, (), lam), v
+            confirmed += got == (list(range(len(w))), net.size)
+        assert 0 < confirmed < g.n_right
+
+    def test_phase_stops_once_every_head_has_a_level(self, monkeypatch):
+        # On a confirming planted cut every head gets a level within the
+        # first few left vertices; the BFS stops there instead of sweeping
+        # every edge, so a phase reads fewer heads than the network has.
+        class Counting(list):
+            reads = 0
+
+            def __getitem__(self, k):
+                Counting.reads += 1
+                return list.__getitem__(self, k)
+
+        phase = _Network._phase
+        reads: list[int] = []
+
+        def counted(net, *state):
+            plain, net.head = net.head, Counting(net.head)
+            Counting.reads = 0
+            try:
+                return phase(net, *state)
+            finally:
+                net.head = plain
+                reads.append(Counting.reads)
+
+        monkeypatch.setattr(_Network, "_phase", counted)
+        inst, filled = planted_instance(0)
+        g = inst.graph
+        v = min(set(range(g.n_right)) - set(filled.planted_t))
+        w = sorted(g.adj_right[v])
+        net = _Network([g.adj_left[u] for u in w], g.n_right)
+        lam = Fraction(net.size, len(w))
+        got = net.cut(lam.numerator, lam.denominator)
+        assert got == (list(range(len(w))), net.size)
+        assert reads and all(r < len(net.head) for r in reads)
 
     def test_reverse_adjacency_only_when_the_cut_drops_vertices(self):
         # A confirming cut (every head saturated) builds no reverse
