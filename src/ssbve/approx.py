@@ -383,8 +383,7 @@ def solve_planted(inst: SsbveInstance, p: int, q: int, branch_cap: int,
             if not w:
                 break
             if step is Step.BACKBONE:
-                w = set().union(*(g.adj_right[v] for v in neighborhood(g, w))) \
-                    if w else set()
+                w = set().union(*(g.adj_right[v] for v in neighborhood(g, w)))
             else:  # HAIR
                 w &= set(g.adj_right[guesses[gi]])
                 gi += 1
@@ -531,7 +530,6 @@ def _run_candidate(pre: PreprocessedInstance, schedule: CaterpillarSchedule,
     served by the `les` memo).
     """
     collected: list[tuple[int, ...]] = []
-    q = schedule.q
     res = memo.get(())
     if res is None:
         res = memo[()] = first_step(pre)
@@ -554,8 +552,7 @@ def _run_candidate(pre: PreprocessedInstance, schedule: CaterpillarSchedule,
     while heap and pops < branch_cap:
         _, _, state_seed, state = heapq.heappop(heap)
         pops += 1
-        step = schedule.steps[state.step_index] \
-            if state.step_index < q else Step.FINAL
+        step = schedule.steps[state.step_index]
         if step is Step.BACKBONE:
             try:
                 out = backbone_step(pre, state, seed=state_seed)
@@ -629,7 +626,7 @@ def _best_atmost(inst: SsbveInstance, eps: float, q_max: int,
                 continue
             mapped_from.add((id(pre.left_ids), chosen))
             mapped = _trim_lex((pre.left_ids[u] for u in chosen), k)
-            if mapped and mapped not in measured:
+            if mapped not in measured:
                 measured.add(mapped)
                 candidates.append(Solution.from_set(g, mapped))
     les_sol = least_expanding_set(g)

@@ -24,7 +24,8 @@ class-based accounting: singleton and pairwise cover costs collapse to a
 fixed set of structural classes (one per side for singletons; adjacency,
 common-neighbor, and the rare far-apart pairs, which are routed through the
 general Steiner search), so every constraint instance is covered by a
-handful of exact class inequalities plus bitset-backed counts.  The pair
+handful of exact class inequalities plus counts over the graph's
+right-vertex bitsets, which each verification builds once.  The pair
 tiers test membership on the sorted adjacency tuples; no per-vertex set is
 kept.  Singleton values are each side's structural class value, patched
 with the singleton entries of x_table, and are grouped into value classes
@@ -63,21 +64,16 @@ _INF = float("inf")
 # ---------------------------------------------------------------------------
 
 class _View:
-    """Combined adjacency over global ids: one sorted tuple per vertex, and
-    the graph's right-vertex bitsets, built on first use.  No per-vertex
-    sets: the pair tiers and the path search test membership on the tuples
-    and build a set only for the pair at hand."""
+    """Combined adjacency over global ids: one sorted tuple per vertex.  No
+    per-vertex sets: the pair tiers and the path search test membership on
+    the tuples and build a set only for the pair at hand."""
 
     def __init__(self, g: BipartiteGraph) -> None:
-        self.g = g
-        self.n = g.n
-        self.s = g.n_right
-        self.total = g.n + g.n_right
-        n = g.n
+        n = self.n = g.n
+        self.total = n + g.n_right
         self.adj: list[tuple[int, ...]] = [
             tuple([v + n for v in row]) for row in g.adj_left
         ] + list(g.adj_right)
-        self._right_masks: list[int] | None = None
 
     def is_u(self, w: int) -> bool:
         return w < self.n
@@ -85,10 +81,14 @@ class _View:
     def weight(self, w: int) -> int:
         return 1 if w < self.n else 0
 
-    def right_masks(self) -> list[int]:
-        if self._right_masks is None:
-            self._right_masks = self.g.right_masks()
-        return self._right_masks
+
+def _forced(view: _View, subset) -> set[int]:
+    """N(S_U): the right vertices adjacent to the left vertices of subset."""
+    forced: set[int] = set()
+    for w in subset:
+        if w < view.n:
+            forced.update(view.adj[w])
+    return forced
 
 
 def _path_ucount(view: _View, a: int, b: int) -> int:
@@ -199,10 +199,8 @@ def cover_cost(g: BipartiteGraph, subset, view: _View | None = None) -> int:
 
 def _cover_cost(view: _View, subset: frozenset[int]) -> int:
     s_u = tuple(sorted(w for w in subset if w < view.n))
-    nbhd = set()
-    for u in s_u:
-        nbhd.update(view.adj[u])
-    s_v = tuple(sorted(w for w in subset if w >= view.n and w not in nbhd))
+    forced = _forced(view, s_u)
+    s_v = tuple(sorted(w for w in subset if w >= view.n and w not in forced))
     if not s_u and not s_v:
         return 0
     best: int | None = None
@@ -292,10 +290,8 @@ class SaCertificate:
         s_u = [w for w in subset if w < n]
         n_v = size - len(s_u)
         if s_u and n_v:  # drop the right vertices that S_U forces
-            nbhd = set()
-            for u in s_u:
-                nbhd.update(self.view.adj[u])
-            n_v = sum(1 for w in subset if w >= n and w not in nbhd)
+            forced = _forced(self.view, s_u)
+            n_v = sum(1 for w in subset if w >= n and w not in forced)
         cost = self.cost_table.get(subset)
         if cost is None:
             cost = self.cost_table[subset] = _cover_cost(self.view, subset)
@@ -547,7 +543,6 @@ def _verify_one_round(cert, rep) -> None:
     (left: singleton value class and far pair costs in order; right: degree
     and value class) share one row per family, whose count is the class
     size and whose id ends with the class's first vertex."""
-    view = cert.view
     n, s, k = cert.n, cert.s, cert.k
     alpha, beta = cert.sa_alpha, cert.sa_beta
     one = Fraction(1) if cert.exact else _MP.mpf(1)
@@ -602,7 +597,7 @@ def _verify_one_round(cert, rep) -> None:
     # near partners), so left vertices are tallied by that row class:
     # {(class of x_w, far costs): [vertices, first vertex]}.  The two-hop
     # mask stops growing once it holds every left vertex.
-    right_masks = view.right_masks()
+    right_masks = cert.graph.right_masks()
     all_u_mask = (1 << n) - 1
     row_classes: dict = {}
     for w in range(n):
@@ -724,25 +719,17 @@ def _value_classes(values: list, first_id: int) -> tuple[list[int], list]:
     return of, list(ids)
 
 
-def _pair_splits(cert, a, b) -> tuple:
-    """x_{S,T} for the four splits of {a, b} (a < b): S = {a, b}, S = {a},
-    S = {b} and S = empty, summed in the order of sa_lift_value.  Not
-    through its memo: that keys on cover classes, which merge singletons
-    of different values."""
-    x_a, x_b = cert.x_value((a,)), cert.x_value((b,))
-    x_ab = cert.x_value((a, b))
-    return (x_ab, x_a - x_ab, x_b - x_ab,
-            cert.x_value(()) - x_a - x_b + x_ab)
-
-
 def _check_top_level_classes(cert, rep, top) -> None:
     """Value bounds 0 <= x_{S,T} <= 1 at |S u T| = 2, checked once per
-    realised pair class in each split; a violation counts every pair of its
-    class."""
+    realised pair class in each split through sa_lift_value (whose memo
+    never holds a lift with a value set by hand); a violation counts every
+    pair of its class."""
     violations = 0
     worst = 0.0
     for pairs, a, b in top.values():
-        for val in _pair_splits(cert, a, b):
+        for s_set, t_set in (((a, b), ()), ((a,), (b,)), ((b,), (a,)),
+                             ((), (a, b))):
+            val = sa_lift_value(cert, s_set, t_set)
             if 0 <= val <= 1:
                 continue
             bad = max(0.0, float(-val), float(val) - 1.0)
@@ -789,11 +776,7 @@ def sample_property_checks(cert: SaCertificate, n_samples: int,
         if which == 0:  # decay: w not in N(S_U), w not in S
             s_set = rand_set(r)
             w = rng.randrange(total_v)
-            nb = set()
-            for u in s_set:
-                if u < n:
-                    nb.update(view.adj[u])
-            if w in s_set or w in nb:
+            if w in s_set or w in _forced(view, s_set):
                 continue
             counts["decay"] += 1
             if not (cert.x_value(s_set | {w})
@@ -829,11 +812,7 @@ def sample_property_checks(cert: SaCertificate, n_samples: int,
             s_set = rand_set(r)
             t_size = rng.randrange(r + 2 - len(s_set))
             t_set = frozenset(rng.sample_range(total_v, t_size))
-            nb = set()
-            for u in s_set:
-                if u < n:
-                    nb.update(view.adj[u])
-            if s_set & t_set or t_set & nb:
+            if s_set & t_set or t_set & _forced(view, s_set):
                 continue
             counts["lift-range"] += 1
             val = sa_lift_value(cert, s_set, t_set)

@@ -142,8 +142,6 @@ def _augment_swap(n, s, adj, radj, u, v) -> bool:
 
 @dataclass
 class SdpCertificate:
-    n: int
-    s: int
     k: int
     d_l: int
     d_r: int
@@ -174,6 +172,14 @@ class SdpCertificate:
                      - self.a_off_const)
 
     @property
+    def n(self) -> int:
+        return self.graph.n
+
+    @property
+    def s(self) -> int:
+        return self.graph.n_right
+
+    @property
     def objective(self) -> Fraction:
         return self.s * self.tau
 
@@ -202,8 +208,8 @@ def build_sdp_certificate(g: BipartiteGraph, k: int) -> SdpCertificate:
     # A float64 product runs on BLAS and is exact: every entry is an
     # integer count of at most s < 2**53.
     nu = (biadj @ biadj.T).astype(np.int64)
-    return SdpCertificate(n=n, s=s, k=k, d_l=d_l, d_r=d_r, sdp_alpha=alpha,
-                          tau=tau, graph=g, biadj=biadj, nu=nu)
+    return SdpCertificate(k=k, d_l=d_l, d_r=d_r, sdp_alpha=alpha, tau=tau,
+                          graph=g, biadj=biadj, nu=nu)
 
 
 def _biadjacency(g: BipartiteGraph) -> np.ndarray:

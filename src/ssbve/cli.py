@@ -116,7 +116,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--input", required=True)
     s.add_argument("--eps", type=float, default=0.1)
     s.add_argument("--qmax", type=int, default=3)
-    s.add_argument("--branch-cap", type=int, default=64, dest="branch_cap")
+    s.add_argument("--branch-cap", type=_count, default=64, dest="branch_cap")
     s.add_argument("--p", type=int, default=1)
     s.add_argument("--q", type=int, default=2)
 

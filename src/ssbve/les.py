@@ -344,16 +344,6 @@ def _solve(g: BipartiteGraph, left: Sequence[int],
                     neighborhood_size=size, expansion=lam)
 
 
-def dinkelbach_trace(
-        g: BipartiteGraph) -> tuple[Solution, list[Fraction]]:
-    """least_expanding_set plus the (strictly decreasing) lambda sequence."""
-    if g.n == 0:
-        raise EmptyLeftSideError("graph has no left vertices")
-    chosen, size, lam, trace = _dinkelbach(g.adj_left, g.n_right)
-    return (Solution(chosen=chosen, neighborhood_size=size, expansion=lam),
-            trace)
-
-
 def least_expanding_set(g: BipartiteGraph) -> Solution:
     """Nonempty left set with exactly minimal expansion |N(S)|/|S|."""
     if g.n == 0:

@@ -16,10 +16,12 @@ from .errors import (InvalidBudgetError, TooLargeError,
 from .graph import UndirectedGraph
 
 
+BRUTEFORCE_MAX_N = 16  # the bruteforce oracle's largest vertex count
+
+
 @dataclass(frozen=True)
 class SseOracle:
     kind: str  # "bruteforce" | "sweep"
-    budget: int = 16  # max vertex count for bruteforce
 
     def __post_init__(self) -> None:
         if self.kind not in ("bruteforce", "sweep"):
@@ -37,9 +39,9 @@ def sse_solve(g: UndirectedGraph, k: int,
     if k < 1:
         raise InvalidBudgetError(f"budget k={k} must be at least 1")
     if oracle.kind == "bruteforce":
-        if g.n > oracle.budget:
+        if g.n > BRUTEFORCE_MAX_N:
             raise TooLargeError(
-                f"n={g.n} exceeds the bruteforce budget {oracle.budget}")
+                f"n={g.n} exceeds the bruteforce budget {BRUTEFORCE_MAX_N}")
         return _sse_bruteforce(g, k)
     return _sse_sweep(g, k)
 
@@ -64,8 +66,8 @@ def _sse_bruteforce(g: UndirectedGraph,
     return best[2], best[0]
 
 
-def _sse_sweep(g: UndirectedGraph, k: int,
-               residual: float = 1e-8) -> tuple[tuple[int, ...], Fraction]:
+def _sse_sweep(g: UndirectedGraph,
+               k: int) -> tuple[tuple[int, ...], Fraction]:
     """Sort by the second eigenvector of the normalized Laplacian (power
     iteration with deflation of the trivial eigenvector) and take the best
     prefix of size <= k from either end of the ordering."""
@@ -76,9 +78,9 @@ def _sse_sweep(g: UndirectedGraph, k: int,
     for a in range(n):
         for b in g.adj[a]:
             adj[a, b] = 1.0
-    # M = I - L_norm has top eigenvector D^(1/2) 1; deflate it and power
-    # iterate for the next one.
-    m = np.eye(n) - (np.eye(n) - inv_sqrt[:, None] * adj * inv_sqrt[None, :])
+    # M = I - L_norm = D^(-1/2) A D^(-1/2) has top eigenvector D^(1/2) 1;
+    # deflate it and power iterate for the next one.
+    m = inv_sqrt[:, None] * adj * inv_sqrt[None, :]
     m = 0.5 * (m + np.eye(n))  # shift into [0, 1] to stabilize iteration
     top = np.sqrt(deg)
     top /= np.linalg.norm(top)
@@ -93,7 +95,7 @@ def _sse_sweep(g: UndirectedGraph, k: int,
         if norm == 0:
             break
         nxt /= norm
-        if np.linalg.norm(nxt - vec) < residual:
+        if np.linalg.norm(nxt - vec) < 1e-8:
             vec = nxt
             break
         vec = nxt

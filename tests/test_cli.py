@@ -164,6 +164,22 @@ class TestGenSolve:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("algo", ["worst", "planted"])
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_branch_cap_below_one_exit_code(self, tmp_path, capsys, algo,
+                                            cap):
+        # A cap below 1 would pop no branch and still print a solution:
+        # exit 4 and one line on stderr, as for the other counts.
+        inst = tmp_path / "inst.txt"
+        inst.write_text("p ssbve 3 2 2\ne 1 1\ne 2 1\ne 3 2\n")
+        out = tmp_path / "r.json"
+        assert run(["--out", str(out), "solve", "--algo", algo, "--input",
+                    str(inst), "--branch-cap", cap]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("bad input: argument --branch-cap")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["certify", "--kind", "sa", "--n", "64", "--s", "8", "--dl", "4",
          "--mode", "sampled:x"],

@@ -438,6 +438,23 @@ def report_row(rep: VerifyReport, name: str):
     return row
 
 
+class TestSdpSizesFromGraph:
+    def test_sizes_cannot_drift_from_the_graph(self):
+        # n and s are the graph's: a certificate whose s could be set to
+        # 383 on this 384-right-vertex instance passed with objective
+        # 43.0875 instead of 43.2.
+        g = _certify_shape_graph(1)
+        cert = build_sdp_certificate(g, 12)
+        assert (cert.n, cert.s) == (g.n, g.n_right) == (1280, 384)
+        for name in ("n", "s"):
+            with pytest.raises(AttributeError):
+                setattr(cert, name, 383)
+        assert (cert.n, cert.s) == (1280, 384)
+        rep = verify_sdp_certificate(cert)
+        assert rep.passed
+        assert cert.objective == Fraction(216, 5)
+
+
 class TestReportRows:
     def test_violations_then_one_row_per_family_then_the_rest(self):
         rep = VerifyReport()
@@ -517,9 +534,8 @@ def direct_certificate(g: BipartiteGraph, k: int,
     alpha = Fraction(1, 2) * min(Fraction(d_l * n, k * s), Fraction(1))
     tau = tau_scale * 2 * Fraction(d_l * d_l) / (alpha * s)
     b = dense_biadj(g)
-    return SdpCertificate(n=n, s=s, k=k, d_l=d_l, d_r=d_r, sdp_alpha=alpha,
-                          tau=tau, graph=g, biadj=b,
-                          nu=(b @ b.T).astype(np.int64))
+    return SdpCertificate(k=k, d_l=d_l, d_r=d_r, sdp_alpha=alpha, tau=tau,
+                          graph=g, biadj=b, nu=(b @ b.T).astype(np.int64))
 
 
 def _certify_shape_graph(seed: int) -> BipartiteGraph:
@@ -1377,6 +1393,19 @@ class TestSaClassesMatchReference:
         assert any(k[0] == 2 and k[2] > 3 for k in seen if k is not
                    NoCoverError)  # a far-apart left pair with a cover
 
+    @pytest.mark.parametrize("which", range(len(TIER_GRAPHS)))
+    def test_forced_on_every_small_subset(self, which):
+        # N(S_U) against a per-vertex loop over the graph's left rows.
+        g = TIER_GRAPHS[which]
+        view = _View(g)
+        for size in (0, 1, 2, 3):
+            for subset in combinations(range(g.n + g.n_right), size):
+                want = set()
+                for u in subset:
+                    if u < g.n:
+                        want.update(g.n + v for v in g.adj_left[u])
+                assert sa._forced(view, frozenset(subset)) == want, subset
+
     def test_singleton_keys_are_structural(self):
         # Against the general cover search on every vertex, isolated ones
         # included; the structural tier runs no search.
@@ -1744,7 +1773,9 @@ class TestTopLevelClasses:
             triple = (cert.x_value([a]), cert.x_value([b]),
                       reference_key(cert, frozenset((a, b))))
             assert triple not in enumerated
-            enumerated[triple] = sa._pair_splits(cert, a, b)
+            enumerated[triple] = tuple(
+                reference_lift(cert, s_set, t_set) for s_set, t_set in (
+                    ((a, b), ()), ((a,), (b,)), ((b,), (a,)), ((), (a, b))))
         fresh = build_sa_certificate(g, rounds=1)
         draws = self.sampler_draws(monkeypatch, fresh, seed)
         assert len(draws) == 10_000

@@ -11,7 +11,7 @@ from ssbve.generators import PlantedSpec, gen_planted
 from ssbve.graph import (BipartiteGraph, expansion, induced_left_subgraph,
                          neighborhood)
 from ssbve import les
-from ssbve.les import (_Network, dinkelbach_trace, least_expanding_set,
+from ssbve.les import (_dinkelbach, _Network, least_expanding_set,
                        least_expanding_subset, memo_scope, min_cut_select)
 from ssbve.maxflow import Dinic
 from ssbve.rng import stream
@@ -366,9 +366,9 @@ class TestLeastExpandingSet:
     @pytest.mark.parametrize("seed", range(30))
     def test_lambda_strictly_decreases(self, seed):
         g = random_bipartite(seed + 400, 9, 6)
-        sol, trace = dinkelbach_trace(g)
+        chosen, _, lam, trace = _dinkelbach(g.adj_left, g.n_right)
         assert all(a > b for a, b in zip(trace, trace[1:]))
-        assert expansion(g, sol.chosen) == sol.expansion
+        assert expansion(g, chosen) == lam
 
     @pytest.mark.parametrize("seed", range(20))
     def test_result_beats_random_sets(self, seed):
