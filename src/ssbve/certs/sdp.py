@@ -204,12 +204,11 @@ def build_sdp_certificate(g: BipartiteGraph, k: int) -> SdpCertificate:
         raise ParameterRegimeError(f"need tau < 1/8, got tau={float(tau):.4g}")
     if not 2 * alpha * k * s <= d_l * n:
         raise ParameterRegimeError("need 2*alpha*k*s <= d_l*n")
-    biadj = _biadjacency(g)
-    # A float64 product runs on BLAS and is exact: every entry is an
-    # integer count of at most s < 2**53.
-    nu = (biadj @ biadj.T).astype(np.int64)
+    # Counted from the right-vertex lists only after the regime checks,
+    # which bound the pair list (see _co_degrees).
     return SdpCertificate(k=k, d_l=d_l, d_r=d_r, sdp_alpha=alpha, tau=tau,
-                          graph=g, biadj=biadj, nu=nu)
+                          graph=g, biadj=_biadjacency(g),
+                          nu=_co_degrees(g.adj_right, n))
 
 
 def _biadjacency(g: BipartiteGraph) -> np.ndarray:
@@ -220,16 +219,27 @@ def _biadjacency(g: BipartiteGraph) -> np.ndarray:
     return b
 
 
-def _common_neighbours(g: BipartiteGraph) -> np.ndarray:
-    """The n x n int64 common-neighbour counts of g (its B B^T), counted from
-    the right-vertex lists: each right vertex adds one to every ordered pair
-    of its left neighbours, the pair (u, u) included."""
-    n = g.n
-    flat = [np.empty(0, np.int64)]
-    for nbrs in g.adj_right:
-        a = np.array(nbrs, np.int64)
-        flat.append((a[:, None] * n + a).ravel())
-    return np.bincount(np.concatenate(flat), minlength=n * n).reshape(n, n)
+def _co_degrees(lists, size: int) -> np.ndarray:
+    """The size x size int64 co-degree counts of lists of ids in
+    range(size): entry (a, b) is the number of lists that hold both a and b,
+    so (a, a) is the number of lists that hold a.  From the right-vertex
+    lists of g this is its common-neighbour matrix B B^T (n x n); from the
+    left-vertex lists, the Gram matrix B^T B (s x s).
+
+    The lists are grouped by length, each group is one array, and its
+    ordered pairs (a, b) go through a single bincount.  The pair list has
+    sum(len(l)**2) entries.  For nu in build_sdp_certificate, whose regime
+    checks give tau >= 4 d_l^2 / s and tau < 1/8, so d_l^2 < s/32, that is
+    s d_r^2 = n^2 d_l^2 / s < n^2 / 32 entries: under the n x n result."""
+    lengths = np.fromiter(map(len, lists), np.intp)
+    flat = np.fromiter(chain.from_iterable(lists), np.int64)
+    starts = np.cumsum(lengths) - lengths
+    pairs = [np.empty(0, np.int64)]
+    for length in np.unique(lengths[lengths > 0]):
+        group = flat[starts[lengths == length][:, None] + np.arange(length)]
+        pairs.append((group[:, :, None] * size + group[:, None, :]).ravel())
+    return np.bincount(np.concatenate(pairs),
+                       minlength=size * size).reshape(size, size)
 
 
 def _mismatches(got: np.ndarray, want: np.ndarray) -> int:
@@ -248,15 +258,25 @@ def _eigen_extremes(cert: SdpCertificate) -> tuple[float, float]:
     [[mu sigma^2 + zeta, (c_e - c_n) sigma], [., tau/2]], the all-ones pair
     gives one more, and the rest of the larger side has eigenvalue zeta
     (left) or tau/2 (right).
+
+    The Gram matrix is counted from the graph's adjacency lists, which
+    biadj-graph ties to biadj, and n and s are the graph's, so a malformed
+    biadj fails its row and never reaches this guard.  When s <= n it is
+    B^T B from the left-vertex lists, whose pair list has n d_l^2 entries:
+    under n s / 32 (a thirty-second of biadj) in build's regime, where
+    d_l^2 < s/32.  When s > n it is B B^T from the right-vertex lists, the
+    count nu is built from, under n^2 / 32 entries there.
     """
-    b = cert.biadj
-    n, s = b.shape
+    g = cert.graph
+    n, s = cert.n, cert.s
     mu, eta, zeta, ce, cn, half_tau = (float(x) for x in (
         cert.a_off_coeff, cert.a_off_const, cert.zeta, cert.c_edge,
         cert.c_nonedge, cert.tau / 2))
     # sigma^2 from the smaller Gram matrix, less one copy of its top value
     # d_l*d_r (the all-ones pair), which a disconnected graph repeats.
-    sig2 = np.clip(np.linalg.eigvalsh(b.T @ b if s <= n else b @ b.T)[:-1],
+    gram = (_co_degrees(g.adj_left, s) if s <= n
+            else _co_degrees(g.adj_right, n))
+    sig2 = np.clip(np.linalg.eigvalsh(gram.astype(np.float64))[:-1],
                    0.0, None)
     top = cert.d_l * cert.d_r
     a = np.append(mu * sig2 + zeta, mu * top + eta * n + zeta)
@@ -289,9 +309,13 @@ def verify_sdp_certificate(cert: SdpCertificate,
                   cert.c_edge, cert.a_diag)
 
     # Row-sum identities realizing <w, v0> = |w|^2 for v0 = (1/k) sum u.
-    nu_rowsum = cert.nu.sum(axis=1) - cert.nu.diagonal()
+    # A nu that is not n x n fails here and in nu-diagonal on all n rows.
+    nu_square = cert.nu.shape == (n, n)
     expected = d_l * (d_r - 1)
-    bad_rows = int(np.count_nonzero(nu_rowsum != expected))
+    bad_rows = n
+    if nu_square:
+        nu_rowsum = cert.nu.sum(axis=1) - cert.nu.diagonal()
+        bad_rows = int(np.count_nonzero(nu_rowsum != expected))
     rep.add("rowsum-u-counts", bad_rows, 0, bad_rows)
     row_u = Fraction(1, k) * (cert.a_diag + eta * (n - 1) + mu * expected)
     rep.add_exact("rowsum-u-identity", row_u == cert.a_diag,
@@ -328,11 +352,12 @@ def verify_sdp_certificate(cert: SdpCertificate,
     # here from the graph itself (so nu-gram also fails any asymmetric nu).
     # These rows and the degree rows also make the eigenvalue guard's
     # blocks those of the X checked here.
-    bad = int(np.count_nonzero(cert.nu.diagonal() != d_l))
+    bad = (int(np.count_nonzero(cert.nu.diagonal() != d_l)) if nu_square
+           else n)
     rep.add_exact("nu-diagonal", bad == 0, bad, 0)
     bad = _mismatches(cert.biadj, _biadjacency(cert.graph))
     rep.add("biadj-graph", bad, 0, bad)
-    bad = _mismatches(cert.nu, _common_neighbours(cert.graph))
+    bad = _mismatches(cert.nu, _co_degrees(cert.graph.adj_right, n))
     rep.add("nu-gram", bad, 0, bad)
 
     # 2x2 minor witnesses.

@@ -583,9 +583,44 @@ GUARD_CASES = {
 }
 
 
+def reference_eigen_extremes(cert) -> tuple[float, float]:
+    """The guard's formula with its Gram matrix taken as the float64 product
+    of cert.biadj (B^T B when s <= n, else B B^T)."""
+    b = cert.biadj
+    n, s = b.shape
+    mu, eta, zeta, ce, cn, half_tau = (float(x) for x in (
+        cert.a_off_coeff, cert.a_off_const, cert.zeta, cert.c_edge,
+        cert.c_nonedge, cert.tau / 2))
+    sig2 = np.clip(np.linalg.eigvalsh(b.T @ b if s <= n else b @ b.T)[:-1],
+                   0.0, None)
+    top = cert.d_l * cert.d_r
+    a = np.append(mu * sig2 + zeta, mu * top + eta * n + zeta)
+    off = np.append((ce - cn) * np.sqrt(sig2),
+                    cn * np.sqrt(n * s) + (ce - cn) * np.sqrt(top))
+    c = np.append(np.full(sig2.size, half_tau), half_tau * (s + 1))
+    mid, rad = (a + c) / 2, np.hypot((a - c) / 2, off)
+    rest = [zeta] * (n > s) + [half_tau] * (s > n)
+    eigs = np.concatenate([mid - rad, mid + rad, rest])
+    return float(eigs.min()), float(np.abs(eigs).max())
+
+
 class TestEigenGuardMatchesDense:
     """The structured guard (one eigvalsh of the smaller Gram matrix of B)
     against the dense eigvalsh of the (n+s)^2 matrix X."""
+
+    @pytest.mark.parametrize("case", [*GUARD_CASES, "certify-1",
+                                      "certify-2"])
+    def test_gram_from_lists_is_bit_identical(self, case):
+        """The Gram matrix counted from the adjacency lists is the product
+        it replaced, so eigvalsh gets the same input and the guard's
+        extremes are equal, not just close."""
+        if case in GUARD_CASES:
+            make_graph, k, tau_scale = GUARD_CASES[case]
+            cert = direct_certificate(make_graph(), k, tau_scale)
+        else:
+            cert = build_sdp_certificate(
+                _certify_shape_graph(int(case.split("-")[1])), 4)
+        assert sdp._eigen_extremes(cert) == reference_eigen_extremes(cert)
 
     @pytest.mark.parametrize("case", GUARD_CASES)
     def test_extremes_match_dense(self, case):
@@ -732,11 +767,14 @@ class TestCorruptedSdpCertificate:
 
     @pytest.mark.parametrize("case", ["guard", "tier", "empty"])
     def test_nu_gram_count_matches_product(self, case):
-        """nu-gram's count from the right-vertex lists against the float64
-        BLAS product of the 0/1 biadjacency, on biregular graphs, on graphs
-        with isolated vertices on both sides, and on edgeless ones."""
+        """The co-degree counts from the right-vertex lists (nu, n x n) and
+        from the left-vertex lists (the guard's Gram, s x s) against the
+        float64 products of the 0/1 biadjacency, on biregular graphs with
+        n < s and n > s, on graphs with ragged rows and isolated vertices on
+        both sides, and on edgeless ones."""
         if case == "guard":
             graphs = [make() for make, _, _ in GUARD_CASES.values()]
+            assert {g.n < g.n_right for g in graphs} == {True, False}
         elif case == "tier":
             graphs = TIER_GRAPHS
         else:
@@ -744,9 +782,11 @@ class TestCorruptedSdpCertificate:
                       for n, s in ((1, 1), (3, 2), (2, 5))]
         for g in graphs:
             b = dense_biadj(g)
-            got = sdp._common_neighbours(g)
-            assert got.dtype == np.int64 and got.shape == (g.n, g.n)
-            assert np.array_equal(got, (b @ b.T).astype(np.int64))
+            for got, want in ((sdp._co_degrees(g.adj_right, g.n), b @ b.T),
+                              (sdp._co_degrees(g.adj_left, g.n_right),
+                               b.T @ b)):
+                assert got.dtype == np.int64 and got.shape == want.shape
+                assert np.array_equal(got, want.astype(np.int64))
 
     def test_biadj_wrong_shape(self):
         cert = self.cert()
@@ -754,6 +794,28 @@ class TestCorruptedSdpCertificate:
         rep = verify_sdp_certificate(cert)
         assert not rep.passed
         assert report_row(rep, "biadj-graph").slack > 0
+
+    @pytest.mark.parametrize("field, cut", [
+        ("nu", np.s_[:, :-1]), ("nu", np.s_[:-1]), ("nu", np.s_[0]),
+        ("biadj", np.s_[0])],
+        ids=["nu-cols", "nu-rows", "nu-row", "biadj-row"])
+    def test_malformed_shape_fails_its_rows(self, field, cut):
+        """A nu or biadj of the wrong shape fails the report, and names its
+        rows, instead of raising: a nu that is not n x n counts all n rows
+        bad in rowsum-u-counts and nu-diagonal, and the eigenvalue guard
+        takes its sizes from the graph, never from biadj."""
+        cert = self.cert()
+        setattr(cert, field, getattr(cert, field)[cut])
+        rep = verify_sdp_certificate(cert)
+        assert not rep.passed
+        failing = {r.constraint_id for r in rep.failing()}
+        if field == "nu":
+            assert failing == {"rowsum-u-counts", "nu-diagonal", "nu-gram"}
+            for name in ("rowsum-u-counts", "nu-diagonal"):
+                assert report_row(rep, name).lhs == cert.n
+        else:
+            assert failing == {"biadj-graph"}
+            assert report_row(rep, "eigen-min").slack == 0.0
 
 
 # ---------------------------------------------------------------------------
