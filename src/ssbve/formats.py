@@ -13,6 +13,8 @@ but the trailing ``k`` is a size, from 0 to ``MAX_HEADER_SIZE``.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from operator import lt
 
 from .errors import FormatError
 from .graph import BipartiteGraph, Hypergraph, SsbveInstance, UndirectedGraph
@@ -66,29 +68,71 @@ def _edge_rows(body: list[str], n: int,
 
     Every line starts with ``e`` (one "\\ne" per line below), so no line's
     first field is an integer; with 3m fields, ``e`` at every third and
-    integers at the rest, each line is then exactly ``e <u> <v>``."""
+    integers at the rest, each line is then exactly ``e <u> <v>``.  With at
+    least (n + n') / 2 lines, the ids are read through tables of the
+    numerals "1".."n" and "1".."n'", so the extra memory stays O(m)."""
     m = len(body)
     joined = "\n" + "\n".join(body)
     tok = joined.split()
     if joined.count("\ne") != m or len(tok) != 3 * m \
             or tok[0::3].count("e") != m:
         return None
+    del joined
+    tabled = n + n_right <= 2 * m
+    us = _ids(tok[1::3], n, tabled)
+    vs = _ids(tok[2::3], n_right, tabled)
+    del tok  # the 3m field strings set the peak memory: free them
+    if us is None or vs is None:
+        return None
+    return _rows(us, vs, n)
+
+
+def _ids(tokens: list[str], size: int, tabled: bool) -> list[int] | None:
+    """0-based ids of the numerals, or None unless each is an integer in
+    [1, size].  A table lookup is much cheaper than ``int()``; a numeral it
+    misses (``07``, ``+2``, an id out of range) sends every numeral through
+    ``int()``, so the outcome is that of ``int()`` alone."""
+    if tabled:
+        try:
+            return list(map({str(i + 1): i for i in range(size)}.__getitem__,
+                            tokens))
+        except KeyError:
+            pass
     try:
-        us = list(map(int, tok[1::3]))
-        vs = list(map(int, tok[2::3]))
+        ids = list(map(int, tokens))
     except ValueError:
         return None
-    del joined, tok  # the 3m field strings set the peak memory: free them
-    if m and not (1 <= min(us) and max(us) <= n
-                  and 1 <= min(vs) and max(vs) <= n_right):
+    if ids and not (1 <= min(ids) and max(ids) <= size):
         return None
-    rows: list[set[int]] = [set() for _ in range(n + 1)]  # 1-based u
+    return [i - 1 for i in ids]
+
+
+def _rows(us: list[int], vs: list[int],
+          n: int) -> list[tuple[int, ...]] | None:
+    """Sorted left rows of the edges (us[t], vs[t]), or None if one repeats.
+    When the u ids are non-decreasing, as ``write_ssbve`` emits them, each
+    row is a slice of vs, kept as it is when strictly increasing; any other
+    order goes through a set per row."""
+    m = len(us)
+    if us == sorted(us):
+        rows: list[tuple[int, ...]] = [()] * n
+        lo = 0
+        while lo < m:
+            u = us[lo]
+            hi = bisect_right(us, u, lo)
+            row = tuple(vs[lo:hi])
+            if not all(map(lt, row, row[1:])):
+                break
+            rows[u] = row
+            lo = hi
+        else:
+            return rows
+    sets: list[set[int]] = [set() for _ in range(n)]
     for u, v in zip(us, vs):
-        rows[u].add(v - 1)
-    del rows[0]
-    if sum(map(len, rows)) != m:  # a duplicate edge line
+        sets[u].add(v)
+    if sum(map(len, sets)) != m:  # a duplicate edge line
         return None
-    return [tuple(sorted(r)) for r in rows]
+    return [tuple(sorted(r)) for r in sets]
 
 
 def _raise_edge_fault(body: list[str], n: int, n_right: int) -> None:

@@ -188,6 +188,7 @@ class Solution:
         chosen = tuple(sorted(set(s)))
         if not chosen:
             raise EmptySetError("solution set is empty")
+        check_left_ids(g, chosen)
         size = len(neighborhood(g, chosen))
         return cls(chosen=chosen,
                    neighborhood_size=size,
@@ -196,6 +197,14 @@ class Solution:
     def sort_key(self) -> tuple:
         """Deterministic comparison key: expansion, then |N|, then lex set."""
         return (self.expansion, self.neighborhood_size, self.chosen)
+
+
+def check_left_ids(g: BipartiteGraph, ids: Sequence[int]) -> None:
+    """Raise IndexError unless the ascending ids all lie in [0, n); a
+    negative id would otherwise alias a vertex through Python indexing."""
+    if not (ids[0] >= 0 and ids[-1] < g.n):
+        bad = ids[0] if ids[0] < 0 else ids[-1]
+        raise IndexError(f"left id {bad} out of range for n={g.n}")
 
 
 def neighborhood(g: BipartiteGraph, s: Iterable[int]) -> set[int]:

@@ -16,12 +16,15 @@ on which maximum flow was found) and never worse for the ratio.
 
 One `_Network` is built per LES solve, straight from the graph's left
 adjacency over the allowed left vertices: edges into forbidden right
-vertices are dropped.  Every Dinkelbach lambda is then an integer max flow
-on that one structure: a greedy first-fit flow, then Dinic phases (BFS
-levels, iterative blocking flow) on the implicit residual graph.  Its
-left -> right arcs need no capacity: the max flow is at most b * n_right, so
-they never bind.  A right -> left residual arc exists only on an edge that
-carries flow, so each cut keeps, per right vertex, the list of edges into it
+vertices are dropped.  It reads those rows in place, with no per-edge copy:
+edge e = start[i] + k is position k of row i, start being the prefix sums
+of the row lengths, so a cut's flow is the one per-edge list.  Every
+Dinkelbach lambda is then an integer max flow on that one structure: a
+greedy first-fit flow, then Dinic phases (BFS levels, iterative blocking
+flow) on the implicit residual graph.  Its left -> right arcs need no
+capacity: the max flow is at most b * n_right, so they never bind.  A
+right -> left residual arc exists only on an edge that carries flow, so
+each cut keeps, per right vertex, the (edge, left vertex) pairs into it
 that have carried flow, and walks back along those alone.  The first fit
 scans left vertex i's row from position i mod its degree and wraps round,
 so that the low-id right vertices do not fill first.  A phase's BFS stops
@@ -31,13 +34,13 @@ within the first few dozen of hundreds of left vertices.
 
 The maximal source side is the set of left vertices with no residual path
 to the sink, found by a reverse BFS from the sink that also yields |N(S)| as
-the count of right vertices it misses.  That search needs every edge into a
-right vertex, but only from right vertices the flow leaves with room: when
-the flow saturates every right vertex with an edge, which is how the cut at
-lambda = |N(W)|/|W| confirms that W itself is least expanding, S is all of W
-and nothing is searched.  The full reverse adjacency is built only for the
-first cut that needs it.  `maxflow.Dinic` is the reference oracle the tests
-compare this kernel with.
+the count of right vertices it misses.  That search needs every left vertex
+with an edge into a right vertex, but only from right vertices the flow
+leaves with room: when the flow saturates every right vertex with an edge,
+which is how the cut at lambda = |N(W)|/|W| confirms that W itself is least
+expanding, S is all of W and nothing is searched.  The reverse adjacency
+(left ids per right vertex) is built only for the first cut that needs it.
+`maxflow.Dinic` is the reference oracle the tests compare this kernel with.
 
 An LES result depends only on the allowed vertices' rows, in ascending
 vertex order, after dropping forbidden right vertices.  Inside `memo_scope`
@@ -53,11 +56,13 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyLeftSideError, NegativeLambdaError
+from .graph import BipartiteGraph, Solution, check_left_ids
 # Unused here; perfbench/spans.py looks it up as ssbve.les.induced_left_subgraph.
-from .graph import BipartiteGraph, Solution, induced_left_subgraph  # noqa: F401
+from .graph import induced_left_subgraph  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -84,60 +89,56 @@ def memo_scope() -> Iterator[None]:
 
 
 class _Network:
-    """The source -> left -> right -> sink network of one LES solve.
+    """The source -> left -> right -> sink network of one LES solve, read
+    in place from its rows.
 
-    Left vertex i has the right vertices rows[i] (ids below n_right); its
-    edges are ids start[i]..start[i+1]-1, and edge e runs from left vertex
-    tail[e] to right vertex head[e].  size counts the distinct heads, the
-    |N| of all the rows.  A cut walks back from a right vertex only along
-    its carrier list, the edges into it that have carried flow in that cut.
-    The reverse adjacency (every edge into each right vertex) is built only
-    when a cut's sink-side search needs it, and is then kept for the
-    network's later cuts.
+    Left vertex i has the right vertices rows[i] (ids below n_right).  Edge
+    e = start[i] + k is position k of row i, so start holds the prefix sums
+    of the row lengths and a per-edge list (the flow) is indexed by e.
+    size counts the distinct right vertices of all the rows, their |N|.  A
+    cut walks back from a right vertex only along its carrier list, the
+    (edge, left vertex) pairs into it that have carried flow in that cut.
+    The reverse adjacency (the left vertices with an edge into each right
+    vertex) is built only when a cut's sink-side search needs it, and is
+    then kept for the network's later cuts.
     """
 
-    __slots__ = ("n", "n_right", "start", "head", "tail", "size", "_into")
+    __slots__ = ("n", "n_right", "rows", "start", "size", "_into")
 
     def __init__(self, rows: Sequence[Sequence[int]], n_right: int) -> None:
-        start = [0]
-        head: list[int] = []
-        tail: list[int] = []
-        for i, row in enumerate(rows):
-            head += row
-            tail += [i] * len(row)
-            start.append(len(head))
-        self.n, self.n_right = len(rows), n_right
-        self.start, self.head, self.tail = start, head, tail
-        self.size = len(set(head))
+        self.n, self.n_right, self.rows = len(rows), n_right, rows
+        self.start = [0, *accumulate(map(len, rows))]
+        self.size = len(set(chain.from_iterable(rows)))
         self._into: list[list[int]] | None = None
 
     def cut(self, a: int, b: int) -> tuple[list[int], int]:
         """(S, |N(S)|) for the maximal minimizer S of b|N(S)| - a|S|, as
         ascending left indices."""
-        start, head = self.start, self.head
+        rows, start = self.rows, self.start
         n, n_right = self.n, self.n_right
-        flow = [0] * len(head)
+        flow = [0] * start[-1]
         supply = [a] * n       # residual source -> left
         room = [b] * n_right   # residual right -> sink
-        # carry[j] lists the edges into j that have carried flow, each added
-        # when its flow turns positive; it holds every edge with flow into j,
-        # plus stale entries whose flow has gone back to 0.
-        carry: list[list[int]] = [[] for _ in range(n_right)]
+        # carry[j] lists the (edge, left vertex) pairs into j that have
+        # carried flow, each added when its flow turns positive; it holds
+        # every edge with flow into j, plus stale entries whose flow has
+        # gone back to 0.
+        carry: list[list[tuple[int, int]]] = [[] for _ in range(n_right)]
         if a:
-            for i in range(n):
+            for i, row in enumerate(rows):
                 # Row i from position i mod its degree, wrapping round.
                 rem = a
-                lo, hi = start[i], start[i + 1]
-                deg = hi - lo
-                mid = lo + i % deg if deg else lo
+                lo, deg = start[i], len(row)
+                mid = i % deg if deg else 0
                 for k in range(mid, mid + deg):
-                    e = k if k < hi else k - deg
-                    j = head[e]
+                    if k >= deg:
+                        k -= deg
+                    j = row[k]
                     c = room[j]
                     if c:
                         d = c if c < rem else rem
-                        flow[e] = d
-                        carry[j].append(e)
+                        flow[lo + k] = d
+                        carry[j].append((lo + k, i))
                         room[j] = c - d
                         rem -= d
                         if not rem:
@@ -148,27 +149,27 @@ class _Network:
         return self._sink_side(flow, room, b)
 
     def _phase(self, flow: list[int], supply: list[int], room: list[int],
-               carry: list[list[int]]) -> bool:
+               carry: list[list[tuple[int, int]]]) -> bool:
         """One Dinic phase; False when no augmenting path is left."""
-        start, head, tail = self.start, self.head, self.tail
+        rows, start = self.rows, self.start
         n, n_right = self.n, self.n_right
         # Left vertices at depth d have level d, and so do the right vertices
         # they reach first; a right vertex at depth d leads to left d + 1.
-        # Once every head has a level, the rest of the frontier can label
-        # nothing, so its scan stops there; the levels are those of a full
-        # sweep.  If no head with room was found by then, none exists.
+        # Once every right vertex of the rows has a level, the rest of the
+        # frontier can label nothing, so its scan stops there; the levels
+        # are those of a full sweep.  If no right vertex with room was found
+        # by then, none exists.
         lvl_l = [-1] * n
         lvl_r = [-1] * n_right
         sources = [i for i in range(n) if supply[i]]
         for i in sources:
             lvl_l[i] = 0
-        todo = self.size  # heads with no level yet
+        todo = self.size  # right vertices of the rows with no level yet
         frontier, depth, found = sources, 0, False
         while frontier:
             reached = []
             for i in frontier:
-                for e in range(start[i], start[i + 1]):
-                    j = head[e]
+                for j in rows[i]:
                     if lvl_r[j] < 0:
                         lvl_r[j] = depth
                         reached.append(j)
@@ -184,40 +185,44 @@ class _Network:
             depth += 1
             frontier = []
             for j in reached:
-                for e in carry[j]:
-                    if flow[e]:
-                        i = tail[e]
-                        if lvl_l[i] < 0:
-                            lvl_l[i] = depth
-                            frontier.append(i)
+                for e, i in carry[j]:
+                    if flow[e] and lvl_l[i] < 0:
+                        lvl_l[i] = depth
+                        frontier.append(i)
         if not found:
             return False
 
-        # Blocking flow by iterative DFS with current-arc pointers.  path
-        # holds edge ids: even positions are left -> right arcs, odd ones are
-        # right -> left residual arcs (cancelling flow).  A dead end gets
-        # level -1 so that no later walk in this phase enters it.  An edge
-        # added to carry during the phase joins two vertices of equal level,
-        # so it is never admissible before the next phase.
-        ptr_l = start[:-1]
+        # Blocking flow by iterative DFS with current-arc pointers (a row
+        # position per left vertex, a carrier-list position per right one).
+        # path holds edge ids and trail the vertex each one leaves: even
+        # positions are left -> right arcs, odd ones are right -> left
+        # residual arcs (cancelling flow).  A dead end gets level -1 so that
+        # no later walk in this phase enters it.  An edge added to carry
+        # during the phase joins two vertices of equal level, so it is never
+        # admissible before the next phase.
+        ptr_l = [0] * n
         ptr_r = [0] * n_right
         for i0 in sources:
             path: list[int] = []
+            trail: list[int] = []
             node, at_left = i0, True
             while True:
                 if at_left:
-                    e, end, want = ptr_l[node], start[node + 1], lvl_l[node]
-                    while e < end and lvl_r[head[e]] != want:
-                        e += 1
-                    ptr_l[node] = e
-                    if e < end:
-                        path.append(e)
-                        node, at_left = head[e], False
+                    row, k, want = rows[node], ptr_l[node], lvl_l[node]
+                    end = len(row)
+                    while k < end and lvl_r[row[k]] != want:
+                        k += 1
+                    ptr_l[node] = k
+                    if k < end:
+                        path.append(start[node] + k)
+                        trail.append(node)
+                        node, at_left = row[k], False
                         continue
                     lvl_l[node] = -1
                     if not path:
                         break
-                    node, at_left = head[path.pop()], False
+                    path.pop()
+                    node, at_left = trail.pop(), False
                     ptr_r[node] += 1
                     continue
                 if room[node]:
@@ -228,9 +233,12 @@ class _Network:
                     for e in back:
                         if flow[e] < d:
                             d = flow[e]
-                    for e in path[0::2]:
+                    # Left -> right arc 2t leaves trail[2t] for trail[2t + 1],
+                    # and the last one enters node.
+                    for e, i, j in zip(path[0::2], trail[0::2],
+                                       trail[1::2] + [node]):
                         if not flow[e]:
-                            carry[head[e]].append(e)
+                            carry[j].append((e, i))
                         flow[e] += d
                     for e in back:
                         flow[e] -= d
@@ -238,21 +246,25 @@ class _Network:
                     supply[i0] -= d
                     if not supply[i0]:
                         break
-                    path = []
+                    path, trail = [], []
                     node, at_left = i0, True
                     continue
                 arcs, k, want = carry[node], ptr_r[node], lvl_r[node] + 1
                 m = len(arcs)
-                while k < m and not (flow[arcs[k]]
-                                     and lvl_l[tail[arcs[k]]] == want):
+                while k < m:
+                    e, i = arcs[k]
+                    if flow[e] and lvl_l[i] == want:
+                        break
                     k += 1
                 ptr_r[node] = k
                 if k < m:
-                    path.append(arcs[k])
-                    node, at_left = tail[arcs[k]], True
+                    path.append(e)
+                    trail.append(node)
+                    node, at_left = i, True
                     continue
                 lvl_r[node] = -1
-                node, at_left = tail[path.pop()], True
+                path.pop()
+                node, at_left = trail.pop(), True
                 ptr_l[node] += 1
         return True
 
@@ -261,30 +273,31 @@ class _Network:
         """Reverse BFS from the sink over residual arcs.  Unreached left
         vertices form the maximal source side S; a right vertex is unreached
         exactly when it is in N(S), since it is then saturated by flow from S.
-        When the flow saturates every head (a right vertex with no edge keeps
-        its room b), the search reaches no left vertex, so S is every row."""
+        When the flow saturates every right vertex of the rows (one with no
+        edge keeps its room b), the search reaches no left vertex, so S is
+        every row."""
         n, n_right, size = self.n, self.n_right, self.size
         if sum(room) == b * (n_right - size):
             return list(range(n)), size
-        start, head, tail, into = self.start, self.head, self.tail, self._into
+        rows, start, into = self.rows, self.start, self._into
         if into is None:
             into = self._into = [[] for _ in range(n_right)]
-            for e, v in enumerate(head):
-                into[v].append(e)
+            for i, row in enumerate(rows):
+                for j in row:
+                    into[j].append(i)
         seen_l = bytearray(n)
         seen_r = bytearray(n_right)
         queue = [j for j, c in enumerate(room) if c]
         for j in queue:
             seen_r[j] = 1
         for j in queue:
-            for e in into[j]:
-                i = tail[e]
+            for i in into[j]:
                 if not seen_l[i]:
                     seen_l[i] = 1
-                    for f in range(start[i], start[i + 1]):
-                        if flow[f] and not seen_r[head[f]]:
-                            seen_r[head[f]] = 1
-                            queue.append(head[f])
+                    for f, v in zip(flow[start[i]:start[i + 1]], rows[i]):
+                        if f and not seen_r[v]:
+                            seen_r[v] = 1
+                            queue.append(v)
         chosen = [i for i in range(n) if not seen_l[i]]
         return chosen, n_right - len(queue)
 
@@ -305,11 +318,10 @@ def _dinkelbach(rows: Sequence[Sequence[int]], n_right: int
     """Least expanding set of the left vertices with the given rows: its
     ascending row positions, |N| and expansion, plus the (strictly
     decreasing) lambda sequence."""
-    net = _Network(rows, n_right)
-    isolated = tuple(i for i in range(len(rows))
-                     if net.start[i] == net.start[i + 1])
-    if isolated:
+    if not all(rows):
+        isolated = tuple(i for i, row in enumerate(rows) if not row)
         return isolated, 0, Fraction(0), [Fraction(0)]
+    net = _Network(rows, n_right)
     current, size = range(len(rows)), net.size
     lam = Fraction(size, len(current))
     trace = [lam]
@@ -363,4 +375,5 @@ def least_expanding_subset(
     allowed = tuple(sorted(set(allowed)))
     if not allowed:
         raise EmptyLeftSideError("allowed left set is empty")
+    check_left_ids(g, allowed)
     return _solve(g, allowed, frozenset(forbidden_right))

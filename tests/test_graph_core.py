@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from ssbve.errors import (CliqueTooSmallError, EmptySetError, FormatError,
                           InvalidBudgetError, SsbveError)
 from ssbve.exact import exact_ssbve
-from ssbve.formats import (MAX_HEADER_SIZE, parse_mku, parse_ssbve,
-                           parse_ssve, write_mku, write_ssbve, write_ssve)
+from ssbve.formats import (MAX_HEADER_SIZE, _edge_rows, parse_mku,
+                           parse_ssbve, parse_ssve, write_mku, write_ssbve,
+                           write_ssve)
 from ssbve.generators import PlantedSpec, gen_planted, gen_random_bipartite
-from ssbve.graph import (BipartiteGraph, Hypergraph, SsbveInstance,
+from ssbve.graph import (BipartiteGraph, Hypergraph, Solution, SsbveInstance,
                          UndirectedGraph, expansion, induced_left_subgraph,
                          mku_to_ssbve, neighborhood, ssbve_to_mku,
                          ssbve_to_ssveu, ssveu_to_ssbve, _mask)
@@ -62,6 +63,20 @@ class TestExpansion:
     def test_empty_raises(self, tiny_star):
         with pytest.raises(EmptySetError):
             expansion(tiny_star, [])
+
+
+class TestSolutionFromSet:
+    @pytest.mark.parametrize("ids", [[-1], [0, -3], [3], [1, 3]])
+    def test_ids_outside_the_left_side_rejected(self, ids):
+        # -1 and -3 would read vertices 2 and 0 through negative indexing.
+        g = BipartiteGraph.from_edges(3, 2, [(0, 0), (1, 0), (2, 1)])
+        with pytest.raises(IndexError, match="out of range"):
+            Solution.from_set(g, ids)
+
+    def test_valid_set_unchanged(self):
+        g = BipartiteGraph.from_edges(3, 2, [(0, 0), (1, 0), (2, 1)])
+        assert Solution.from_set(g, [2, 0, 2]) == Solution(
+            chosen=(0, 2), neighborhood_size=2, expansion=Fraction(1))
 
 
 def reference_mask(indices) -> int:
@@ -509,6 +524,72 @@ class TestSsbveParserFullSize:
             stream(seed, 0x7368).shuffle(edges)
             text = "\n".join([header] + edges) + "\n"
             assert parse_ssbve(text) == reference_parse_ssbve(text) == inst
+
+    @staticmethod
+    def _row_lines(lines: list[str]) -> list[int]:
+        """Indices of the edge lines of the first left vertex with three or
+        more edges, in text order."""
+        by_u: dict[str, list[int]] = {}
+        for t, line in enumerate(lines):
+            if line.startswith("e "):
+                by_u.setdefault(line.split()[1], []).append(t)
+        return next(ts for ts in by_u.values() if len(ts) >= 3)
+
+    def test_duplicate_inside_its_sorted_row(self, planted_texts):
+        lines = planted_texts[0].splitlines()
+        t = self._row_lines(lines)[1]
+        lines.insert(t + 1, lines[t])
+        text = "\n".join(lines) + "\n"
+        want = _outcome(reference_parse_ssbve, text)
+        assert want[1].startswith("duplicate edge line")
+        assert _outcome(parse_ssbve, text) == want
+
+    def test_edges_swapped_within_a_row(self, planted_texts):
+        lines = planted_texts[0].splitlines()
+        t, t2 = self._row_lines(lines)[:2]
+        lines[t], lines[t2] = lines[t2], lines[t]
+        text = "\n".join(lines) + "\n"
+        got = parse_ssbve(text)
+        assert got == reference_parse_ssbve(text) == parse_ssbve(
+            planted_texts[0])
+
+    @pytest.mark.parametrize("u_field, want_ok", [
+        ("07", True), ("+2", True), ("\u0661", True), ("4097", False)])
+    def test_numerals_off_the_table(self, planted_texts, u_field, want_ok):
+        # A leading zero, a sign, an Arabic-Indic digit one and an id above
+        # n in the middle of a u-sorted text: int() reads each as the
+        # reference parser does.
+        lines = planted_texts[1].splitlines()
+        t = len(lines) // 2
+        if want_ok:  # a line whose u is the numeral's value
+            target = str(int(u_field))
+            t = next(t for t, line in enumerate(lines)
+                     if line.split()[1:2] == [target])
+        _, _, v = lines[t].split()
+        lines[t] = f"e {u_field} {v}"
+        text = "\n".join(lines) + "\n"
+        want = _outcome(reference_parse_ssbve, text)
+        assert isinstance(want, SsbveInstance) == want_ok
+        assert _outcome(parse_ssbve, text) == want
+        if want_ok:
+            assert want == parse_ssbve(planted_texts[1])
+
+    def test_huge_sparse_header_builds_no_id_table(self):
+        # One edge line under a 2^20 x 2^20 header reads its ids with
+        # int(): a table of 2^20 numerals would take over 100 MB, where the
+        # 2^20 empty rows take 8 MB.
+        text = f"p ssbve {MAX_HEADER_SIZE} {MAX_HEADER_SIZE} 1\ne 2 3\n"
+        g = parse_ssbve(text).graph
+        assert g.adj_left[1] == (2,) and g.adj_right[2] == (1,)
+        assert g.num_edges() == 1
+        tracemalloc.start()
+        try:
+            rows = _edge_rows(["e 2 3"], MAX_HEADER_SIZE, MAX_HEADER_SIZE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows[1] == (2,) and len(rows) == MAX_HEADER_SIZE
+        assert peak < 16 << 20
 
     @pytest.mark.parametrize("last", [
         "e 1 2 e", "e 1", "e", "e 1 x", "e 4097 1", "e 1 65", "e 0 1",

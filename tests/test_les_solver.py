@@ -8,8 +8,8 @@ import pytest
 from ssbve.errors import EmptyLeftSideError, NegativeLambdaError
 from ssbve.exact import exact_les
 from ssbve.generators import PlantedSpec, gen_planted
-from ssbve.graph import (BipartiteGraph, expansion, induced_left_subgraph,
-                         neighborhood)
+from ssbve.graph import (BipartiteGraph, Solution, expansion,
+                         induced_left_subgraph, neighborhood)
 from ssbve import les
 from ssbve.les import (_dinkelbach, _Network, least_expanding_set,
                        least_expanding_subset, memo_scope, min_cut_select)
@@ -191,9 +191,10 @@ class TestKernelMatchesDinic:
         assert 0 < confirmed < g.n_right
 
     def test_phase_stops_once_every_head_has_a_level(self, monkeypatch):
-        # On a confirming planted cut every head gets a level within the
-        # first few left vertices; the BFS stops there instead of sweeping
-        # every edge, so a phase reads fewer heads than the network has.
+        # On a confirming planted cut every right vertex gets a level within
+        # the first few left vertices; the BFS stops there instead of
+        # sweeping every edge, so a phase reads fewer row entries than the
+        # network has edges.
         class Counting(list):
             reads = 0
 
@@ -201,16 +202,21 @@ class TestKernelMatchesDinic:
                 Counting.reads += 1
                 return list.__getitem__(self, k)
 
+            def __iter__(self):
+                for j in list.__iter__(self):
+                    Counting.reads += 1
+                    yield j
+
         phase = _Network._phase
         reads: list[int] = []
 
         def counted(net, *state):
-            plain, net.head = net.head, Counting(net.head)
+            plain, net.rows = net.rows, [Counting(row) for row in net.rows]
             Counting.reads = 0
             try:
                 return phase(net, *state)
             finally:
-                net.head = plain
+                net.rows = plain
                 reads.append(Counting.reads)
 
         monkeypatch.setattr(_Network, "_phase", counted)
@@ -222,7 +228,7 @@ class TestKernelMatchesDinic:
         lam = Fraction(net.size, len(w))
         got = net.cut(lam.numerator, lam.denominator)
         assert got == (list(range(len(w))), net.size)
-        assert reads and all(r < len(net.head) for r in reads)
+        assert reads and all(r < net.start[-1] for r in reads)
 
     def test_reverse_adjacency_only_when_the_cut_drops_vertices(self):
         # A confirming cut (every head saturated) builds no reverse
@@ -235,7 +241,7 @@ class TestKernelMatchesDinic:
         assert net._into is None
         assert net.cut(1, 3) == ([], 0)
         into = net._into
-        assert into == [[0, 2], [1, 3]]
+        assert into == [[0, 2], [1, 2]]  # left ids
         assert net.cut(0, 1) == ([], 0)
         assert net._into is into
 
@@ -392,6 +398,20 @@ class TestLeastExpandingSubset:
         inner_g, _ = induced_left_subgraph(g, allowed)
         inner = least_expanding_set(inner_g)
         assert sub.expansion == inner.expansion
+
+    @pytest.mark.parametrize("allowed", [[-3, 0], [-1], [0, 3], [3]])
+    def test_ids_outside_the_left_side_rejected(self, allowed):
+        # -3 and -1 would read vertices 0 and 2 through negative indexing.
+        g = BipartiteGraph.from_edges(3, 2, [(0, 0), (1, 0), (2, 1)])
+        with pytest.raises(IndexError, match="out of range"):
+            least_expanding_subset(g, allowed)
+
+    def test_valid_ids_unchanged(self):
+        g = BipartiteGraph.from_edges(3, 2, [(0, 0), (1, 0), (2, 1)])
+        assert least_expanding_subset(g, [2, 1, 0]) == Solution(
+            chosen=(0, 1), neighborhood_size=1, expansion=Fraction(1, 2))
+        assert least_expanding_subset(g, [2]) == Solution(
+            chosen=(2,), neighborhood_size=1, expansion=Fraction(1))
 
     def test_everything_masked(self):
         g = random_bipartite(78, 6, 4)
