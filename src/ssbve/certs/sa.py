@@ -190,11 +190,9 @@ def _steiner_dp(view: _View, terminals: tuple[int, ...]) -> int:
     return best
 
 
-def cover_cost(g: BipartiteGraph, subset, view: _View | None = None) -> int:
+def cover_cost(g: BipartiteGraph, subset) -> int:
     """Minimum cover cost of a global-id vertex subset (see module docs)."""
-    if view is None:
-        view = _View(g)
-    return _cover_cost(view, frozenset(subset))
+    return _cover_cost(_View(g), frozenset(subset))
 
 
 def _cover_cost(view: _View, subset: frozenset[int]) -> int:

@@ -2,8 +2,8 @@
 instances, with exact rational verification plus a redundant numeric
 eigenvalue cross-check.
 
-The certificate matrix X = [[A, C], [C^T, B]] has entries determined by a
-handful of rational classes:
+The certificate is the graph and a handful of rational constants.  The
+matrix X = [[A, C], [C^T, B]] they describe has entries in a few classes:
 
     A diagonal      k/n
     A off-diagonal  mu * nu(u1,u2) + eta        (nu = common neighbors)
@@ -14,12 +14,15 @@ and is proved positive semidefinite by an explicit decomposition
 X = Y + Z + sum over right vertices v of X^(v), each part passing a 2x2
 minor condition.  All identities are checked in exact arithmetic; the
 eigenvalue route, computed from the small invariant blocks of X, is a guard
-against implementation mistakes.
+against implementation mistakes.  With M the n x s 0/1 biadjacency of the
+graph, nu = M M^T; no matrix is stored, and the rows that need nu read it
+from the degrees.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -148,8 +151,6 @@ class SdpCertificate:
     sdp_alpha: Fraction
     tau: Fraction
     graph: BipartiteGraph
-    biadj: np.ndarray  # 0/1 biadjacency, n x s float64
-    nu: np.ndarray  # common-neighbor counts, n x n int64
 
     # Entry classes (exact)
     a_diag: Fraction = field(init=False)
@@ -204,33 +205,20 @@ def build_sdp_certificate(g: BipartiteGraph, k: int) -> SdpCertificate:
         raise ParameterRegimeError(f"need tau < 1/8, got tau={float(tau):.4g}")
     if not 2 * alpha * k * s <= d_l * n:
         raise ParameterRegimeError("need 2*alpha*k*s <= d_l*n")
-    # Counted from the right-vertex lists only after the regime checks,
-    # which bound the pair list (see _co_degrees).
     return SdpCertificate(k=k, d_l=d_l, d_r=d_r, sdp_alpha=alpha, tau=tau,
-                          graph=g, biadj=_biadjacency(g),
-                          nu=_co_degrees(g.adj_right, n))
-
-
-def _biadjacency(g: BipartiteGraph) -> np.ndarray:
-    """The 0/1 n x s biadjacency matrix of g, as float64."""
-    b = np.zeros((g.n, g.n_right))
-    b[np.repeat(np.arange(g.n), [len(nbrs) for nbrs in g.adj_left]),
-      np.fromiter(chain.from_iterable(g.adj_left), np.intp)] = 1.0
-    return b
+                          graph=g)
 
 
 def _co_degrees(lists, size: int) -> np.ndarray:
     """The size x size int64 co-degree counts of lists of ids in
     range(size): entry (a, b) is the number of lists that hold both a and b,
-    so (a, a) is the number of lists that hold a.  From the right-vertex
-    lists of g this is its common-neighbour matrix B B^T (n x n); from the
-    left-vertex lists, the Gram matrix B^T B (s x s).
+    so (a, a) is the number of lists that hold a.  With M the 0/1
+    biadjacency of g, this is M M^T (n x n) from its right-vertex lists and
+    M^T M (s x s) from its left-vertex lists.
 
     The lists are grouped by length, each group is one array, and its
     ordered pairs (a, b) go through a single bincount.  The pair list has
-    sum(len(l)**2) entries.  For nu in build_sdp_certificate, whose regime
-    checks give tau >= 4 d_l^2 / s and tau < 1/8, so d_l^2 < s/32, that is
-    s d_r^2 = n^2 d_l^2 / s < n^2 / 32 entries: under the n x n result."""
+    sum(len(l)**2) entries."""
     lengths = np.fromiter(map(len, lists), np.intp)
     flat = np.fromiter(chain.from_iterable(lists), np.int64)
     starts = np.cumsum(lengths) - lengths
@@ -242,30 +230,22 @@ def _co_degrees(lists, size: int) -> np.ndarray:
                        minlength=size * size).reshape(size, size)
 
 
-def _mismatches(got: np.ndarray, want: np.ndarray) -> int:
-    """Entries where two matrices differ; every entry if their shapes do."""
-    if got.shape != want.shape:
-        return max(got.size, want.size)
-    return int(np.count_nonzero(got != want))
-
-
 def _eigen_extremes(cert: SdpCertificate) -> tuple[float, float]:
     """Minimum eigenvalue and spectral norm of X, from its invariant blocks.
 
-    With B the 0/1 biadjacency, X = [[mu BB^T + eta J + zeta I,
-    c_n J + (c_e - c_n) B], [., (tau/2)(J + I)]].  For a biregular B, each
-    singular value sigma of B off the all-ones pair gives the 2x2 block
+    With M the 0/1 biadjacency, X = [[mu MM^T + eta J + zeta I,
+    c_n J + (c_e - c_n) M], [., (tau/2)(J + I)]].  For a biregular M, each
+    singular value sigma of M off the all-ones pair gives the 2x2 block
     [[mu sigma^2 + zeta, (c_e - c_n) sigma], [., tau/2]], the all-ones pair
     gives one more, and the rest of the larger side has eigenvalue zeta
     (left) or tau/2 (right).
 
-    The Gram matrix is counted from the graph's adjacency lists, which
-    biadj-graph ties to biadj, and n and s are the graph's, so a malformed
-    biadj fails its row and never reaches this guard.  When s <= n it is
-    B^T B from the left-vertex lists, whose pair list has n d_l^2 entries:
-    under n s / 32 (a thirty-second of biadj) in build's regime, where
-    d_l^2 < s/32.  When s > n it is B B^T from the right-vertex lists, the
-    count nu is built from, under n^2 / 32 entries there.
+    The Gram matrix is counted from the graph's adjacency lists, and n and
+    s are the graph's.  Build's regime checks give tau >= 4 d_l^2 / s and
+    tau < 1/8, so d_l^2 < s/32.  When s <= n the Gram matrix is M^T M from
+    the left-vertex lists, whose pair list has n d_l^2 < n s / 32 entries.
+    When s > n it is M M^T from the right-vertex lists, with
+    s d_r^2 = n^2 d_l^2 / s < n^2 / 32 entries.
     """
     g = cert.graph
     n, s = cert.n, cert.s
@@ -309,23 +289,22 @@ def verify_sdp_certificate(cert: SdpCertificate,
                   cert.c_edge, cert.a_diag)
 
     # Row-sum identities realizing <w, v0> = |w|^2 for v0 = (1/k) sum u.
-    # A nu that is not n x n fails here and in nu-diagonal on all n rows.
-    nu_square = cert.nu.shape == (n, n)
+    # nu = M M^T, so row u of nu off its diagonal sums deg(v) - 1 over the
+    # neighbours v of u.
+    deg_r = [len(nbrs) for nbrs in cert.graph.adj_right]
     expected = d_l * (d_r - 1)
-    bad_rows = n
-    if nu_square:
-        nu_rowsum = cert.nu.sum(axis=1) - cert.nu.diagonal()
-        bad_rows = int(np.count_nonzero(nu_rowsum != expected))
-    rep.add("rowsum-u-counts", bad_rows, 0, bad_rows)
-    row_u = Fraction(1, k) * (cert.a_diag + eta * (n - 1) + mu * expected)
+    bad = sum(1 for nbrs in cert.graph.adj_left
+              if sum(deg_r[v] for v in nbrs) - len(nbrs) != expected)
+    rep.add("rowsum-u-counts", bad, 0, bad)
+    row_u = _ratio(cert.a_diag + eta * (n - 1) + mu * expected, k)
     rep.add_exact("rowsum-u-identity", row_u == cert.a_diag,
                   row_u, cert.a_diag)
-    deg_bad = sum(1 for v in range(s) if cert.graph.degree_right(v) != d_r)
+    deg_bad = sum(1 for d in deg_r if d != d_r)
     rep.add("rowsum-v-degrees", deg_bad, 0, deg_bad)
-    row_v = Fraction(1, k) * (d_r * cert.c_edge + (n - d_r) * cert.c_nonedge)
+    row_v = _ratio(d_r * cert.c_edge + (n - d_r) * cert.c_nonedge, k)
     rep.add_exact("rowsum-v-identity", row_v == tau, row_v, tau)
 
-    v0_norm = Fraction(1, k * k) * n * (k * cert.a_diag)
+    v0_norm = _ratio(n * (k * cert.a_diag), k * k)
     rep.add_exact("v0-norm", v0_norm == 1, v0_norm, 1)
 
     nonneg = {
@@ -347,18 +326,12 @@ def verify_sdp_certificate(cert: SdpCertificate,
     u_diag = mu * d_l + eta + cert.zeta
     rep.add_exact("decomp-u-diagonal", u_diag == cert.a_diag,
                   u_diag, cert.a_diag)
-    # The per-pair nu counts in sum_v X^(v) are the common-neighbor counts
-    # of the graph: biadj is its 0/1 matrix and nu its B B^T, recounted
-    # here from the graph itself (so nu-gram also fails any asymmetric nu).
-    # These rows and the degree rows also make the eigenvalue guard's
-    # blocks those of the X checked here.
-    bad = (int(np.count_nonzero(cert.nu.diagonal() != d_l)) if nu_square
-           else n)
+    # The per-pair nu counts in sum_v X^(v) are the graph's common-neighbour
+    # counts, so the diagonal of nu is the left degrees.  These rows and the
+    # degree rows also make the eigenvalue guard's blocks those of the X
+    # checked here.
+    bad = sum(1 for nbrs in cert.graph.adj_left if len(nbrs) != d_l)
     rep.add_exact("nu-diagonal", bad == 0, bad, 0)
-    bad = _mismatches(cert.biadj, _biadjacency(cert.graph))
-    rep.add("biadj-graph", bad, 0, bad)
-    bad = _mismatches(cert.nu, _co_degrees(cert.graph.adj_right, n))
-    rep.add("nu-gram", bad, 0, bad)
 
     # 2x2 minor witnesses.
     det_m1 = mu * (tau / 2) - x_uv_edge * x_uv_edge
@@ -383,6 +356,13 @@ def verify_sdp_certificate(cert: SdpCertificate,
                    "alpha": float(alpha), "tau": float(tau)},
         "objective": float(cert.objective),
         "combinatorial_lb": min(k, s) / 2,
-        "gap_ratio": (min(k, s) / 2) / float(cert.objective),
+        "gap_ratio": ((min(k, s) / 2) / float(cert.objective)
+                      if cert.objective else math.inf),
     }
     return rep
+
+
+def _ratio(num, den) -> Fraction | float:
+    """num / den exactly, or inf when den is 0 (a certificate edited to
+    k = 0), so that the row fails instead of raising."""
+    return Fraction(num) / den if den else math.inf

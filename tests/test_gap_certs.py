@@ -1,11 +1,13 @@
 """Certificate builders/verifiers, cover costs, instance properties, and the
 gap-exponent calculator."""
 
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -359,6 +361,8 @@ class TestSdpCertificate:
         ce, cn = cert.c_edge, cert.c_nonedge
         total = n + s
         adj = {(u, n + v) for u, v in cert.graph.edges()}
+        b = dense_biadj(cert.graph)
+        nu = (b @ b.T).astype(np.int64)
 
         def x_entry(w1, w2):
             if w1 > w2:
@@ -366,7 +370,7 @@ class TestSdpCertificate:
             if w2 < n:
                 if w1 == w2:
                     return cert.a_diag
-                return mu * int(cert.nu[w1, w2]) + eta
+                return mu * int(nu[w1, w2]) + eta
             if w1 >= n:
                 return tau if w1 == w2 else tau / 2
             return ce if (w1, w2) in adj else cn
@@ -377,8 +381,7 @@ class TestSdpCertificate:
             val = Fraction(0)
             # sum over right vertices v of X^(v)
             if w2 < n:
-                val += mu * int(cert.nu[w1, w2]) if w1 != w2 else mu * int(
-                    cert.nu[w1, w1])
+                val += mu * int(nu[w1, w2])
             elif w1 < n <= w2:
                 if (w1, w2) in adj:
                     val += cert.a_diag - cn
@@ -406,24 +409,6 @@ class TestSdpCertificate:
         cert = build_sdp_certificate(g, SMALL["k"])
         rep = verify_sdp_certificate(cert)
         assert rep.passed, rep.failing()
-
-    @pytest.mark.parametrize("which", range(6))
-    def test_nu_matches_int64_product(self, which):
-        if which < 2:
-            spec = (VALID, SMALL)[which]
-            g = circulant_biregular(spec["n"], spec["s"], spec["d_l"])
-            k = spec["k"]
-        else:
-            g = biregularize(cap_degrees(
-                gen_gap_instance(400, 160, 1.5, 2200 + which), 2, 5), 2, 5)
-            k = 4
-        cert = build_sdp_certificate(g, k)
-        b = np.zeros((g.n, g.n_right), dtype=np.int64)
-        for u, v in g.edges():
-            b[u, v] = 1
-        assert cert.nu.dtype == np.int64
-        assert np.array_equal(cert.nu, b @ b.T)
-        assert np.array_equal(cert.biadj, b)
 
     def test_psd_m1_diagonal_values(self):
         g = circulant_biregular(VALID["n"], VALID["s"], VALID["d_l"])
@@ -477,8 +462,8 @@ class TestReportRows:
 # certificate's classes, and its full spectrum from LAPACK.
 
 def a_mat(cert) -> np.ndarray:
-    a = (float(cert.a_off_coeff) * cert.nu.astype(np.float64)
-         + float(cert.a_off_const))
+    b = dense_biadj(cert.graph)
+    a = float(cert.a_off_coeff) * (b @ b.T) + float(cert.a_off_const)
     np.fill_diagonal(a, float(cert.a_diag))
     return a
 
@@ -491,7 +476,7 @@ def b_mat(cert) -> np.ndarray:
 
 def c_mat(cert) -> np.ndarray:
     ce, cn = float(cert.c_edge), float(cert.c_nonedge)
-    return cn + (ce - cn) * cert.biadj
+    return cn + (ce - cn) * dense_biadj(cert.graph)
 
 
 def x_dense(cert) -> np.ndarray:
@@ -533,9 +518,8 @@ def direct_certificate(g: BipartiteGraph, k: int,
     d_l, d_r = g.degree_left(0), g.degree_right(0)
     alpha = Fraction(1, 2) * min(Fraction(d_l * n, k * s), Fraction(1))
     tau = tau_scale * 2 * Fraction(d_l * d_l) / (alpha * s)
-    b = dense_biadj(g)
     return SdpCertificate(k=k, d_l=d_l, d_r=d_r, sdp_alpha=alpha, tau=tau,
-                          graph=g, biadj=b, nu=(b @ b.T).astype(np.int64))
+                          graph=g)
 
 
 def _certify_shape_graph(seed: int) -> BipartiteGraph:
@@ -585,8 +569,8 @@ GUARD_CASES = {
 
 def reference_eigen_extremes(cert) -> tuple[float, float]:
     """The guard's formula with its Gram matrix taken as the float64 product
-    of cert.biadj (B^T B when s <= n, else B B^T)."""
-    b = cert.biadj
+    of the graph's 0/1 biadjacency M (M^T M when s <= n, else M M^T)."""
+    b = dense_biadj(cert.graph)
     n, s = b.shape
     mu, eta, zeta, ce, cn, half_tau = (float(x) for x in (
         cert.a_off_coeff, cert.a_off_const, cert.zeta, cert.c_edge,
@@ -667,23 +651,12 @@ class TestCorruptedSdpCertificate:
         cert = self.cert()
         rep = verify_sdp_certificate(cert)
         assert rep.passed
-        assert report_row(rep, "biadj-graph").lhs == 0.0
-        assert report_row(rep, "nu-gram").lhs == 0.0
+        assert rep.as_dict()["num_checks"] == len(rep.checks) == 22
         row = report_row(rep, "decomp-u-diagonal")
         assert row.lhs == row.rhs == float(cert.a_diag)
-        row = report_row(rep, "nu-diagonal")
-        assert (row.lhs, row.rhs) == (0.0, 0.0)
-
-    def test_nu_diagonal_counts_entries(self):
-        """Two diagonal entries off d_l: nu-diagonal counts them (its slack
-        stays 1), and nu-gram sees the same entries."""
-        cert = self.cert()
-        cert.nu[0, 0] += 1
-        cert.nu[3, 3] -= 1
-        rep = verify_sdp_certificate(cert)
-        row = report_row(rep, "nu-diagonal")
-        assert (row.lhs, row.rhs, row.slack) == (2.0, 0.0, 1.0)
-        assert report_row(rep, "nu-gram").lhs == 2.0
+        for name in ("nu-diagonal", "rowsum-u-counts", "rowsum-v-degrees"):
+            row = report_row(rep, name)
+            assert (row.lhs, row.rhs, row.slack) == (0.0, 0.0, 0.0)
 
     def test_decomp_u_diagonal_values(self):
         """A zeta that breaks mu*d_l + eta + zeta = a_diag shows both sides."""
@@ -695,75 +668,61 @@ class TestCorruptedSdpCertificate:
                                 + cert.a_off_const + cert.zeta)
         assert row.rhs == float(cert.a_diag) and row.slack == 1.0
 
-    def test_nu_entry_off_by_one(self):
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_moved_edge_fails_its_rows(self, side):
+        """cert.graph swapped for a copy with the edge (0, v) moved to another
+        left vertex, or to another right vertex: the report fails without
+        raising, and the degree rows count what the dense nu = M M^T of the
+        new graph gives."""
         cert = self.cert()
-        cert.nu[0, 5] += 1
+        g = cert.graph
+        v = g.adj_left[0][0]
+        if side == "left":
+            moved = (next(u for u in range(1, g.n)
+                          if v not in g.adj_left[u]), v)
+        else:
+            moved = (0, next(w for w in range(g.n_right)
+                             if w not in g.adj_left[0]))
+        cert.graph = BipartiteGraph.from_edges(
+            g.n, g.n_right, [e for e in g.edges() if e != (0, v)] + [moved])
         rep = verify_sdp_certificate(cert)
         assert not rep.passed
-        row = report_row(rep, "nu-gram")
-        assert row.lhs == 1.0 and row.slack > 0
+        b = dense_biadj(cert.graph)
+        nu = (b @ b.T).astype(np.int64)
+        want = {
+            "nu-diagonal": np.count_nonzero(nu.diagonal() != cert.d_l),
+            "rowsum-u-counts": np.count_nonzero(
+                nu.sum(axis=1) - nu.diagonal() != cert.d_l * (cert.d_r - 1)),
+            "rowsum-v-degrees": np.count_nonzero(b.sum(axis=0) != cert.d_r),
+        }
+        assert want["nu-diagonal" if side == "left"
+                    else "rowsum-v-degrees"] == 2
+        assert want["rowsum-u-counts"] > 0
+        for name, count in want.items():
+            row = report_row(rep, name)
+            assert row.lhs == count and (row.slack > 0) == (count > 0)
 
-    def test_nu_switch_only_nu_gram_catches(self):
-        """+1/-1 on a 2x2 pattern (and its mirror) keeps nu symmetric, its
-        diagonal and its row sums: only nu-gram sees it."""
+    @pytest.mark.parametrize("name", ["k", "tau"])
+    def test_constant_edited_to_zero_fails(self, name):
+        """k or tau set to 0 on a built certificate fails rows instead of
+        dividing by zero: the identities divided by k read inf, and a zero
+        objective gives gap_ratio inf, as in the SA report."""
         cert = self.cert()
-        for (a, b), delta in (((0, 2), 1), ((0, 3), -1),
-                              ((1, 2), -1), ((1, 3), 1)):
-            cert.nu[a, b] += delta
-            cert.nu[b, a] += delta
-        rep = verify_sdp_certificate(cert)
-        assert {r.constraint_id for r in rep.failing()} == {"nu-gram"}
-        assert report_row(rep, "nu-gram").lhs == 8.0
-
-    def test_asymmetric_nu_fails_nu_gram(self):
-        """nu[0, 2] up and nu[0, 3] down by one: asymmetric, with the same
-        diagonal and row sums, so nu-gram is the row that catches it."""
-        cert = self.cert()
-        cert.nu[0, 2] += 1
-        cert.nu[0, 3] -= 1
-        assert not (cert.nu == cert.nu.T).all()
-        rep = verify_sdp_certificate(cert)
-        assert {r.constraint_id for r in rep.failing()} == {"nu-gram"}
-        assert report_row(rep, "nu-gram").lhs == 2.0
-        assert all(r.constraint_id != "nu-symmetric" for r in rep.checks)
-
-    @staticmethod
-    def flip_biadj(cert, present):
-        """Flip biadj[0, v] for a neighbour v of left 0 (an edge removed) or
-        a non-neighbour (an edge added); return v."""
-        u = 0
-        v = cert.graph.adj_left[u][0] if present else next(
-            v for v in range(cert.s) if v not in cert.graph.adj_left[u])
-        cert.biadj[u, v] = 1.0 - cert.biadj[u, v]
-        return v
-
-    @pytest.mark.parametrize("present", [True, False])
-    def test_flipped_biadj_entry(self, present):
-        """One biadj entry flipped and nu recomputed from the flipped
-        matrix: both fail, since nu-gram counts from the graph itself."""
-        cert = self.cert()
-        v = self.flip_biadj(cert, present)
-        cert.nu = (cert.biadj @ cert.biadj.T).astype(np.int64)
-        rep = verify_sdp_certificate(cert)  # biadj is not biregular now
-        assert not rep.passed
-        row = report_row(rep, "biadj-graph")
-        assert row.lhs == 1.0 and row.slack > 0
-        # nu[0, 0] moves, and so do nu[0, u2] and nu[u2, 0] for every
-        # other left neighbour u2 of v.
-        others = len(set(cert.graph.adj_right[v]) - {0})
-        row = report_row(rep, "nu-gram")
-        assert row.lhs == 1 + 2 * others and row.slack > 0
-
-    @pytest.mark.parametrize("present", [True, False])
-    def test_flipped_biadj_entry_nu_kept(self, present):
-        """The flip alone: nu is still the graph's count, so only
-        biadj-graph fails, and the report with it."""
-        cert = self.cert()
-        self.flip_biadj(cert, present)
+        setattr(cert, name, 0)
         rep = verify_sdp_certificate(cert)
         assert not rep.passed
-        assert report_row(rep, "biadj-graph").slack > 0
-        assert report_row(rep, "nu-gram").lhs == 0.0
+        failing = {r.constraint_id for r in rep.failing()}
+        if name == "k":
+            for row_id in ("rowsum-u-identity", "rowsum-v-identity",
+                           "v0-norm"):
+                assert row_id in failing
+                assert report_row(rep, row_id).lhs == math.inf
+            assert rep.extra["gap_ratio"] == 0.0
+        else:
+            assert {"tau-identity", "psd-m1-diagonal",
+                    "objective-identity"} <= failing
+            assert rep.extra["objective"] == 0.0
+            assert rep.extra["gap_ratio"] == math.inf
 
     @pytest.mark.parametrize("case", ["guard", "tier", "empty"])
     def test_nu_gram_count_matches_product(self, case):
@@ -788,34 +747,26 @@ class TestCorruptedSdpCertificate:
                 assert got.dtype == np.int64 and got.shape == want.shape
                 assert np.array_equal(got, want.astype(np.int64))
 
-    def test_biadj_wrong_shape(self):
-        cert = self.cert()
-        cert.biadj = cert.biadj[:, :-1]
-        rep = verify_sdp_certificate(cert)
-        assert not rep.passed
-        assert report_row(rep, "biadj-graph").slack > 0
 
-    @pytest.mark.parametrize("field, cut", [
-        ("nu", np.s_[:, :-1]), ("nu", np.s_[:-1]), ("nu", np.s_[0]),
-        ("biadj", np.s_[0])],
-        ids=["nu-cols", "nu-rows", "nu-row", "biadj-row"])
-    def test_malformed_shape_fails_its_rows(self, field, cut):
-        """A nu or biadj of the wrong shape fails the report, and names its
-        rows, instead of raising: a nu that is not n x n counts all n rows
-        bad in rowsum-u-counts and nu-diagonal, and the eigenvalue guard
-        takes its sizes from the graph, never from biadj."""
-        cert = self.cert()
-        setattr(cert, field, getattr(cert, field)[cut])
-        rep = verify_sdp_certificate(cert)
-        assert not rep.passed
-        failing = {r.constraint_id for r in rep.failing()}
-        if field == "nu":
-            assert failing == {"rowsum-u-counts", "nu-diagonal", "nu-gram"}
-            for name in ("rowsum-u-counts", "nu-diagonal"):
-                assert report_row(rep, name).lhs == cert.n
-        else:
-            assert failing == {"biadj-graph"}
-            assert report_row(rep, "eigen-min").slack == 0.0
+class TestSdpCertificateIsItsGraph:
+    def test_no_array_fields(self):
+        cert = build_sdp_certificate(_certify_shape_graph(1), 4)
+        assert not [f.name for f in dataclasses.fields(cert)
+                    if isinstance(getattr(cert, f.name), np.ndarray)]
+
+    def test_build_and_verify_peak_under_one_nu(self):
+        """Build plus verify on the certify-shaped graph allocates less
+        than one n x n int64 array at its peak (a stored nu alone was
+        that large)."""
+        g = _certify_shape_graph(1)
+        tracemalloc.start()
+        try:
+            rep = verify_sdp_certificate(build_sdp_certificate(g, 4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak < g.n * g.n * 8
 
 
 # ---------------------------------------------------------------------------
@@ -959,13 +910,12 @@ class TestCoverCost:
         from ssbve.rng import stream
         g = random_bipartite(seed + 30, 6, 4, 0.5)
         rng = stream(seed, 0xC0)
-        view = _View(g)
         for _ in range(40):
             big = frozenset(rng.sample_range(10, 1 + rng.randrange(3)))
             small = frozenset(w for w in big if rng.bernoulli(0.6))
             try:
-                c_small = cover_cost(g, small, view)
-                c_big = cover_cost(g, big, view)
+                c_small = cover_cost(g, small)
+                c_big = cover_cost(g, big)
             except NoCoverError:
                 continue
             assert c_small <= c_big
@@ -1179,7 +1129,7 @@ def reference_key(cert, subset):
     for u in s_u:
         nbhd.update(cert.view.adj[u])
     s_v = [w for w in subset if w >= n and w not in nbhd]
-    return len(s_u), len(s_v), cover_cost(cert.graph, subset, cert.view)
+    return len(s_u), len(s_v), sa._cover_cost(cert.view, frozenset(subset))
 
 
 def reference_lift(cert, s_set, t_set):
