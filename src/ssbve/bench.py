@@ -7,8 +7,6 @@ is versioned.
 
 from __future__ import annotations
 
-import json
-
 from .approx import (les_exactly_k, solve_planted, solve_worst_case,
                      trivial_ksubset)
 from .certs import (build_sa_certificate, build_sdp_certificate, biregularize,
@@ -99,9 +97,9 @@ def _gap_cert_rows(seed: int) -> list[dict]:
     return rows
 
 
-def run_benchmark(suite: str, seeds: int, out_path: str | None = None,
+def run_benchmark(suite: str, seeds: int,
                   planted_cfg: dict | None = None) -> dict:
-    """Run a suite over `seeds` seeded instances and emit the report."""
+    """Run a suite over `seeds` seeded instances and return the report."""
     if suite == "oracle_small":
         rows = [_oracle_small_row(s) for s in range(seeds)]
         summary = {
@@ -123,10 +121,6 @@ def run_benchmark(suite: str, seeds: int, out_path: str | None = None,
                   "min_sa_gap_ratio": min(sa_ratios, default=None)}
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
     return report
 
 

@@ -19,6 +19,10 @@ values are exact rationals; otherwise they are 60-digit mpmath floats
 from a private mpmath context, so the process-wide precision is never
 changed.
 
+The certificate holds its graph, its constants and one value per cover
+class: class_table is the only store of values, and every check reads
+them from it.
+
 Verification at one round scales to large instances through exact
 class-based accounting: singleton and pairwise cover costs collapse to a
 fixed set of structural classes (one per side for singletons; adjacency,
@@ -27,24 +31,18 @@ general Steiner search), so every constraint instance is covered by a
 handful of exact class inequalities plus counts over the graph's
 right-vertex bitsets, which each verification builds once.  The pair
 tiers test membership on the sorted adjacency tuples; no per-vertex set is
-kept.  Singleton values are each side's structural class value, patched
-with the singleton entries of x_table, and are grouped into value classes
-(more than one per side only when x_table overrides a value); the sum of
-the left values, the level-1 bounds and the top-level value bounds are
-checked once per class.  A left vertex's near partners come from a two-hop
-bitset that stops growing once it holds every left vertex, so only
-vertices with far partners pay for the cover search.  The cardinality rows
-are class rows: one report row per family for each class of vertices whose
-rows agree, with the class size as its count.  The edge class rows assume
-one value per side: a certificate with overridden singleton values fails
-the singleton-uniform row instead of being scanned edge by edge.
+kept.  A left vertex's near partners come from a two-hop bitset that stops
+growing once it holds every left vertex, so only vertices with far
+partners pay for the cover search.  The cardinality rows are class rows:
+one report row per family for each class of vertices whose rows agree,
+with the class size as its count.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -239,11 +237,11 @@ class SaCertificate:
     k: int
     exact: bool          # n is a perfect fourth power
     quarter_root: int    # n^(1/4) when exact
-    x_table: dict = field(default_factory=dict)
     cost_table: dict = field(default_factory=dict)
     # x_S depends on S only through key(S) = (|S_U|, |S_V|, cost(S)); the
     # value of each class is computed once, and so is each lift, keyed by
-    # the classes of its inclusion-exclusion terms.
+    # the classes of its inclusion-exclusion terms (so a class value set by
+    # hand must be set before the first lift).
     class_table: dict = field(default_factory=dict)
     lift_table: dict = field(default_factory=dict)
 
@@ -306,10 +304,7 @@ class SaCertificate:
         if len(subset) > self.rounds + 1:
             raise SizeExceededError(
                 f"|S|={len(subset)} exceeds rounds+1={self.rounds + 1}")
-        got = self.x_table.get(subset)
-        if got is None:
-            got = self.x_table[subset] = self.class_value(self.key(subset))
-        return got
+        return self.class_value(self.key(subset))
 
     def class_value(self, key: tuple[int, int, int]):
         """The value of a cover class, as class_table holds it."""
@@ -353,10 +348,9 @@ def build_sa_certificate(g: BipartiteGraph, rounds: int) -> SaCertificate:
 def sa_lift_value(cert: SaCertificate, s_set, t_set):
     """x_{S,T} = sum over J subset of T of (-1)^|J| x_{S union J}.
 
-    The sum depends only on the classes of its terms, so each distinct
-    tuple of term classes is summed once per certificate.  A term whose
-    value in x_table differs from its class value (a value set by hand)
-    makes the lift its own: it is summed from its terms and not stored."""
+    Each term's value is its class value, so the sum depends only on the
+    classes of its terms, and each distinct tuple of term classes is summed
+    once per certificate."""
     s_set = frozenset(s_set)
     t_set = tuple(sorted(set(t_set)))
     if len(s_set) + len(t_set) > cert.rounds + 1:
@@ -364,19 +358,16 @@ def sa_lift_value(cert: SaCertificate, s_set, t_set):
             f"|S|+|T| = {len(s_set) + len(t_set)} exceeds rounds+1")
     if not t_set:
         return cert.x_value(s_set)
-    terms = [(r % 2, s_set.union(j)) for r in range(len(t_set) + 1)
+    terms = [(r % 2, cert.key(s_set.union(j))) for r in range(len(t_set) + 1)
              for j in combinations(t_set, r)]
-    classes = tuple(cert.key(term) for _, term in terms)
-    shared = all(cert.x_table.get(term, value) == value for (_, term), value
-                 in zip(terms, map(cert.class_table.get, classes)))
-    total = cert.lift_table.get(classes) if shared else None
+    classes = tuple(key for _, key in terms)
+    total = cert.lift_table.get(classes)
     if total is None:
         total = 0
-        for odd, term in terms:
-            x = cert.x_value(term)
+        for odd, key in terms:
+            x = cert.class_value(key)
             total = total - x if odd else total + x
-        if shared:
-            cert.lift_table[classes] = total
+        cert.lift_table[classes] = total
     return total
 
 
@@ -533,68 +524,40 @@ def _sample_top_level_bounds(cert, rep, samples, seed) -> None:
 def _verify_one_round(cert, rep) -> None:
     """Exact verification of every level-0/1 constraint via structural cover
     classes, and of every top-level value bound once per realised pair
-    class.  With pair values at their class values, the edge rows bound
-    every edge instance of their class, so a failing instance fails its
-    class row or singleton-uniform.
+    class.  Every value is a class value of the certificate: a left
+    singleton is (1, 0, 2) and a right one (0, 1, 1); a pair is (1, 0, 2)
+    when it is an adjacent u-v pair (v is forced, so the pair has u's
+    class), (1, 1, 3) when it is another u-v pair, (0, 2, 2), (2, 0, 3)
+    when its left vertices share a neighbour, and a far class (2, 0, c),
+    c > 3, otherwise.  Each edge row compares the values of one family of
+    edge instances, so a failing instance fails its row.
 
     The cardinality rows are class rows: vertices whose rows must agree
-    (left: singleton value class and far pair costs in order; right: degree
-    and value class) share one row per family, whose count is the class
-    size and whose id ends with the class's first vertex."""
+    (left: far pair classes in order; right: degree) share one row per
+    family, whose count is the class size and whose id ends with the
+    class's first vertex."""
     n, s, k = cert.n, cert.s, cert.k
-    alpha, beta = cert.sa_alpha, cert.sa_beta
+    value = cert.class_value
     one = Fraction(1) if cert.exact else _MP.mpf(1)
+    xu, xv = value((1, 0, 2)), value((0, 1, 1))
+    x_uv_non, x_vv = value((1, 1, 3)), value((0, 2, 2))
+    x_uu_near = value((2, 0, 3))
 
-    # Singleton values: each side's structural class value, patched with
-    # the singleton entries of x_table (the values set by hand are what can
-    # tell vertices apart).  Their classes: left values are numbered from
-    # 0, right ones after them, with the value and size of each class.
-    xu = [cert.class_value((1, 0, 2))] * n
-    xv = [cert.class_value((0, 1, 1))] * s
-    for subset, x in cert.x_table.items():
-        if len(subset) == 1:
-            (w,) = subset
-            if w < n:
-                xu[w] = x
-            else:
-                xv[w - n] = x
-    xu0, xv0 = xu[0], xv[0]
-    left_of, left_values = _value_classes(xu, 0)
-    n_left = len(left_values)
-    right_of, right_values = _value_classes(xv, n_left)
-    class_values = left_values + right_values
-    class_sizes = Counter(left_of)
-    class_sizes.update(right_of)
-    uniform = n_left == 1 and len(right_values) == 1
-    rep.add_exact("singleton-uniform", uniform, 1, 1)
-    left_masks = [0] * n_left
-    for u, c in enumerate(left_of):
-        left_masks[c] |= 1 << u
-
-    # Every top-level lift on a pair {a, b} (a < b) is a function of the
-    # classes of a and b and the cover class of {a, b}.  The loops below
-    # tally each realised triple with its pair count and one representative
-    # pair: {triple: [pairs, a, b]}.
+    # Every top-level lift on a pair {a, b} is a function of the cover class
+    # of {a, b}.  The loops below tally each realised pair class with its
+    # pair count and one representative pair a < b: {key: [pairs, a, b]}.
     top: dict = {}
 
-    q = cert.scale(1)
-    # Structural pair classes (each is a theorem about covers on bipartite
-    # graphs; the uu far-apart class routes through the general search).
-    x_uv_adj = beta * q ** 2
-    x_uv_non = beta * alpha * q ** 3
-    x_vv = alpha * alpha * q ** 2
-    x_uu_near = beta * beta * q ** 3
-
     # --- Cardinality constraints -----------------------------------------
-    sum_xu = sum(class_sizes[c] * x for c, x in enumerate(left_values))
+    sum_xu = n * xu
     rep.add("cardinality--", float(sum_xu), float(k),
             max(0.0, float(k - sum_xu)))
 
-    # Per-left-vertex pair sums from bitsets.  Both rows of w depend only
-    # on x_w and the far pair costs in order (w has n - 1 minus their count
-    # near partners), so left vertices are tallied by that row class:
-    # {(class of x_w, far costs): [vertices, first vertex]}.  The two-hop
-    # mask stops growing once it holds every left vertex.
+    # Per-left-vertex pair sums from bitsets.  Both rows of w depend only on
+    # its far pair classes in order (w has n - 1 minus their count near
+    # partners), so left vertices are tallied by them: {far classes:
+    # [vertices, first vertex]}.  The two-hop mask stops growing once it
+    # holds every left vertex.
     right_masks = cert.graph.right_masks()
     all_u_mask = (1 << n) - 1
     row_classes: dict = {}
@@ -605,123 +568,97 @@ def _verify_one_round(cert, rep) -> None:
             if mask == all_u_mask:
                 break
         mask_others = mask & ~(1 << w)
-        cw = left_of[w]
-        for c, cmask in enumerate(left_masks):
-            m = (mask_others & cmask) >> (w + 1)  # near partners b > w
-            if m:
-                top.setdefault((cw, c, (2, 0, 3)), [
-                    0, w, w + (m & -m).bit_length()])[0] += m.bit_count()
+        m = mask_others >> (w + 1)  # near partners b > w
+        if m:
+            top.setdefault((2, 0, 3), [
+                0, w, w + (m & -m).bit_length()])[0] += m.bit_count()
         m = all_u_mask & ~mask_others & ~(1 << w)
-        far_costs = []
+        far = []
         while m:
             low = m & (-m)
             u2 = low.bit_length() - 1
             key = cert.key(frozenset((w, u2)))
-            far_costs.append(key[2])
+            far.append(key)
             if u2 > w:
-                top.setdefault((cw, left_of[u2], key), [0, w, u2])[0] += 1
+                top.setdefault(key, [0, w, u2])[0] += 1
             m ^= low
-        row_classes.setdefault((cw, tuple(far_costs)), [0, w])[0] += 1
+        row_classes.setdefault(tuple(far), [0, w])[0] += 1
 
-    for (cw, far_costs), (count, w) in row_classes.items():
-        x_w = class_values[cw]
-        total = x_w + (n - 1 - len(far_costs)) * x_uu_near
-        for cost in far_costs:
-            total += beta * beta * cert.scale(cost)
-        rhs = k * x_w
+    for far, (count, w) in row_classes.items():
+        total = xu + (n - 1 - len(far)) * x_uu_near
+        for key in far:
+            total += value(key)
+        rhs = k * xu
         rep.add(f"cardinality-u{w}", total, rhs, rhs - total, count)
         # (S, T) = (empty, {w}): sum_u (x_u - x_{u,w}) >= k (1 - x_w).
         lhs = sum_xu - total
-        rhs = k * (one - x_w)
+        rhs = k * (one - xu)
         rep.add(f"cardinality-tu{w}", lhs, rhs, rhs - lhs, count)
 
-    # Right vertices by degree and value class, {(degree, class): [vertices,
-    # first vertex]}.
+    # Right vertices by degree, {degree: [vertices, first vertex]}; the
+    # top-level uv pairs of each right vertex, and its vv pairs with the
+    # right vertices before it.
     right_classes: dict = {}
-    seen_right: dict = {}  # right class -> [count so far, first vertex]
     for w in range(s):
-        right_classes.setdefault((cert.graph.degree_right(w), right_of[w]),
-                                 [0, w])[0] += 1
-        # Top-level uv pairs by the degree of w in each left class, and vv
-        # pairs from the right class counts before w.
-        v, cv = n + w, right_of[w]
-        for c, cmask in enumerate(left_masks):
-            for m, key in ((cmask & right_masks[w], (1, 0, 2)),
-                           (cmask & ~right_masks[w], (1, 1, 3))):
-                if m:
-                    top.setdefault((c, cv, key), [
-                        0, (m & -m).bit_length() - 1, v])[0] += m.bit_count()
-        for c, (count, first) in seen_right.items():
-            top.setdefault((c, cv, (0, 2, 2)), [0, first, v])[0] += count
-        seen_right.setdefault(cv, [0, v])[0] += 1
+        right_classes.setdefault(cert.graph.degree_right(w), [0, w])[0] += 1
+        v = n + w
+        for m, key in ((right_masks[w], (1, 0, 2)),
+                       (all_u_mask & ~right_masks[w], (1, 1, 3))):
+            if m:
+                top.setdefault(key, [
+                    0, (m & -m).bit_length() - 1, v])[0] += m.bit_count()
+        if w:
+            top.setdefault((0, 2, 2), [0, n, v])[0] += w
 
-    for (deg, cv), (count, w) in right_classes.items():
-        total = deg * x_uv_adj + (n - deg) * x_uv_non
-        rhs = k * class_values[cv]
+    for deg, (count, w) in right_classes.items():
+        total = deg * xu + (n - deg) * x_uv_non
+        rhs = k * xv
         rep.add(f"cardinality-v{w}", total, rhs, rhs - total, count)
         lhs = sum_xu - total
-        rhs = k * (one - class_values[cv])
+        rhs = k * (one - xv)
         rep.add(f"cardinality-tv{w}", lhs, rhs, rhs - lhs, count)
 
     # --- Edge constraints --------------------------------------------------
-    # Class inequalities; each covers a family of constraint instances whose
-    # left side is the class minimum and right side the class maximum.
+    # x_{S+v,T} >= x_{S+u,T} on each edge (u, v): one row per family of
+    # instances that compare the same two classes (lhs at least, rhs at
+    # most the row's; the rhs bounds assume pair values >= 0, which the
+    # top-level check tests).
+    far_values = [value(key) for key in {key for far in row_classes
+                                         for key in far}]
     checks = [
-        ("edges-base", xv0, xu0),
-        # S = {w in V}: (v=w) alpha*q >= beta*q^2; (u in N(w)) alpha^2 q^2 >=
-        # beta q^2; else alpha^2 q^2 >= alpha*beta*q^3.
-        ("edges-sv-guess-at-v", xv0, x_uv_adj),
-        ("edges-sv-adj", x_vv, x_uv_adj),
+        # S = T = empty, and S = {v}: x_v >= x_{u,v}.
+        ("edges-base", xv, xu),
+        # S = {w in V}, w != v: x_vv >= x_{u,w}, u adjacent to w or not.
+        ("edges-sv-adj", x_vv, xu),
         ("edges-sv-non", x_vv, x_uv_non),
-        # S = {w in U}: (u'=w) x_{u,v} >= x_u, the row edges-tv-self;
-        # (v in N(w)) beta q^2 >= beta^2 q^3; else alpha*beta*q^3 >=
-        # beta^2 q^3.
-        ("edges-su-adj", x_uv_adj, x_uu_near),
+        # S = {w in U}, w != u (w = u compares x_u with itself): x_{w,v}
+        # >= x_{w,u}, w adjacent to v (so w and u are near) or not.
+        ("edges-su-adj", xu, x_uu_near),
         ("edges-su-non", x_uv_non, x_uu_near),
-        # T = {w in V}: (v=w) 0 >= 0 by the forced equality x_{u,w} = x_u on
-        # edges; else lhs >= x_v - x_vv lower bound, rhs <= x_u.
-        ("edges-tv", xv0 - x_vv, xu0),
-        ("edges-tv-self", x_uv_adj, xu0),
-        # T = {w in U}: lhs >= min over v-classes, rhs <= x_u.
-        ("edges-tu-adj", xv0 - x_uv_adj, xu0),
-        ("edges-tu-non", xv0 - x_uv_non, xu0),
+        *([("edges-su-far", x_uv_non, max(far_values))] if far_values
+          else []),
+        # T = {w in V}, w != v (w = v gives 0 >= 0): x_v - x_vv >= x_u -
+        # x_{u,w}.
+        ("edges-tv", xv - x_vv, xu),
+        # T = {w in U}: x_v - x_{v,w} >= x_u - x_{u,w}, v adjacent to w or
+        # not.
+        ("edges-tu-adj", xv - xu, xu),
+        ("edges-tu-non", xv - x_uv_non, xu),
     ]
     for name, lhs, rhs in checks:
         rep.add(name, lhs, rhs, rhs - lhs)
-    # The far-apart uu class only shrinks right-hand sides (cost >= 4), and
-    # x_{u,w} <= x_u needs cost monotonicity, which holds by cover
-    # restriction; so with uniform singletons and every class row passing,
-    # all level-1 edge constraints hold.
 
     # Bounds at level <= 1 are implied by 0 <= x_w <= 1 for all w.
-    bad = sum(class_sizes[c] for c, x in enumerate(class_values)
-              if not 0 <= x <= 1)
+    bad = n * (not 0 <= xu <= 1) + s * (not 0 <= xv <= 1)
     rep.add("bounds-level1", bad, 0, bad)
 
     _check_top_level_classes(cert, rep, top)
 
 
-def _value_classes(values: list, first_id: int) -> tuple[list[int], list]:
-    """A class id per value, equal values sharing one, numbered from
-    first_id in order of first appearance; and the value of each class.
-    Values mostly share one object, so each distinct object is hashed once
-    (a Fraction's hash is a modular inverse)."""
-    ids: dict = {}
-    by_object: dict = {}
-    of = []
-    for x in values:
-        c = by_object.get(id(x))
-        if c is None:
-            c = by_object[id(x)] = ids.setdefault(x, first_id + len(ids))
-        of.append(c)
-    return of, list(ids)
-
-
 def _check_top_level_classes(cert, rep, top) -> None:
     """Value bounds 0 <= x_{S,T} <= 1 at |S u T| = 2, checked once per
-    realised pair class in each split through sa_lift_value (whose memo
-    never holds a lift with a value set by hand); a violation counts every
-    pair of its class."""
+    realised pair class in each split through sa_lift_value; a violation
+    counts every pair of its class."""
     violations = 0
     worst = 0.0
     for pairs, a, b in top.values():

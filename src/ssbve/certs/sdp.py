@@ -281,6 +281,9 @@ def verify_sdp_certificate(cert: SdpCertificate,
 
     tau_id = 4 * max(Fraction(d_l * d_l, s), Fraction(d_l * k, n))
     rep.add_exact("tau-identity", cert.tau == tau_id, cert.tau, tau_id)
+    # alpha = min(d_l n / (k s), 1) / 2, the alpha the entry classes use.
+    alpha_id = _ratio(min(d_l * n, k * s), 2 * k * s)
+    rep.add_exact("alpha-identity", alpha == alpha_id, alpha, alpha_id)
 
     rep.add_exact("trace-sum", n * cert.a_diag == k, n * cert.a_diag, k)
 

@@ -327,7 +327,7 @@ def _cmd_gapcalc(args) -> int:
 def _cmd_bench(args) -> int:
     from .bench import format_table, run_benchmark
     planted_cfg = None if args.n is None else {"n": args.n}
-    report = run_benchmark(args.suite, seeds=args.seeds, out_path=None,
+    report = run_benchmark(args.suite, seeds=args.seeds,
                            planted_cfg=planted_cfg)
     _emit(args, report, table=format_table(report))
     if args.suite == "gap_certs" and not report["all_passed"]:

@@ -323,7 +323,7 @@ class TestCertifyCli:
         assert rep["passed"] is False
 
     def test_certify_sa_report_shows_every_family(self, tmp_path):
-        # 8335 constraint instances, 8320 of them cardinality ones, in
+        # 8332 constraint instances, 8320 of them cardinality ones, in
         # class rows few enough that all are written; their counts add up
         # to the instances.
         out = tmp_path / "sa.json"
@@ -332,9 +332,9 @@ class TestCertifyCli:
                     "--out", str(out)]) == 0
         rep = json.loads(out.read_text())
         ids = [row["id"] for row in rep["checks"]]
-        assert rep["passed"] and rep["num_checks"] == 8335
+        assert rep["passed"] and rep["num_checks"] == 8332
         assert len(ids) < 200
-        assert sum(row["count"] for row in rep["checks"]) == 8335
+        assert sum(row["count"] for row in rep["checks"]) == 8332
         assert any(i.startswith("edges-") for i in ids)
         assert "bounds-level1" in ids and "bounds-top-level-classes" in ids
 
@@ -410,5 +410,6 @@ class TestBench:
 
     def test_writes_report_file(self, tmp_path):
         out = tmp_path / "bench.json"
-        run_benchmark("oracle_small", seeds=2, out_path=str(out))
+        assert run(["--out", str(out), "bench", "--suite", "oracle_small",
+                    "--seeds", "2"]) == 0
         assert json.loads(out.read_text())["schema"] == 1

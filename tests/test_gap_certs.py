@@ -651,7 +651,7 @@ class TestCorruptedSdpCertificate:
         cert = self.cert()
         rep = verify_sdp_certificate(cert)
         assert rep.passed
-        assert rep.as_dict()["num_checks"] == len(rep.checks) == 22
+        assert rep.as_dict()["num_checks"] == len(rep.checks) == 23
         row = report_row(rep, "decomp-u-diagonal")
         assert row.lhs == row.rhs == float(cert.a_diag)
         for name in ("nu-diagonal", "rowsum-u-counts", "rowsum-v-degrees"):
@@ -702,11 +702,12 @@ class TestCorruptedSdpCertificate:
             row = report_row(rep, name)
             assert row.lhs == count and (row.slack > 0) == (count > 0)
 
-    @pytest.mark.parametrize("name", ["k", "tau"])
+    @pytest.mark.parametrize("name", ["k", "tau", "sdp_alpha"])
     def test_constant_edited_to_zero_fails(self, name):
-        """k or tau set to 0 on a built certificate fails rows instead of
-        dividing by zero: the identities divided by k read inf, and a zero
-        objective gives gap_ratio inf, as in the SA report."""
+        """k, tau or alpha set to 0 on a built certificate fails rows instead
+        of dividing by zero: the identities divided by k read inf, a zero
+        objective gives gap_ratio inf, as in the SA report, and an alpha
+        that the entry classes were not built from fails alpha-identity."""
         cert = self.cert()
         setattr(cert, name, 0)
         rep = verify_sdp_certificate(cert)
@@ -717,7 +718,14 @@ class TestCorruptedSdpCertificate:
                            "v0-norm"):
                 assert row_id in failing
                 assert report_row(rep, row_id).lhs == math.inf
+            assert report_row(rep, "alpha-identity").rhs == math.inf
+            assert "alpha-identity" in failing
             assert rep.extra["gap_ratio"] == 0.0
+        elif name == "sdp_alpha":
+            assert failing == {"alpha-identity"}
+            row = report_row(rep, "alpha-identity")
+            assert (row.lhs, row.rhs) == (0.0, 0.5)
+            assert rep.extra["params"]["alpha"] == 0.0
         else:
             assert {"tau-identity", "psd-m1-diagonal",
                     "objective-identity"} <= failing
@@ -1081,7 +1089,7 @@ class TestSaCertificate:
         for subset in subsets + subsets[::-1]:
             assert cert.x_value(subset) == direct_x_value(cert, subset)
         # Many subsets share a value class.
-        assert len(cert.class_table) < len(cert.x_table) / 4
+        assert len(cert.class_table) < len(set(subsets)) / 4
 
     def test_naive_edge_row_counts_violations(self):
         g = gen_gap_instance(16, 8, 5.0, 9)
@@ -1097,12 +1105,11 @@ class TestSaCertificate:
 
         _, edges, summary = naive_rows(build_sa_certificate(g, rounds=1))
         assert not edges and summary.lhs == 0 and summary.slack == 0
-        # x_v = 0 for one right vertex breaks x_v >= x_u on its edges.
+        # x_v = 0 for the right vertices breaks x_v >= x_u on every edge.
         bad = build_sa_certificate(g, rounds=1)
-        v = max(range(g.n_right), key=g.degree_right)
-        bad.x_table[frozenset({g.n + v})] = Fraction(0)
+        bad.class_table[(0, 1, 1)] = Fraction(0)
         rep, edges, summary = naive_rows(bad)
-        assert summary.lhs == len(edges) >= g.degree_right(v) > 0
+        assert summary.lhs == len(edges) >= len(list(g.edges())) > 0
         assert summary.slack == max(r.slack for r in edges) > bad.tolerance
         assert summary in rep.failing()
 
@@ -1173,12 +1180,13 @@ def reference_top_level(cert, rep, samples, seed):
 
 def reference_cardinality_rows(cert):
     """Rows cardinality-u* and -tu* summed vertex by vertex, in the order
-    the one-round verifier sums them."""
-    n, k, beta = cert.n, cert.k, cert.sa_beta
+    the one-round verifier sums them, from the class values of the
+    reference keys."""
+    n, k = cert.n, cert.k
     one = Fraction(1) if cert.exact else sa._MP.mpf(1)
     xu = [cert.x_value([u]) for u in range(n)]
     sum_xu = sum(xu)
-    x_uu_near = beta * beta * cert.scale(1) ** 3
+    x_uu_near = cert.class_value((2, 0, 3))
     biadj = np.zeros((n, cert.s), dtype=np.int32)
     for u, v in cert.graph.edges():
         biadj[u, v] = 1
@@ -1188,8 +1196,7 @@ def reference_cardinality_rows(cert):
     for w in range(n):
         total = xu[w] + int((common[w] > 0).sum()) * x_uu_near
         for u2 in np.flatnonzero(common[w] == 0).tolist():
-            cost = reference_key(cert, frozenset((w, u2)))[2]
-            total += beta * beta * cert.scale(cost)
+            total += cert.class_value(reference_key(cert, frozenset((w, u2))))
         rows.append((f"cardinality-u{w}", float(total), float(k * xu[w]),
                      max(0.0, float(k * xu[w] - total))))
         lhs, rhs = sum_xu - total, k * (one - xu[w])
@@ -1201,15 +1208,15 @@ def reference_cardinality_rows(cert):
 def reference_right_cardinality_rows(cert):
     """Rows cardinality-v* and -tv* vertex by vertex: the pair sum of right
     vertex v is deg(v) adjacent uv pairs and n - deg(v) others."""
-    n, k, alpha, beta = cert.n, cert.k, cert.sa_alpha, cert.sa_beta
+    n, k = cert.n, cert.k
     one = Fraction(1) if cert.exact else sa._MP.mpf(1)
-    q = cert.scale(1)
+    x_adj, x_non = cert.class_value((1, 0, 2)), cert.class_value((1, 1, 3))
     sum_xu = sum(cert.x_value([u]) for u in range(n))
     rows, rows_tv = [], []
     for v in range(cert.s):
         deg = cert.graph.degree_right(v)
         x_v = cert.x_value([n + v])
-        total = deg * beta * q ** 2 + (n - deg) * beta * alpha * q ** 3
+        total = deg * x_adj + (n - deg) * x_non
         rows.append((f"cardinality-v{v}", float(total), float(k * x_v),
                      max(0.0, float(k * x_v - total))))
         lhs, rhs = sum_xu - total, k * (one - x_v)
@@ -1436,22 +1443,19 @@ class TestSaClassesMatchReference:
         assert isolated == {(True, True), (True, False), (False, True),
                             (False, False)}
 
-    def test_value_classes_share_equal_values(self):
-        half, third = Fraction(1, 2), Fraction(1, 3)
-        values = [half, half, third, Fraction(1, 2), third, Fraction(2, 3)]
-        assert sa._value_classes(values, 4) == (
-            [4, 4, 5, 4, 5, 6], [half, third, Fraction(2, 3)])
-
     @pytest.mark.parametrize("name", sorted(FLOAT_GOLDEN))
     def test_float_one_round_report_golden(self, name):
         """One-round reports in 60-digit mode against those recorded before
         singleton keys became structural and the level-1 sums went by value
-        class, less the rows edges-su-self, edge-family-mode and
-        edge-family-explicit, dropped since
+        class, less the rows edges-su-self, edge-family-mode,
+        edge-family-explicit, singleton-uniform, edges-tv-self and
+        edges-sv-guess-at-v, dropped since, and with edges-su-far added
         (tests/data/sa_one_round_float.json holds each report's instance
         count, failing-instance count, worst slack and extra, all from the
         per-vertex rows, and the SHA-256 of the compact JSON class rows
-        [id, lhs, rhs, slack, count])."""
+        [id, lhs, rhs, slack, count]).  The singleton-override entries were
+        recorded when that corruption became an edit of the singleton
+        classes, from reports equal to reference_report's."""
         graph, corruption = name.split("/")
         g = ONE_ROUND_GRAPHS[graph]()
         cert = build_sa_certificate(g, rounds=1)
@@ -1491,14 +1495,14 @@ class TestSaClassesMatchReference:
         (10, 3, 2, [4])])
     def test_lifts_with_overridden_values(self, order, n, s, rounds,
                                           override):
-        # One x_table entry set apart from its class value: every lift on
-        # every (S, T) of the top level must still be its own sum, whichever
-        # lift filled the class memo first.
+        # The class of one subset set apart from its formula value: every
+        # lift on every (S, T) of the top level must still be the oracle's
+        # sum of class values, whichever lift filled the class memo first.
         g = gen_gap_instance(n, s, 2.0, 1)
         cert = build_sa_certificate(g, rounds=rounds)
         ref = build_sa_certificate(g, rounds=rounds)
         for c in (cert, ref):
-            c.x_table[frozenset(override)] = c.x_value(override) / 2
+            c.class_table[c.key(frozenset(override))] = c.x_value(override) / 2
         calls = [(frozenset(j), frozenset(members).difference(j))
                  for members in combinations(range(n + s), rounds + 1)
                  for r in range(rounds + 2)
@@ -1541,33 +1545,6 @@ class TestSaClassesMatchReference:
                                **kwargs)
         assert rep.checks == ref.checks
         assert rep.extra == ref.extra
-
-    def test_cardinality_rows_follow_each_left_value(self):
-        # One left singleton overridden in the value table: its rows, and
-        # only its, must move with it, though it shares its far costs.
-        cert = build_sa_certificate(ONE_ROUND_GRAPHS["gap-256"](), rounds=1)
-        cert.x_table[frozenset({5})] = cert.x_value([5]) / 2
-        rep = verify_sa_certificate(cert, samples=10, seed=1)
-        rows = check_cardinality_class_rows(rep, cert)
-        assert rows["cardinality-u5"].count == 1
-        assert rows["cardinality-tu5"].count == 1
-
-    @pytest.mark.parametrize("right", [False, True])
-    @pytest.mark.parametrize("name", ["gap-256", "gap-100", "chain-16",
-                                      "chain-10"])
-    def test_cardinality_rows_with_vertex_0_overridden(self, name, right):
-        # The class values come from the cover classes, not from vertex 0,
-        # so an override on vertex 0 (and on right vertex 0) shows as a
-        # class of its own.
-        cert = build_sa_certificate(ONE_ROUND_GRAPHS[name](), rounds=1)
-        for w in (0, cert.n) if right else (0,):
-            cert.x_table[frozenset({w})] = cert.x_value([w]) / 2
-        rep = verify_sa_certificate(cert, samples=10, seed=1)
-        rows = check_cardinality_class_rows(rep, cert)
-        for fam in ("uv" if right else "u"):
-            assert rows[f"cardinality-{fam}0"].count == 1
-            assert rows[f"cardinality-t{fam}0"].count == 1
-        assert report_row(rep, "singleton-uniform") in rep.failing()
 
     def test_naive_summary_skips_rounding_noise(self):
         # Float mode, rounds=2: some edge rows fall short by about 1e-63,
@@ -1683,13 +1660,10 @@ def _far_above_left(cert):
 
 
 def _override_singletons(cert):
-    """x_3 halved and x of the second right vertex doubled: two singleton
-    classes on each side, so pair classes with two different singleton
-    values in both orders."""
-    if cert.n <= 3 or cert.s <= 1:
-        return False
-    cert.x_table[frozenset({3})] = cert.x_value([3]) / 2
-    cert.x_table[frozenset({cert.n + 1})] = 2 * cert.x_value([cert.n + 1])
+    """The singleton classes set by hand: x_u halved (and with it the
+    adjacent u-v pairs, which share its class) and x_v doubled."""
+    cert.class_table[(1, 0, 2)] = cert.class_value((1, 0, 2)) / 2
+    cert.class_table[(0, 1, 1)] = 2 * cert.class_value((0, 1, 1))
     return True
 
 
@@ -1732,9 +1706,9 @@ class TestTopLevelClasses:
             g.n + g.n_right, 2)
 
     def test_brute_fixtures_reach_every_case(self, monkeypatch):
-        """Both value modes, far classes of several costs, non-uniform
-        singletons, corruptions that fail, isolated vertices on both sides
-        and NoCoverError all occur among the brute-force cases."""
+        """Both value modes, far classes of several costs, corruptions that
+        fail, isolated vertices on both sides and NoCoverError all occur
+        among the brute-force cases."""
         seen = set()
         for name, make in BRUTE_GRAPHS.items():
             g = make()
@@ -1760,7 +1734,7 @@ class TestTopLevelClasses:
                     seen.add("isolated-v")
         assert {"exact", "float", "no-cover", "far-costs", "isolated-u",
                 "isolated-v", "none", "right-zero-fails",
-                "far-above-left-fails", "singleton-override-fails"} <= seen
+                "far-above-left-fails", "singleton-override"} <= seen
         assert "none-fails" not in seen
 
     @staticmethod
@@ -1820,6 +1794,19 @@ class TestTopLevelClasses:
                     g, rounds=1))[0] is NoCoverError
         assert sum(isinstance(out, dict) for out in outcomes) >= 6
 
+    def test_each_certify_pair_class_set_to_5_fails(self, monkeypatch):
+        """x_S = 5 breaks x_S <= 1 on every pair of the edited class: the
+        certify instance's report fails for each realised pair class."""
+        g = ONE_ROUND_GRAPHS["certify-4096"]()
+        _, top = spy_top_level(monkeypatch, build_sa_certificate(g, rounds=1))
+        assert set(top) == {(1, 0, 2), (1, 1, 3), (0, 2, 2), (2, 0, 3)}
+        for key in top:
+            cert = build_sa_certificate(g, rounds=1)
+            cert.class_table[key] = 5
+            rep = verify_sa_certificate(cert)
+            assert report_row(rep, "bounds-top-level-classes") in (
+                rep.failing()), key
+
 
 def _nudge_right(cert):
     """x_v set 1e-50 below x_u for every right vertex: the level-0 edge
@@ -1835,25 +1822,27 @@ EDGE_SCAN_GRAPHS = {**BRUTE_GRAPHS, **{
     for name in ("gap-100", "gap-256", "gap-300", "chain-16")}}
 EDGE_SCAN_CORRUPTIONS = {
     **{name: CORRUPTIONS[name]
-       for name in ("none", "right-zero", "singleton-override")},
+       for name in ("none", "right-zero", "far-above-left",
+                    "singleton-override")},
     "nudge": _nudge_right,
 }
-# The rows that bound each context family of reference_edge_scan besides
-# singleton-uniform.  In S = {u} the inequality x_{u,v} >= x_u is
-# edges-tv-self's; in T = {v} it is what makes the lifts at u and v zero.
+# The rows that bound each context family of reference_edge_scan.  An
+# adjacent pair {u, v} has u's class, so in S = {v} the inequality
+# x_v >= x_{u,v} is edges-base's; in S = {u} x_{u,v} >= x_u and in T = {v}
+# 0 >= 0 hold by class.  edges-su-far is emitted only where a far class is
+# realised.
 EDGE_FAMILY_ROWS = {
     "base": ("edges-base",),
-    "sv": ("edges-sv-guess-at-v", "edges-sv-adj", "edges-sv-non"),
-    "su": ("edges-su-adj", "edges-su-non", "edges-tv-self"),
-    "tv": ("edges-tv", "edges-tv-self"),
+    "sv": ("edges-base", "edges-sv-adj", "edges-sv-non"),
+    "su": ("edges-base", "edges-su-adj", "edges-su-non", "edges-su-far"),
+    "tv": ("edges-base", "edges-tv"),
     "tu": ("edges-tu-adj", "edges-tu-non"),
 }
 
 
 class TestEdgeRowsAgainstScan:
-    """The one-round edge class rows against every level-<=1 edge instance.
-    Far pair values set by hand are left out: the rows take pair values
-    from their formulas, so only the top-level check sees those."""
+    """The one-round edge class rows against every level-<=1 edge instance,
+    with pair values edited by hand among the corruptions."""
 
     @pytest.mark.parametrize("corruption", EDGE_SCAN_CORRUPTIONS)
     @pytest.mark.parametrize("name", EDGE_SCAN_GRAPHS)
@@ -1866,13 +1855,14 @@ class TestEdgeRowsAgainstScan:
             assert rep[0] is NoCoverError
             return
         slack = {r.constraint_id: r.slack for r in rep.checks}
-        assert {r for rows in EDGE_FAMILY_ROWS.values() for r in rows} == {
+        far = any(key[0] == 2 and key[2] > 3 for key in cert.class_table)
+        assert {r for rows in EDGE_FAMILY_ROWS.values() for r in rows} - (
+            set() if far else {"edges-su-far"}) == {
             r for r in slack if r.startswith("edges-")}
         # The scan reads the values the verifier cached: no new cover search.
         scan = reference_edge_scan(cert)
         for family, (above, anything, worst) in scan.items():
-            bound = max(slack[r] for r in EDGE_FAMILY_ROWS[family]
-                        + ("singleton-uniform",))
+            bound = max(slack.get(r, 0.0) for r in EDGE_FAMILY_ROWS[family])
             # Each family's rows bound its worst shortfall (up to float-mode
             # rounding), so running the scan in the verifier would change no
             # verdict and no max_violation.
@@ -1884,6 +1874,8 @@ class TestEdgeRowsAgainstScan:
             if anything:
                 assert (above == anything) if cert.exact else (
                     0 < above < anything)
+        if corruption == "far-above-left":
+            assert slack["edges-su-far"] > cert.tolerance
 
 
 # ---------------------------------------------------------------------------
