@@ -240,8 +240,9 @@ class SaCertificate:
     cost_table: dict = field(default_factory=dict)
     # x_S depends on S only through key(S) = (|S_U|, |S_V|, cost(S)); the
     # value of each class is computed once, and so is each lift, keyed by
-    # the classes of its inclusion-exclusion terms (so a class value set by
-    # hand must be set before the first lift).
+    # the classes of its inclusion-exclusion terms.  Each verify starts
+    # from an empty lift table, so it sees class values set by hand before
+    # it; direct sa_lift_value calls see those set before their first lift.
     class_table: dict = field(default_factory=dict)
     lift_table: dict = field(default_factory=dict)
 
@@ -388,6 +389,7 @@ def verify_sa_certificate(cert: SaCertificate, mode: str = "exhaustive",
 
     sampled: `samples` random (S,T) pairs across all levels.
     """
+    cert.lift_table.clear()
     rep = VerifyReport(tolerance=cert.tolerance)
     rep.extra = {
         "kind": "sa",
@@ -685,6 +687,7 @@ def sample_property_checks(cert: SaCertificate, n_samples: int,
     adding non-forced vertices, saturation on forced ones, vanishing lifts
     on neighbor-hitting pairs, the two-sided lift bounds, and the
     left-vertex growth floor."""
+    cert.lift_table.clear()
     rep = VerifyReport(tolerance=cert.tolerance)
     # An exact zero in exact mode: the float 0.0 would round the Fractions
     # it is added to.

@@ -6,6 +6,7 @@ rng.py for the generator specification)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 from math import comb
 
 from .errors import (ArityTooLargeError, InvalidExponentsError,
@@ -14,6 +15,10 @@ from .graph import BipartiteGraph, Hypergraph, SsbveInstance
 from .rng import stream
 
 SUBSET_SAMPLING_BUDGET = 10 ** 7
+# Bernoulli draws per bernoulli_bytes call, whose 0/1 bytes are held at
+# once; the random bipartite generator rounds it down to whole rows (at
+# least one).
+DRAW_CHUNK = 1 << 14
 
 
 def _round_size(x: float) -> int:
@@ -76,16 +81,27 @@ class HdvrSpec:
 
 
 def gen_random_bipartite(n: int, s: int, p: float, seed: int) -> BipartiteGraph:
-    """Each of the n*s potential edges present independently with prob. p."""
+    """Each of the n*s potential edges present independently with prob. p,
+    drawn row by row (left vertex u, then right vertex v)."""
     if not 0.0 <= p <= 1.0:
         raise ProbabilityOutOfRangeError(f"p={p} outside [0, 1]")
     rng = stream(seed, 0x6269)  # tag: bipartite
-    edges = []
-    for u in range(n):
-        for v in range(s):
-            if rng.bernoulli(p):
-                edges.append((u, v))
-    return BipartiteGraph.from_edges(n, s, edges)
+    # Both views straight from the 0/1 draws, a chunk of whole rows at a
+    # time; every id is taken from one list, so each is one object.
+    ids = list(range(max(n, s)))
+    right_ids = ids[:s]
+    rows: list[tuple[int, ...]] = []
+    cols: list[list[int]] = [[] for _ in range(s)]
+    per_chunk = max(1, DRAW_CHUNK // max(s, 1))
+    for u0 in range(0, n, per_chunk):
+        left = ids[u0:min(n, u0 + per_chunk)]
+        bits = rng.bernoulli_bytes(len(left) * s, p)
+        rows += [tuple(compress(right_ids, bits[i * s:i * s + s]))
+                 for i in range(len(left))]
+        for v, col in enumerate(cols):
+            col += compress(left, bits[v::s])
+    return BipartiteGraph(n=n, n_right=s, adj_left=tuple(rows),
+                          adj_right=tuple(map(tuple, cols)))
 
 
 def gen_planted(spec: PlantedSpec) -> tuple[SsbveInstance, PlantedSpec]:
@@ -137,7 +153,9 @@ def _sample_r_subsets(rng, n: int, r: int, p: float) -> list[tuple[int, ...]]:
     if total > SUBSET_SAMPLING_BUDGET:
         raise ArityTooLargeError(
             f"C({n},{r})={total} exceeds the sampling budget")
-    count = sum(1 for _ in range(total) if rng.bernoulli(p))
+    count = sum(rng.bernoulli_bytes(min(DRAW_CHUNK, total - start),
+                                    p).count(1)
+                for start in range(0, total, DRAW_CHUNK))
     chosen: set[int] = set()
     while len(chosen) < count:
         chosen.add(rng.randrange(total))

@@ -102,15 +102,15 @@ class BipartiteGraph:
 
 def _mask(indices: Sequence[int]) -> int:
     """Bitmask with bit i set for each i, from one base-2 parse of a digit
-    string (the highest index first): linear in the top index, where one
-    big-int OR per bit would copy the growing mask each time."""
+    string (digit i set, then the string reversed so the highest index
+    comes first): linear in the top index, where one big-int OR per bit
+    would copy the growing mask each time."""
     if not indices:
         return 0
-    top = max(indices)
-    digits = bytearray(b"0" * (top + 1))
+    digits = bytearray(b"0" * (max(indices) + 1))
     for i in indices:
-        digits[top - i] = 49  # ord("1")
-    return int(digits, 2)
+        digits[i] = 49  # ord("1")
+    return int(digits[::-1], 2)
 
 
 @dataclass(frozen=True)

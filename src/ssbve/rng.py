@@ -5,12 +5,36 @@ constant and each output is a finalized mix of the new state.  The algorithm
 is fully specified by the two multiply-xorshift rounds below, so any language
 can reproduce the streams bit-for-bit from the same 64-bit seed.  Substreams
 are derived by seeding a fresh generator with ``mix64(seed ^ mix64(tag))``.
+
+``SplitMix64.bernoulli_bytes`` makes many Bernoulli draws at once, with the
+same outputs and final state as one ``bernoulli`` call per draw.  Up to
+``BLOCK`` consecutive states sit in one Python int as 128-bit lanes, draw i
+in lane i; both multiply-xorshift rounds run on the whole int with every
+lane masked to 64 bits, so a 64x64-bit product stays inside its lane.  The
+test ``random() < p`` is the integer test ``u64() < ceil(p * 2**53) * 2**11``,
+read off each lane as the borrow into bit 64 of a subtraction.
 """
 
 from __future__ import annotations
 
+import math
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# Lanes per block of bernoulli_bytes, and the per-lane constants of a full
+# block (lane i of _ONES is 1, of _STEPS (i + 1) golden-ratio steps, the
+# offset of draw i from the state); a shorter block uses their low lanes.
+BLOCK = 1024
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * BLOCK, "little")
+_STEPS = int.from_bytes(b"".join(
+    i.to_bytes(16, "little") for i in range(1, BLOCK + 1)),
+    "little") * _GOLDEN & _MASK64 * _ONES
+# 2^64 - 1 with bits 97-127 set: for t <= 2^64 and a draw z below 2^64,
+# with at most 31 bits of the next lane shifted in above bit 96,
+# _BORROW + t - z takes no borrow from the next lane and has bit 64 set
+# iff z < t.
+_BORROW = (1 << 128) - (1 << 97) + _MASK64
 
 
 def mix64(z: int) -> int:
@@ -19,6 +43,39 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _threshold(p: float) -> int:
+    """t with (u64() < t) == (random() < p) for every 64-bit output: the
+    float (u >> 11) * 2^-53 is below p iff u >> 11 < ceil(p * 2^53), and
+    p * 2^53 is exact for p in (0, 1)."""
+    if not p > 0:  # NaN too: random() < NaN is False
+        return 0
+    if p >= 1:
+        return 1 << 64
+    return math.ceil(p * 2.0 ** 53) << 11
+
+
+def _draw_blocks(state: int, blocks: int, lanes: int, t: int) -> bytes:
+    """0/1 bytes of ``u64() < t`` for blocks * lanes draws after state."""
+    if not blocks:
+        return b""
+    ones, steps = _ONES, _STEPS
+    if lanes < BLOCK:
+        low = (1 << 128 * lanes) - 1
+        ones, steps = ones & low, steps & low
+    mask = _MASK64 * ones
+    bound = (_BORROW + t) * ones
+    stride = (lanes * _GOLDEN & _MASK64) * ones
+    x = (state * ones + steps) & mask
+    out = []
+    for _ in range(blocks):
+        z = ((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+        out.append((bound - (z ^ (z >> 31))).to_bytes(16 * lanes,
+                                                     "little")[8::16])
+        x = (x + stride) & mask
+    return b"".join(out)
 
 
 class SplitMix64:
@@ -52,6 +109,17 @@ class SplitMix64:
 
     def bernoulli(self, p: float) -> bool:
         return self.random() < p
+
+    def bernoulli_bytes(self, count: int, p: float) -> bytes:
+        """``bytes(self.bernoulli(p) for _ in range(count))``, with the same
+        final state, drawn ``BLOCK`` at a time."""
+        full, rest = divmod(max(count, 0), BLOCK)
+        t = _threshold(p)
+        state = self._state
+        tail = (state + full * BLOCK * _GOLDEN) & _MASK64
+        self._state = (tail + rest * _GOLDEN) & _MASK64
+        return (_draw_blocks(state, full, BLOCK, t)
+                + _draw_blocks(tail, 1, rest, t))
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]

@@ -228,17 +228,23 @@ class TestGenSolve:
 
 
 class TestSolveImports:
-    def test_solve_path_loads_no_numpy_or_scipy(self):
-        # The parser, LES, the approximation pipeline and the CLI that runs
-        # them load no numpy, scipy or mpmath, whose import alone costs tens
-        # of MB of resident memory.
+    def test_solve_path_loads_no_numpy_or_scipy(self, tmp_path):
+        # The parser, LES, the approximation pipeline, the CLI that runs
+        # them and its gap-instance generator load no numpy, scipy or
+        # mpmath, whose import alone costs tens of MB of resident memory.
+        inst = tmp_path / "gap.txt"
         code = ("import sys, ssbve.formats, ssbve.les, ssbve.approx, "
                 "ssbve.cli; "
+                "assert ssbve.cli.main(['--out', sys.argv[1], 'gen', "
+                "'--family', 'gap', '--n', '300', '--s', '30', "
+                "'--dl', '4']) == 0; "
                 "print(sorted({m.split('.')[0] for m in sys.modules} "
                 "& {'numpy', 'scipy', 'mpmath'}))")
-        out = subprocess.run([sys.executable, "-c", code], env=_child_env(),
-                             capture_output=True, text=True, check=True)
+        out = subprocess.run([sys.executable, "-c", code, str(inst)],
+                             env=_child_env(), capture_output=True,
+                             text=True, check=True)
         assert out.stdout.strip() == "[]"
+        assert inst.read_text().startswith("p ssbve 300 30 30\n")
 
 
 # Short texts: arbitrary ones, and lines built from instance-like fields

@@ -1807,6 +1807,28 @@ class TestTopLevelClasses:
             assert report_row(rep, "bounds-top-level-classes") in (
                 rep.failing()), key
 
+    def test_class_edit_between_verifies_matches_fresh(self):
+        """Lifts memoised by a first verify and property run do not outlive
+        it: after a class edit, both reports equal a fresh certificate's
+        with the same edit."""
+        g = ONE_ROUND_GRAPHS["certify-4096"]()
+        reports = []
+        for reused in (True, False):
+            cert = build_sa_certificate(g, rounds=1)
+            if reused:
+                verify_sa_certificate(cert)
+                sample_property_checks(cert, 500, seed=3)
+            cert.class_table[(1, 1, 3)] = 5
+            reports.append([(rep.checks, rep.max_violation, rep.extra)
+                            for rep in (verify_sa_certificate(cert),
+                                        sample_property_checks(cert, 500,
+                                                               seed=3))])
+        assert reports[0] == reports[1]
+        checks = reports[1][0][0]
+        row = next(r for r in checks
+                   if r.constraint_id == "bounds-top-level-classes")
+        assert row.lhs == 524160
+
 
 def _nudge_right(cert):
     """x_v set 1e-50 below x_u for every right vertex: the level-0 edge

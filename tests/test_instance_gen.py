@@ -1,17 +1,24 @@
 """Generator determinism, model structure, and concentration checks."""
 
+import hashlib
 import math
+import tracemalloc
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssbve.errors import (ArityTooLargeError, InvalidExponentsError,
                           ProbabilityOutOfRangeError)
-from ssbve.formats import parse_planted_sidecar, planted_sidecar
-from ssbve.generators import (HdvrSpec, PlantedSpec, gen_gap_instance,
+from ssbve.formats import parse_planted_sidecar, planted_sidecar, write_ssbve
+from ssbve.generators import (DRAW_CHUNK, SUBSET_SAMPLING_BUDGET, HdvrSpec,
+                              PlantedSpec, _sample_r_subsets,
+                              _unrank_combination, gen_gap_instance,
                               gen_hdvr, gen_planted, gen_random_bipartite)
-from ssbve.graph import neighborhood
-from ssbve.rng import SplitMix64, stream
+from ssbve.graph import (BipartiteGraph, Hypergraph, SsbveInstance,
+                         neighborhood)
+from ssbve.rng import BLOCK, SplitMix64, stream
 
 
 class TestRng:
@@ -33,6 +40,162 @@ class TestRng:
         g = stream(3)
         s = g.sample_range(50, 20)
         assert len(set(s)) == 20 and all(0 <= x < 50 for x in s)
+
+
+def scalar_bytes(g: SplitMix64, count: int, p: float) -> bytes:
+    """One bernoulli call per draw: the oracle of bernoulli_bytes."""
+    return bytes(g.bernoulli(p) for _ in range(count))
+
+
+class TestBernoulliBytes:
+    @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                       3 * BLOCK + 7])
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 2 / 384, 0.15,
+                                   1 / 3, 0.5, 1 - 2 ** -53, 1.0,
+                                   float("nan"), -0.5, 1.5, float("inf")])
+    def test_matches_scalar_draws(self, count, p):
+        fast, slow = stream(count, 0x6262), stream(count, 0x6262)
+        assert fast.bernoulli_bytes(count, p) == scalar_bytes(slow, count, p)
+        assert fast._state == slow._state
+
+    def test_threshold_edges(self):
+        # Seeds whose first output's top 53 bits are exactly the threshold
+        # ceil(p * 2^53) or one below it, for a p that is not a multiple of
+        # 2^-53: the draw just under the threshold succeeds, the one on it
+        # fails.
+        p = 1 / 3
+        t = math.ceil(p * 2 ** 53)
+        for top, want in ((t - 1, 1), (t, 0)):
+            seed = _inverse_mix((top << 11) | 0x5A5) - 0x9E3779B97F4A7C15
+            assert SplitMix64(seed).bernoulli(p) == want
+            assert SplitMix64(seed).bernoulli_bytes(1, p) == bytes([want])
+
+    @given(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 * BLOCK + 50),
+           st.one_of(st.floats(0.0, 1.0),
+                     st.sampled_from([0.0, 1.0, 2 ** -53, 1 - 2 ** -53])))
+    @settings(max_examples=30, deadline=None)
+    def test_random_draws_match_scalar(self, seed, count, p):
+        fast, slow = SplitMix64(seed), SplitMix64(seed)
+        assert fast.bernoulli_bytes(count, p) == scalar_bytes(slow, count, p)
+        assert fast._state == slow._state
+
+
+def _inverse_mix(z: int) -> int:
+    """The state whose SplitMix64 finalizer output is z."""
+    mask = (1 << 64) - 1
+
+    def unxorshift(y, k):
+        x = y
+        for _ in range(64 // k + 1):
+            x = y ^ (x >> k)
+        return x
+
+    z = unxorshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
+    z = unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
+    return unxorshift(z, 30)
+
+
+def reference_random_bipartite(n, s, p, seed):
+    """The per-draw generator: one bernoulli call per potential edge, then
+    both views from the edge list."""
+    rng = stream(seed, 0x6269)
+    edges = [(u, v) for u in range(n) for v in range(s) if rng.bernoulli(p)]
+    return BipartiteGraph.from_edges(n, s, edges)
+
+
+def reference_sample_r_subsets(rng, n, r, p):
+    total = comb(n, r)
+    count = sum(1 for _ in range(total) if rng.bernoulli(p))
+    chosen = set()
+    while len(chosen) < count:
+        chosen.add(rng.randrange(total))
+    return [_unrank_combination(i, n, r) for i in sorted(chosen)]
+
+
+def reference_hdvr(spec):
+    """gen_hdvr with one bernoulli call per candidate hyperedge."""
+    rng = stream(spec.seed, 0x6864)
+    p_ambient = float(spec.n) ** (spec.alpha - (spec.r_edge - 1))
+    sets = reference_sample_r_subsets(rng, spec.n, spec.r_edge, p_ambient)
+    if spec.mode == "planted":
+        k = spec.k_planted
+        members = sorted(rng.sample_range(spec.n, k))
+        p_plant = float(k) ** (spec.beta - (spec.r_edge - 1))
+        for local in reference_sample_r_subsets(rng, k, spec.r_edge, p_plant):
+            sets.append(tuple(members[i] for i in local))
+    return Hypergraph.from_sets(spec.n, sets)
+
+
+SMALL_P = [0.0, 0.15, 1.0]
+
+
+class TestGeneratorsMatchPerDraw:
+    @pytest.mark.parametrize("n, s, p", [
+        *[(n, s, p) for n, s in ((6, 0), (0, 7), (1, 1), (2, BLOCK + 1),
+                                 (2, DRAW_CHUNK + 1)) for p in SMALL_P],
+        (3, 10000, 0.15), (10000, 3, 0.15), (120, 40, 0.15),
+        (1280, 384, 2 / 384), (4096, 64, 0.5)])
+    def test_random_bipartite(self, n, s, p):
+        got = gen_random_bipartite(n, s, p, 11)
+        assert got == reference_random_bipartite(n, s, p, 11)
+        got.validate()
+
+    def test_ids_shared_across_views(self):
+        g = gen_random_bipartite(300, 300, 0.5, 2)
+        by_value = {}
+        for ids in (*g.adj_left, *g.adj_right):
+            for i in ids:
+                assert by_value.setdefault(i, i) is i
+
+    @pytest.mark.parametrize("spec", [
+        HdvrSpec(n=8, r_edge=3, alpha=2.0, beta=1.0, k_planted=4,
+                 mode="random", seed=1),
+        HdvrSpec(n=64, r_edge=3, alpha=1.0, beta=1.0, k_planted=8,
+                 mode="random", seed=9),
+        HdvrSpec(n=182, r_edge=2, alpha=0.6, beta=0.5, k_planted=10,
+                 mode="random", seed=3),  # C(182, 2) = DRAW_CHUNK + 87
+        HdvrSpec(n=256, r_edge=2, alpha=0.5, beta=0.8, k_planted=40,
+                 mode="planted", seed=4),
+        HdvrSpec(n=48, r_edge=3, alpha=0.8, beta=1.6, k_planted=12,
+                 mode="planted", seed=4)])
+    def test_hdvr(self, spec):
+        assert gen_hdvr(spec) == reference_hdvr(spec)
+
+    def test_hdvr_memory_at_budget(self):
+        # C(n, r) just under the sampling budget: the count is summed chunk
+        # by chunk, so the draws never hold more than a chunk at a time.
+        n, r, p = 392, 3, 2.0 ** -20
+        assert 0.99 * SUBSET_SAMPLING_BUDGET < comb(n, r) <= (
+            SUBSET_SAMPLING_BUDGET)
+        tracemalloc.start()
+        try:
+            _sample_r_subsets(stream(6), n, r, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+# sha256 of write_ssbve for instances made by the per-draw generator: the
+# two gap instances of the benchmark's certify case at seed 0 and its first
+# worst case.
+GOLDEN_TEXTS = [
+    (lambda: gen_gap_instance(1280, 384, 2.0, 10_000), 4,
+     "de7ba4d14cd7c21d1de2b385a74790133636096c44b0b53011260feb03bd7c0c"),
+    (lambda: gen_gap_instance(4096, 64, 32.0, 10_000), 64,
+     "fe1d095d9944f1f00e248f32117479a4357e65af6266ec82470dd4122ad01a14"),
+    (lambda: gen_random_bipartite(120, 40, 0.15, 10_000), 6,
+     "934af78d234013ffad6a1c20a6900fd015878aa1812ac003510e404830d40473"),
+]
+
+
+@pytest.mark.parametrize("make, k, digest", GOLDEN_TEXTS,
+                         ids=["certify-sdp", "certify-sa", "worst"])
+def test_instance_text_golden(make, k, digest):
+    text = write_ssbve(SsbveInstance(graph=make(), k=k))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestRandomBipartite:
