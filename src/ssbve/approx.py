@@ -61,13 +61,6 @@ class Step(enum.Enum):
 
 
 @dataclass(frozen=True)
-class CaterpillarSchedule:
-    p: int
-    q: int
-    steps: tuple[Step, ...]
-
-
-@dataclass(frozen=True)
 class PreprocessedInstance:
     """Left-regular candidate with its guessed/derived analysis constants.
 
@@ -81,8 +74,6 @@ class PreprocessedInstance:
     r: int
     k: int
     left_ids: tuple[int, ...]
-    t_guess: int | None = None
-    d: float | None = None
     p: int | None = None
     q: int | None = None
     eps: float | None = None
@@ -109,23 +100,21 @@ class Done:
     chosen: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Branches:
-    states: tuple[BranchState, ...]
-
-
-StepResult = Done | Branches
+StepResult = Done | tuple[BranchState, ...]
 
 
 # ---------------------------------------------------------------------------
 # Baselines and the at-most -> exact conversion
 # ---------------------------------------------------------------------------
 
+def _degree_order(g: BipartiteGraph) -> list[int]:
+    """Left vertices by degree, ties by id."""
+    return sorted(range(g.n), key=lambda u: (g.degree_left(u), u))
+
+
 def trivial_ksubset(inst: SsbveInstance) -> Solution:
     """The k left vertices of smallest degree (greedy arbitrary-set bound)."""
-    g = inst.graph
-    order = sorted(range(g.n), key=lambda u: (g.degree_left(u), u))
-    return Solution.from_set(g, order[:inst.k])
+    return Solution.from_set(inst.graph, _degree_order(inst.graph)[:inst.k])
 
 
 def exact_from_atmost(
@@ -307,7 +296,6 @@ def _finish_candidate(cand: PreprocessedInstance, t: int, eps: float,
             g, kept = subsample_left(g, gamma, seed)
             ids = tuple(ids[u] for u in kept)
             k = max(1, min(g.n, round(k * cand.graph.n ** (-gamma))))
-            d = k * r / t
             if g.n < 2:
                 return []
             alpha_raw = math.log(g.n / k) / math.log(g.n) if k < g.n else 0.0
@@ -317,15 +305,15 @@ def _finish_candidate(cand: PreprocessedInstance, t: int, eps: float,
     v_d = frozenset(v for v in range(g.n_right)
                     if g.degree_right(v) >= cap_d)
     return [PreprocessedInstance(
-        graph=g, r=r, k=k, left_ids=ids, t_guess=t, d=d, p=p, q=q,
-        eps=eps, c=c, cap_d=cap_d, v_d=v_d)]
+        graph=g, r=r, k=k, left_ids=ids, p=p, q=q, eps=eps, c=c,
+        cap_d=cap_d, v_d=v_d)]
 
 
 # ---------------------------------------------------------------------------
 # Caterpillar schedule
 # ---------------------------------------------------------------------------
 
-def caterpillar_schedule(p: int, q: int) -> CaterpillarSchedule:
+def caterpillar_schedule(p: int, q: int) -> tuple[Step, ...]:
     """First, then per j in 2..q-1 a Hair step iff ((j-1)p/q, jp/q) contains
     an integer (else Backbone), then Final."""
     if not (0 < p < q) or math.gcd(p, q) != 1:
@@ -339,7 +327,7 @@ def caterpillar_schedule(p: int, q: int) -> CaterpillarSchedule:
         else:
             steps.append(Step.BACKBONE)
     steps.append(Step.FINAL)
-    return CaterpillarSchedule(p=p, q=q, steps=tuple(steps))
+    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +349,9 @@ def solve_planted(inst: SsbveInstance, p: int, q: int, branch_cap: int,
     guess tuples are enumerated when their number is at most branch_cap,
     otherwise branch_cap tuples are sampled uniformly.
     """
-    schedule = caterpillar_schedule(p, q)
     g = inst.graph
     k = inst.k
-    inner = schedule.steps[1:-1]
+    inner = caterpillar_schedule(p, q)[1:-1]
     n_guesses = 1 + sum(1 for s in inner if s is Step.HAIR)
     if g.n_right == 0:
         return trivial_ksubset(inst)
@@ -423,7 +410,7 @@ def first_step(pre: PreprocessedInstance) -> StepResult:
             continue
         states.append(BranchState(current=g.adj_right[v], guesses=(v,),
                                   step_index=1))
-    return Branches(states=tuple(states))
+    return tuple(states)
 
 
 def hair_step(pre: PreprocessedInstance, st: BranchState) -> StepResult:
@@ -456,7 +443,7 @@ def hair_step(pre: PreprocessedInstance, st: BranchState) -> StepResult:
         states.append(BranchState(current=cur,
                                   guesses=st.guesses + (v,),
                                   step_index=st.step_index + 1))
-    return Branches(states=tuple(states))
+    return tuple(states)
 
 
 def backbone_step(pre: PreprocessedInstance, st: BranchState,
@@ -474,7 +461,7 @@ def backbone_step(pre: PreprocessedInstance, st: BranchState,
     if sol.expansion <= Fraction(thr):
         return Done(sol.chosen)
     if not v_hat:
-        return Branches(states=())
+        return ()
     reach = set().union(*[g.adj_right[v] for v in v_hat])
     # Each two-hop vertex with its number of neighbours in V-hat.
     hits = [(u, len(v_hat.intersection(g.adj_left[u])))
@@ -494,7 +481,7 @@ def backbone_step(pre: PreprocessedInstance, st: BranchState,
             states.append(BranchState(current=kept,
                                       guesses=st.guesses + (-i,),
                                       step_index=st.step_index + 1))
-    return Branches(states=tuple(states))
+    return tuple(states)
 
 
 def final_step(pre: PreprocessedInstance, st: BranchState) -> tuple[int, ...]:
@@ -509,7 +496,7 @@ def final_step(pre: PreprocessedInstance, st: BranchState) -> tuple[int, ...]:
 # Worst-case orchestration
 # ---------------------------------------------------------------------------
 
-def _run_candidate(pre: PreprocessedInstance, schedule: CaterpillarSchedule,
+def _run_candidate(pre: PreprocessedInstance, schedule: tuple[Step, ...],
                    branch_cap: int, seed: int, cand_tag: int, memo: dict
                    ) -> tuple[list[tuple[int, ...]], bool]:
     """Best-first branch exploration with a pop budget; returns the chosen
@@ -547,12 +534,12 @@ def _run_candidate(pre: PreprocessedInstance, schedule: CaterpillarSchedule,
             seq += 1
 
     root_seed = mix64(seed ^ mix64(cand_tag))
-    push(res.states, root_seed)
+    push(res, root_seed)
     pops = 0
     while heap and pops < branch_cap:
         _, _, state_seed, state = heapq.heappop(heap)
         pops += 1
-        step = schedule.steps[state.step_index]
+        step = schedule[state.step_index]
         if step is Step.BACKBONE:
             try:
                 out = backbone_step(pre, state, seed=state_seed)
@@ -571,7 +558,7 @@ def _run_candidate(pre: PreprocessedInstance, schedule: CaterpillarSchedule,
         if isinstance(out, Done):
             collected.append(out.chosen)
         else:
-            push(out.states, state_seed)
+            push(out, state_seed)
     return collected, not heap
 
 
@@ -584,8 +571,7 @@ def les_exactly_k(inst: SsbveInstance) -> Solution:
         chosen = sorted(chosen)[:k]
     elif len(chosen) < k:
         have = set(chosen)
-        extras = sorted((u for u in range(g.n) if u not in have),
-                        key=lambda u: (g.degree_left(u), u))
+        extras = [u for u in _degree_order(g) if u not in have]
         chosen.extend(extras[:k - len(chosen)])
     return Solution.from_set(g, chosen)
 
@@ -598,17 +584,15 @@ def _best_atmost(inst: SsbveInstance, eps: float, q_max: int,
     # min keeps the first of equal keys, so a repeated set cannot win.
     measured: set[tuple[int, ...]] = set()
     pres = preprocess(inst, eps, q_max=q_max, seed=seed)
-    # One step memo per group of candidates that differ only in t, d and
-    # the seed tag, which no memoised step reads; p/q is in the key so that
-    # a step index names the same step.  Graphs and id maps are keyed by
-    # identity, safe while pres keeps them all alive; a chosen set already
-    # mapped through the same ids cannot add a candidate.  Without a
+    # One step memo per group of candidates that differ only in their t
+    # guess and seed tag, which no memoised step reads; p/q is in the key so
+    # that a step index names the same step.  Graphs and id maps are keyed
+    # by identity, safe while pres keeps them all alive.  Without a
     # backbone step every step of a group is memoised, so each copy walks
     # the same tree; once one walk has emptied its heap, a later copy
-    # through the same ids could only collect sets already mapped, and is
+    # through the same ids could only collect sets already measured, and is
     # skipped.
     memos: dict[tuple, dict] = {}
-    mapped_from: set[tuple[int, tuple[int, ...]]] = set()
     walked: set[tuple[tuple, int]] = set()
     for idx, pre in enumerate(pres):
         schedule = caterpillar_schedule(pre.p, pre.q)
@@ -619,21 +603,18 @@ def _best_atmost(inst: SsbveInstance, eps: float, q_max: int,
         memo = memos.setdefault(group, {})
         sets, whole = _run_candidate(pre, schedule, branch_cap, seed, idx,
                                      memo)
-        if whole and Step.BACKBONE not in schedule.steps:
+        if whole and Step.BACKBONE not in schedule:
             walked.add((group, id(pre.left_ids)))
         for chosen in sets:
-            if (id(pre.left_ids), chosen) in mapped_from:
-                continue
-            mapped_from.add((id(pre.left_ids), chosen))
             mapped = _trim_lex((pre.left_ids[u] for u in chosen), k)
             if mapped not in measured:
                 measured.add(mapped)
                 candidates.append(Solution.from_set(g, mapped))
     les_sol = least_expanding_set(g)
     candidates.append(Solution.from_set(g, _trim_lex(les_sol.chosen, k)))
-    candidates.append(trivial_ksubset(inst))
-    fallback = min(range(g.n), key=lambda u: (g.degree_left(u), u))
-    candidates.append(Solution.from_set(g, [fallback]))
+    order = _degree_order(g)
+    candidates.append(Solution.from_set(g, order[:k]))
+    candidates.append(Solution.from_set(g, order[:1]))
     return min(candidates, key=Solution.sort_key)
 
 

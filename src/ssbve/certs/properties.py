@@ -15,14 +15,13 @@ _EXACT_LIMIT = 200_000
 
 
 def check_instance_properties(g: BipartiteGraph, k: int, samples: int,
-                              seed: int = 0,
-                              d_l: float | None = None) -> VerifyReport:
+                              seed: int = 0) -> VerifyReport:
     """Three checks on a gap instance:
 
     1. min |N(S)| over k-subsets is at least min(k, s)/2 (exact when the
        subset count is small, else the minimum over sampled subsets);
-    2. every degree lies within [mean/2, 3*mean/2] on both sides (d_l
-       defaults to the realized mean left degree);
+    2. every degree lies within [mean/2, 3*mean/2] on both sides, around
+       the realized mean degrees;
     3. sampled left pairs are joined by a path of length 4 (only checked
        when s <= ceil(sqrt(n)), where the instance is dense enough).
     """
@@ -42,8 +41,7 @@ def check_instance_properties(g: BipartiteGraph, k: int, samples: int,
         rep.extra["item1_mode"] = "sampled"
     rep.add("item1-optimum-lb", best, lb, max(0.0, lb - best))
 
-    if d_l is None:
-        d_l = g.num_edges() / n
+    d_l = g.num_edges() / n
     d_r = g.num_edges() / s
     bad = sum(1 for u in range(n)
               if not d_l / 2 <= g.degree_left(u) <= 1.5 * d_l)

@@ -55,6 +55,8 @@ from ..rng import stream
 from .report import VerifyReport
 
 _INF = float("inf")
+# Most base sets a deeper-than-one-round exhaustive verify enumerates.
+EXHAUSTIVE_BUDGET = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +379,15 @@ def sa_lift_value(cert: SaCertificate, s_set, t_set):
 # ---------------------------------------------------------------------------
 
 def verify_sa_certificate(cert: SaCertificate, mode: str = "exhaustive",
-                          samples: int = 10_000, seed: int = 0,
-                          budget: int = 20_000) -> VerifyReport:
+                          samples: int = 10_000,
+                          seed: int = 0) -> VerifyReport:
     """Check the lifted-LP constraints.
 
     exhaustive: every constraint at levels |S|+|T| <= rounds, plus the
     value bounds at level rounds+1: every realised top-level class at
     rounds=1, sampled at rounds >= 2.  One-round certificates use the
     exact class-based fast path (any instance size); deeper certificates
-    enumerate naively and require sum_j C(n+s, j) <= budget.
+    enumerate naively and require sum_j C(n+s, j) <= EXHAUSTIVE_BUDGET.
 
     sampled: `samples` random (S,T) pairs across all levels.
     """
@@ -407,9 +409,10 @@ def verify_sa_certificate(cert: SaCertificate, mode: str = "exhaustive",
         else:
             total = sum(math.comb(cert.n + cert.s, j)
                         for j in range(cert.rounds + 1))
-            if total > budget:
+            if total > EXHAUSTIVE_BUDGET:
                 raise BudgetExceededError(
-                    f"exhaustive base-set count {total} exceeds {budget}")
+                    f"exhaustive base-set count {total} exceeds "
+                    f"{EXHAUSTIVE_BUDGET}")
             _verify_naive(cert, rep, samples, seed)
     elif mode == "sampled":
         _verify_sampled(cert, rep, samples, seed)

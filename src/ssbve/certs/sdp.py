@@ -34,6 +34,9 @@ from ..errors import InfeasibleError, ParameterRegimeError, StalledError
 from ..graph import BipartiteGraph
 from .report import VerifyReport
 
+# The eigenvalue guard fails below -EIG_TOL times the largest |eigenvalue|.
+EIG_TOL = 1e-9
+
 
 def cap_degrees(g: BipartiteGraph, d_l_max: int,
                 d_r_max: int) -> BipartiteGraph:
@@ -269,8 +272,7 @@ def _eigen_extremes(cert: SdpCertificate) -> tuple[float, float]:
     return float(eigs.min()), float(np.abs(eigs).max())
 
 
-def verify_sdp_certificate(cert: SdpCertificate,
-                           eig_tol: float = 1e-9) -> VerifyReport:
+def verify_sdp_certificate(cert: SdpCertificate) -> VerifyReport:
     """Exact rational identity checks, the decomposition-based positivity
     witness, and the numeric minimum-eigenvalue guard."""
     rep = VerifyReport(tolerance=0.0)
@@ -346,8 +348,8 @@ def verify_sdp_certificate(cert: SdpCertificate,
 
     # Numeric eigenvalue guard.
     min_eig, norm = _eigen_extremes(cert)
-    rep.add("eigen-min", min_eig, -eig_tol * norm,
-            max(0.0, -eig_tol * norm - min_eig))
+    rep.add("eigen-min", min_eig, -EIG_TOL * norm,
+            max(0.0, -EIG_TOL * norm - min_eig))
 
     obj_id = 4 * max(Fraction(d_l * d_l), Fraction(d_l * k * s, n))
     rep.add_exact("objective-identity", cert.objective == obj_id,

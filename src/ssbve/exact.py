@@ -10,16 +10,17 @@ from math import comb
 from .errors import BudgetExceededError, TooLargeError
 from .graph import BipartiteGraph, Solution, SsbveInstance, UndirectedGraph
 
-DEFAULT_SUBSET_BUDGET = 10 ** 7
+SUBSET_BUDGET = 10 ** 7  # most k-subsets exact_ssbve enumerates
+LES_MAX_N = 20           # most left vertices exact_les enumerates 2^n over
+SSVE_MAX_N = 16          # most vertices exact_ssve enumerates over
 
 
-def exact_ssbve(inst: SsbveInstance,
-                budget: int = DEFAULT_SUBSET_BUDGET) -> Solution:
+def exact_ssbve(inst: SsbveInstance) -> Solution:
     """Lexicographically-smallest k-subset minimizing |N(S)|."""
     g, k = inst.graph, inst.k
-    if comb(g.n, k) > budget:
+    if comb(g.n, k) > SUBSET_BUDGET:
         raise BudgetExceededError(
-            f"C({g.n},{k}) exceeds the enumeration budget {budget}")
+            f"C({g.n},{k}) exceeds the enumeration budget {SUBSET_BUDGET}")
     masks = g.left_masks()
     best_set: tuple[int, ...] | None = None
     best_size = g.n_right + 1
@@ -36,13 +37,14 @@ def exact_ssbve(inst: SsbveInstance,
                     expansion=Fraction(best_size, k))
 
 
-def exact_les(g: BipartiteGraph, max_n: int = 20) -> Solution:
-    """Exact least expanding set by subset enumeration (n <= max_n).
+def exact_les(g: BipartiteGraph) -> Solution:
+    """Exact least expanding set by subset enumeration (n <= LES_MAX_N).
 
     Ties are broken by smaller |S|, then lexicographically smallest set.
     """
-    if g.n > max_n:
-        raise TooLargeError(f"n={g.n} exceeds the enumeration limit {max_n}")
+    if g.n > LES_MAX_N:
+        raise TooLargeError(
+            f"n={g.n} exceeds the enumeration limit {LES_MAX_N}")
     if g.n == 0:
         raise TooLargeError("graph has no left vertices")
     masks = g.left_masks()
@@ -69,11 +71,13 @@ def exact_les(g: BipartiteGraph, max_n: int = 20) -> Solution:
                     expansion=Fraction(best_num, best_den))
 
 
-def exact_ssve(g: UndirectedGraph, k: int,
-               max_n: int = 16) -> tuple[tuple[int, ...], Fraction]:
-    """Set S with |S| <= k minimizing |N(S) \\ S| / |S|, by enumeration."""
-    if g.n > max_n:
-        raise TooLargeError(f"n={g.n} exceeds the enumeration limit {max_n}")
+def exact_ssve(g: UndirectedGraph,
+               k: int) -> tuple[tuple[int, ...], Fraction]:
+    """Set S with |S| <= k minimizing |N(S) \\ S| / |S|, by enumeration
+    (n <= SSVE_MAX_N)."""
+    if g.n > SSVE_MAX_N:
+        raise TooLargeError(
+            f"n={g.n} exceeds the enumeration limit {SSVE_MAX_N}")
     adj_masks = [0] * g.n
     for a in range(g.n):
         for b in g.adj[a]:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import compress
-from math import comb
+from math import comb, isfinite
 
 from .errors import (ArityTooLargeError, InvalidExponentsError,
                      ProbabilityOutOfRangeError)
@@ -33,7 +33,8 @@ class PlantedSpec:
     Left side has n vertices; the right side has round(n^beta).  A hidden set
     S of round(n^(1-alpha)) left vertices has all its edges resampled into a
     hidden target T of round(n^gamma) right vertices, so N(S) is a subset of
-    T by construction.
+    T by construction.  The exponents need 0 <= alpha <= 1 and
+    0 <= gamma < beta <= 1, so that |S| <= n and |T| <= |V| <= n.
     """
 
     n: int
@@ -44,6 +45,15 @@ class PlantedSpec:
     seed: int
     planted_s: tuple[int, ...] = ()
     planted_t: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        # NaN fails every comparison, so it is rejected too.
+        if not 0.0 <= self.alpha <= 1.0:
+            raise InvalidExponentsError(f"alpha={self.alpha} outside [0, 1]")
+        if not 0.0 <= self.gamma < self.beta <= 1.0:
+            raise InvalidExponentsError(
+                f"need 0 <= gamma < beta <= 1, got gamma={self.gamma}, "
+                f"beta={self.beta}")
 
     @property
     def k(self) -> int:
@@ -71,6 +81,11 @@ class HdvrSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        # alpha <= r-1 keeps the ambient probability n^(alpha-(r-1)) <= 1.
+        if not (isfinite(self.alpha) and self.alpha <= self.r_edge - 1):
+            raise InvalidExponentsError(
+                f"alpha={self.alpha} not finite or above "
+                f"r-1={self.r_edge - 1}")
         if not 0 < self.beta < self.r_edge - 1:
             raise InvalidExponentsError(
                 f"beta={self.beta} outside (0, r-1={self.r_edge - 1})")
@@ -111,9 +126,6 @@ def gen_planted(spec: PlantedSpec) -> tuple[SsbveInstance, PlantedSpec]:
     replacement, deduplicated afterwards): planted vertices draw from T,
     the rest from all of V.
     """
-    if spec.gamma >= spec.beta:
-        raise InvalidExponentsError(
-            f"gamma={spec.gamma} must be < beta={spec.beta}")
     n_right = spec.n_right
     k = spec.k
     t_size = spec.t_size
@@ -170,9 +182,6 @@ def gen_hdvr(spec: HdvrSpec) -> Hypergraph:
         raise ArityTooLargeError(
             f"r={spec.r_edge} with n={spec.n} overflows the sampling budget")
     p_ambient = float(spec.n) ** (spec.alpha - (spec.r_edge - 1))
-    if p_ambient > 1.0:
-        raise ProbabilityOutOfRangeError(
-            f"ambient probability {p_ambient} exceeds 1")
     rng = stream(spec.seed, 0x6864)  # tag: hdvr
     sets = _sample_r_subsets(rng, spec.n, spec.r_edge, p_ambient)
     if spec.mode == "planted":

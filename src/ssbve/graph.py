@@ -284,16 +284,11 @@ def ssbve_to_ssveu(inst: SsbveInstance,
 
 def induced_left_subgraph(
         g: BipartiteGraph, left_ids: Sequence[int],
-        forbidden_right: set[int] | frozenset[int] = frozenset(),
 ) -> tuple[BipartiteGraph, tuple[int, ...]]:
-    """Subgraph on the given left vertices with edges into forbidden_right
-    removed; the right side keeps its indexing.  Returns (graph, left_ids)
-    where left_ids maps new left indices back to the originals."""
+    """Subgraph on the given left vertices; the right side keeps its
+    indexing.  Returns (graph, left_ids) where left_ids maps new left
+    indices back to the originals."""
     left_ids = tuple(sorted(set(left_ids)))
     adj = g.adj_left
-    if forbidden_right:
-        rows = [tuple([v for v in adj[u] if v not in forbidden_right])
-                for u in left_ids]
-    else:
-        rows = [adj[u] for u in left_ids]
+    rows = [adj[u] for u in left_ids]
     return BipartiteGraph.from_rows(g.n_right, rows), left_ids

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ssbve import approx, les
-from ssbve.approx import (BranchState, Branches, Done, Step,
+from ssbve.approx import (BranchState, Done, Step,
                           bucket_and_regularize, caterpillar_schedule,
                           exact_from_atmost, final_step, first_step,
                           hair_step, backbone_step, preprocess,
@@ -252,14 +252,14 @@ class TestPreprocess:
 
 class TestSchedule:
     def test_q2(self):
-        assert caterpillar_schedule(1, 2).steps == (Step.FIRST, Step.FINAL)
+        assert caterpillar_schedule(1, 2) == (Step.FIRST, Step.FINAL)
 
     def test_q3_backbone(self):
-        assert caterpillar_schedule(1, 3).steps == (
+        assert caterpillar_schedule(1, 3) == (
             Step.FIRST, Step.BACKBONE, Step.FINAL)
 
     def test_q3_hair(self):
-        assert caterpillar_schedule(2, 3).steps == (
+        assert caterpillar_schedule(2, 3) == (
             Step.FIRST, Step.HAIR, Step.FINAL)
 
     def test_not_coprime(self):
@@ -273,7 +273,7 @@ class TestSchedule:
             for p in range(1, q):
                 if gcd(p, q) != 1:
                     continue
-                steps = caterpillar_schedule(p, q).steps
+                steps = caterpillar_schedule(p, q)
                 assert steps[0] is Step.FIRST and steps[-1] is Step.FINAL
                 for j in range(2, q):
                     has_int = any(
@@ -287,7 +287,7 @@ class TestSchedule:
             for p in range(1, q):
                 if gcd(p, q) != 1:
                     continue
-                steps = caterpillar_schedule(p, q).steps
+                steps = caterpillar_schedule(p, q)
                 hairs = sum(1 for s in steps if s is Step.HAIR)
                 lo, hi = Fraction(p, q), Fraction((q - 1) * p, q)
                 count = sum(1 for m in range(0, p + 1) if lo < m < hi)
@@ -309,9 +309,9 @@ def reference_first_step(pre):
            if sum(1 for v in g.adj_left[u] if v not in pre.v_d) <= thr]
     if len(u_d) >= k / 2 and u_d:
         return Done(tuple(u_d[:min(len(u_d), k)]))
-    return Branches(states=tuple(
+    return tuple(
         BranchState(current=g.adj_right[v], guesses=(v,), step_index=1)
-        for v in range(g.n_right) if v not in pre.v_d and g.adj_right[v]))
+        for v in range(g.n_right) if v not in pre.v_d and g.adj_right[v])
 
 
 def reference_hair_step(pre, st):
@@ -341,7 +341,7 @@ def reference_hair_step(pre, st):
         if cur:
             states.append(BranchState(current=cur, guesses=st.guesses + (v,),
                                       step_index=st.step_index + 1))
-    return Branches(states=tuple(states))
+    return tuple(states)
 
 
 def reference_backbone_step(pre, st, seed):
@@ -356,7 +356,7 @@ def reference_backbone_step(pre, st, seed):
     if sol.expansion <= Fraction(thr):
         return Done(sol.chosen)
     if not v_hat:
-        return Branches(states=())
+        return ()
     reach = set()
     for v in v_hat:
         reach.update(g.adj_right[v])
@@ -377,7 +377,7 @@ def reference_backbone_step(pre, st, seed):
             states.append(BranchState(current=kept,
                                       guesses=st.guesses + (-i,),
                                       step_index=st.step_index + 1))
-    return Branches(states=tuple(states))
+    return tuple(states)
 
 
 def _step_outcome(step, *args):
@@ -400,7 +400,7 @@ class TestStepsMatchReference:
         for pre in preprocess(inst, 0.1, seed=seed):
             res = first_step(pre)
             assert res == reference_first_step(pre)
-            frontier = list(res.states) if isinstance(res, Branches) else []
+            frontier = list(res) if isinstance(res, tuple) else []
             for _ in range(2):  # two levels below the first step
                 following = []
                 for st in frontier[:40]:
@@ -411,8 +411,8 @@ class TestStepsMatchReference:
                                                  pre, st, seed)
                     checked += 1
                     for out in (hair, bone):
-                        if isinstance(out, Branches):
-                            following += out.states
+                        if isinstance(out, tuple):
+                            following += out
                 frontier = following
         assert checked
 
@@ -434,8 +434,8 @@ class TestStepsMatchReference:
                 private += 2
         g = BipartiteGraph.from_edges(len(kinds), private, edges)
         pre = PreprocessedInstance(
-            graph=g, r=2, k=k, left_ids=tuple(range(g.n)), t_guess=2,
-            d=2.0, p=1, q=3, eps=0.1, c=0.45, cap_d=1e9, v_d=frozenset())
+            graph=g, r=2, k=k, left_ids=tuple(range(g.n)),
+            p=1, q=3, eps=0.1, c=0.45, cap_d=1e9, v_d=frozenset())
         st = BranchState(current=tuple(range(g.n)), guesses=(0,),
                          step_index=1)
         d_hat = g.n / k ** (1 - pre.c * pre.eps)
@@ -460,7 +460,7 @@ class TestSteps:
             6, 2, [(u, v) for u in range(6) for v in range(2)])
         from ssbve.approx import PreprocessedInstance
         pre = PreprocessedInstance(
-            graph=g, r=2, k=3, left_ids=tuple(range(6)), t_guess=2, d=3.0,
+            graph=g, r=2, k=3, left_ids=tuple(range(6)),
             p=1, q=2, eps=0.1, c=0.45, cap_d=1.0,
             v_d=frozenset(range(2)))
         res = first_step(pre)
@@ -473,8 +473,8 @@ class TestSteps:
     def test_first_step_branches_bounded_by_cap(self):
         pre = _toy_pre(seed=3)
         res = first_step(pre)
-        if isinstance(res, Branches):
-            for st in res.states:
+        if isinstance(res, tuple):
+            for st in res:
                 v = st.guesses[0]
                 assert pre.graph.degree_right(v) < pre.cap_d
                 assert len(st.current) < pre.cap_d
@@ -490,13 +490,13 @@ class TestSteps:
             edges.extend((u, v) for v in nbrs)
         g = BipartiteGraph.from_edges(12, 9, edges)
         pre = PreprocessedInstance(
-            graph=g, r=3, k=2, left_ids=tuple(range(12)), t_guess=3,
-            d=2.0, p=1, q=3, eps=0.1, c=0.45, cap_d=1e9, v_d=frozenset())
+            graph=g, r=3, k=2, left_ids=tuple(range(12)),
+            p=1, q=3, eps=0.1, c=0.45, cap_d=1e9, v_d=frozenset())
         st = BranchState(current=tuple(range(8)), guesses=(0,), step_index=1)
         out = hair_step(pre, st)
-        assert isinstance(out, Branches) and out.states
+        assert isinstance(out, tuple) and out
         d_hat = len(st.current) / pre.k ** (1 - pre.c * pre.eps)
-        for child in out.states:
+        for child in out:
             assert len(child.current) <= d_hat
             assert set(child.current) <= set(st.current)
 
@@ -508,8 +508,8 @@ class TestSteps:
         edges += [(u, 3 + u % 6) for u in range(12)]  # pad degree to 4
         g = BipartiteGraph.from_edges(12, 9, edges)
         pre = PreprocessedInstance(
-            graph=g, r=4, k=2, left_ids=tuple(range(12)), t_guess=4,
-            d=2.0, p=1, q=3, eps=0.1, c=0.45, cap_d=1e9, v_d=frozenset())
+            graph=g, r=4, k=2, left_ids=tuple(range(12)),
+            p=1, q=3, eps=0.1, c=0.45, cap_d=1e9, v_d=frozenset())
         assert pre.r / pre.k ** (pre.c * pre.eps) >= 1  # not floored
         st = BranchState(current=tuple(range(8)), guesses=(0,), step_index=1)
         out = hair_step(pre, st)
@@ -530,13 +530,13 @@ class TestSteps:
                       (u, 40 + (2 * i) % 4), (u, 40 + (2 * i + 1) % 4)]
         g = BipartiteGraph.from_edges(210, 44, edges)
         pre = PreprocessedInstance(
-            graph=g, r=4, k=10, left_ids=tuple(range(210)), t_guess=4,
-            d=2.0, p=1, q=3, eps=0.1, c=0.45, cap_d=1e9, v_d=frozenset())
+            graph=g, r=4, k=10, left_ids=tuple(range(210)),
+            p=1, q=3, eps=0.1, c=0.45, cap_d=1e9, v_d=frozenset())
         st = BranchState(current=tuple(range(10)), guesses=(0,),
                          step_index=1)
         out = backbone_step(pre, st, seed=5)
-        assert isinstance(out, Branches)
-        by_bin = {-s.guesses[-1]: s for s in out.states}
+        assert isinstance(out, tuple)
+        by_bin = {-s.guesses[-1]: s for s in out}
         assert set(by_bin) == {1, 2}
         assert len(by_bin[1].current) == 210  # top bin keeps everyone
         kept = len(by_bin[2].current)
@@ -556,10 +556,10 @@ class TestSteps:
         st = BranchState(current=tuple(range(min(pre.k, pre.graph.n))),
                          guesses=(0,), step_index=1)
         out = backbone_step(pre, st, seed=9)
-        if isinstance(out, Branches):
+        if isinstance(out, tuple):
             v_hat = {v for v in neighborhood(pre.graph, st.current)
                      if v not in pre.v_d}
-            for child in out.states:
+            for child in out:
                 i = -child.guesses[-1]
                 if i == 1:
                     r_i = pre.r
@@ -794,6 +794,47 @@ class TestSolveWorstCase:
                     k=6), seed=seed)
             for seed in range(2))
         assert skipped > 0
+
+    @pytest.mark.parametrize("case", GOLDEN_FAMILY["cases"][:4],
+                             ids=lambda c: str(c["graph_seed"]))
+    def test_each_mapped_set_measured_once(self, case, monkeypatch):
+        # One _best_atmost call measures every distinct set its candidates
+        # collect, mapped to source ids and trimmed to k, exactly once,
+        # although walks collect some of them more than once.  The loop's
+        # measurements are the Solution.from_set calls before the LES
+        # fallback runs.
+        gold = GOLDEN_FAMILY
+        g = gen_random_bipartite(gold["n"], gold["n_right"], gold["p"],
+                                 case["graph_seed"])
+        k = gold["k"]
+        collected, measured, mapping = [], [], [True]
+        run, from_set = approx._run_candidate, Solution.from_set.__func__
+        les_set = approx.least_expanding_set
+
+        def run_recorded(pre, *args):
+            sets, whole = run(pre, *args)
+            collected.extend(tuple(sorted(pre.left_ids[u] for u in c)[:k])
+                             for c in sets)
+            return sets, whole
+
+        def from_set_recorded(cls, graph, chosen):
+            sol = from_set(cls, graph, chosen)
+            if mapping[0]:
+                measured.append(sol.chosen)
+            return sol
+
+        def les_recorded(graph):
+            mapping[0] = False
+            return les_set(graph)
+
+        monkeypatch.setattr(approx, "_run_candidate", run_recorded)
+        monkeypatch.setattr(Solution, "from_set",
+                            classmethod(from_set_recorded))
+        monkeypatch.setattr(approx, "least_expanding_set", les_recorded)
+        approx._best_atmost(SsbveInstance(graph=g, k=k), gold["eps"],
+                            gold["q_max"], gold["branch_cap"], gold["seed"])
+        assert len(collected) > len(set(collected))
+        assert sorted(measured) == sorted(set(collected))
 
     def test_step_memo_runs_each_step_once_per_round(self, monkeypatch):
         g = gen_random_bipartite(120, 40, 0.15, 8003)

@@ -219,6 +219,30 @@ class TestGenSolve:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "planted", "--alpha", "nan", "--beta", "0.5",
+         "--gamma", "0.2", "--r", "3"],
+        ["--family", "planted", "--alpha", "0.5", "--beta", "0.5",
+         "--gamma", "nan", "--r", "3"],
+        ["--family", "planted", "--alpha", "-1", "--beta", "0.5",
+         "--gamma", "0.2", "--r", "3"],
+        ["--family", "planted", "--alpha", "0.5", "--beta", "1e6",
+         "--gamma", "0.2", "--r", "3"],
+        ["--family", "hdvr", "--r", "3", "--alpha", "1e6", "--beta", "1",
+         "--k-planted", "3"],
+        ["--family", "hdvr", "--r", "3", "--alpha", "nan", "--beta", "1",
+         "--k-planted", "3"],
+    ])
+    def test_bad_exponent_exit_code(self, tmp_path, capsys, argv):
+        # Exponents that give no valid model instance are bad input, found
+        # before any work: exit 4, one line on stderr and no output file.
+        out = tmp_path / "inst.txt"
+        assert run(["--out", str(out), "gen", "--n", "10"] + argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_budget_exit_code(self, tmp_path):
         inst = tmp_path / "big.txt"
         lines = ["p ssbve 40 5 20"]
@@ -343,6 +367,16 @@ class TestCertifyCli:
         assert sum(row["count"] for row in rep["checks"]) == 8332
         assert any(i.startswith("edges-") for i in ids)
         assert "bounds-level1" in ids and "bounds-top-level-classes" in ids
+
+    def test_certify_sa_exhaustive_budget_exit_code(self, tmp_path, capsys):
+        # Two rounds on 256 + 16 vertices: 37129 base sets to enumerate.
+        out = tmp_path / "sa.json"
+        assert run(["--out", str(out), "certify", "--kind", "sa", "--n",
+                    "256", "--s", "16", "--dl", "4", "--rounds", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err == ("budget exceeded: exhaustive base-set count 37129 "
+                       "exceeds 20000\n")
+        assert not out.exists()
 
     def test_certify_sdp_bad_divisibility(self):
         assert run(["certify", "--kind", "sdp", "--n", "100", "--s", "7",

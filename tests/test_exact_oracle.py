@@ -32,9 +32,9 @@ class TestExactSsbve:
         assert sol.neighborhood_size == len(neighborhood(g, range(7)))
 
     def test_budget(self):
-        g = random_bipartite(6, 30, 5)
+        g = random_bipartite(6, 40, 5)  # C(40, 20) > SUBSET_BUDGET
         with pytest.raises(BudgetExceededError):
-            exact_ssbve(SsbveInstance(graph=g, k=15), budget=100)
+            exact_ssbve(SsbveInstance(graph=g, k=20))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_spot_reenumeration(self, seed):

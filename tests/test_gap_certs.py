@@ -25,7 +25,8 @@ from ssbve.certs import (SdpCertificate, biregularize, build_sa_certificate,
 from ssbve.certs import sa, sdp
 from ssbve.certs.sa import SaCertificate, _verify_naive, _View
 from ssbve.certs.report import VerifyReport
-from ssbve.errors import (InfeasibleError, InvalidRegimeError, NoCoverError,
+from ssbve.errors import (BudgetExceededError, InfeasibleError,
+                          InvalidRegimeError, NoCoverError,
                           ParameterRegimeError, SizeExceededError,
                           SsbveError, StalledError)
 from ssbve.generators import gen_gap_instance
@@ -1116,10 +1117,21 @@ class TestSaCertificate:
     def test_rounds2_naive_small(self):
         g = gen_gap_instance(12, 4, 2.0, 9)
         cert = build_sa_certificate(g, rounds=2)
-        rep = verify_sa_certificate(cert, samples=50, seed=1, budget=500)
+        rep = verify_sa_certificate(cert, samples=50, seed=1)
         # Bounds and edge families hold; cardinality fails at toy scale.
         for row in rep.failing():
             assert row.constraint_id.startswith("cardinality")
+
+    def test_rounds2_exhaustive_budget(self):
+        # n + s = 200 gives 1 + 200 + C(200, 2) = 20101 base sets, the
+        # smallest count above the budget; n + s = 199 gives 19901.
+        def base_sets(m):
+            return sum(math.comb(m, j) for j in range(3))
+        assert base_sets(199) <= sa.EXHAUSTIVE_BUDGET < base_sets(200)
+        cert = build_sa_certificate(gen_gap_instance(184, 16, 4.0, 1), 2)
+        with pytest.raises(BudgetExceededError,
+                           match=f"20101 exceeds {sa.EXHAUSTIVE_BUDGET}$"):
+            verify_sa_certificate(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -1539,7 +1551,7 @@ class TestSaClassesMatchReference:
     def test_naive_and_sampled_reports(self, monkeypatch, mode, rounds, n, s,
                                        d_l):
         g = gen_gap_instance(n, s, d_l, 9)
-        kwargs = dict(mode=mode, samples=200, seed=3, budget=500)
+        kwargs = dict(mode=mode, samples=200, seed=3)
         rep = verify_sa_certificate(build_sa_certificate(g, rounds), **kwargs)
         ref = reference_report(monkeypatch, build_sa_certificate(g, rounds),
                                **kwargs)
@@ -1550,7 +1562,7 @@ class TestSaClassesMatchReference:
         # Float mode, rounds=2: some edge rows fall short by about 1e-63,
         # far below the 1e-40 tolerance.
         cert = build_sa_certificate(gen_gap_instance(10, 3, 2.0, 1), 2)
-        rep = verify_sa_certificate(cert, samples=300, seed=1, budget=500)
+        rep = verify_sa_certificate(cert, samples=300, seed=1)
         edges = [r for r in rep.checks if r.constraint_id.startswith(
             "edge-") and r.constraint_id != "edge-family-violations"]
         summary, = (r for r in rep.checks
@@ -1561,7 +1573,7 @@ class TestSaClassesMatchReference:
 
     def test_top_level_summary_skips_rounding_noise(self, monkeypatch):
         g = gen_gap_instance(12, 4, 2.0, 9)
-        kwargs = dict(samples=300, seed=9, budget=500)
+        kwargs = dict(samples=300, seed=9)
         rep = verify_sa_certificate(build_sa_certificate(g, 2), **kwargs)
         ref = reference_report(monkeypatch, build_sa_certificate(g, 2),
                                **kwargs)
@@ -1584,7 +1596,7 @@ class TestSaClassesMatchReference:
             cert.class_table[reference_key(cert, frozenset({n}))] = zero
             return cert
 
-        kwargs = dict(samples=500, seed=2, budget=500)
+        kwargs = dict(samples=500, seed=2)
         rep = verify_sa_certificate(corrupted(), **kwargs)
         ref = reference_report(monkeypatch, corrupted(), **kwargs)
         assert rep.checks == ref.checks

@@ -131,12 +131,10 @@ class TestGraphInvariants:
         n, n_right = 1 + rng.randrange(15), rng.randrange(9)
         g = random_bipartite(seed + 300, n, n_right, 0.4)
         ids = [rng.randrange(n) for _ in range(rng.randrange(2 * n))]
-        forbidden = frozenset(v for v in range(n_right)
-                              if rng.bernoulli(0.3))
-        sub, left_ids = induced_left_subgraph(g, ids, forbidden)
+        sub, left_ids = induced_left_subgraph(g, ids)
         assert left_ids == tuple(sorted(set(ids)))
         edges = [(new_u, v) for new_u, u in enumerate(left_ids)
-                 for v in g.adj_left[u] if v not in forbidden]
+                 for v in g.adj_left[u]]
         sub.validate()
         assert sub == BipartiteGraph.from_edges(len(left_ids), n_right,
                                                 edges)

@@ -228,10 +228,19 @@ class TestPlanted:
                            r_degree=12, seed=seed)
 
     def test_invalid_exponents(self):
-        spec = PlantedSpec(n=64, alpha=0.5, beta=0.4, gamma=0.5,
-                           r_degree=3, seed=1)
         with pytest.raises(InvalidExponentsError):
-            gen_planted(spec)
+            PlantedSpec(n=64, alpha=0.5, beta=0.4, gamma=0.5, r_degree=3,
+                        seed=1)
+
+    @pytest.mark.parametrize("alpha, beta, gamma", [
+        (0.5, 0.5, 0.5), (math.nan, 0.5, 0.2), (0.5, 0.5, math.nan),
+        (0.5, math.nan, 0.2), (-1.0, 0.5, 0.2), (1.5, 0.5, 0.2),
+        (0.5, 1e6, 0.2), (0.5, 0.5, -0.1), (math.inf, 0.5, 0.2)])
+    def test_out_of_range_exponents(self, alpha, beta, gamma):
+        # Sizes n^(1-alpha) <= n and n^gamma < n^beta <= n, or no instance.
+        with pytest.raises(InvalidExponentsError):
+            PlantedSpec(n=64, alpha=alpha, beta=beta, gamma=gamma,
+                        r_degree=3, seed=1)
 
     def test_planted_neighborhood_containment(self):
         inst, spec = gen_planted(self.make_spec())
@@ -319,6 +328,14 @@ class TestHdvr:
         expected = comb(12, 3) * 12.0 ** (1.6 - 2)
         sd = math.sqrt(expected)
         assert abs(len(tail) - expected) <= 4 * sd
+
+    @pytest.mark.parametrize("alpha", [
+        math.nan, math.inf, -math.inf, 1e6, 2.5])
+    def test_invalid_ambient_exponent(self, alpha):
+        # Above r-1 = 2 the ambient probability n^(alpha-2) exceeds 1.
+        with pytest.raises(InvalidExponentsError):
+            HdvrSpec(n=10, r_edge=3, alpha=alpha, beta=1.0, k_planted=3,
+                     mode="random", seed=1)
 
     def test_arity_budget(self):
         spec = HdvrSpec(n=300, r_edge=5, alpha=3.0, beta=3.0, k_planted=10,

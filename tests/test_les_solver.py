@@ -8,8 +8,7 @@ import pytest
 from ssbve.errors import EmptyLeftSideError, NegativeLambdaError
 from ssbve.exact import exact_les
 from ssbve.generators import PlantedSpec, gen_planted
-from ssbve.graph import (BipartiteGraph, Solution, expansion,
-                         induced_left_subgraph, neighborhood)
+from ssbve.graph import BipartiteGraph, Solution, expansion, neighborhood
 from ssbve import les
 from ssbve.les import (_dinkelbach, _Network, least_expanding_set,
                        least_expanding_subset, memo_scope, min_cut_select)
@@ -34,7 +33,10 @@ def dinic_source_side(g: BipartiteGraph, allowed, forbidden,
     """Reference cut: the maximal min-cut source side (as indices into the
     sorted `allowed`) and its |N(S)|, from an explicit Dinic network on the
     induced subgraph with lambda = a/b scaled to integer capacities."""
-    sub, _ = induced_left_subgraph(g, allowed, frozenset(forbidden))
+    forbidden = frozenset(forbidden)
+    sub = BipartiteGraph.from_rows(g.n_right, [
+        tuple(v for v in g.adj_left[u] if v not in forbidden)
+        for u in sorted(set(allowed))])
     a, b = lam.numerator, lam.denominator
     n, n_right = sub.n, sub.n_right
     source = n + n_right
