@@ -4,23 +4,27 @@ The pipeline mirrors the caterpillar-guessing strategy that is exact on
 planted random instances and degrades gracefully on arbitrary ones:
 
 * preprocessing buckets left vertices by degree, pads each bucket to exact
-  left-regularity, guesses the optimum's neighborhood size on a geometric
-  grid, optionally subsamples the left side to normalize the back-degree,
-  and snaps the size exponent to a small rational p/q;
+  left-regularity, tries each guess of the optimum's neighborhood size on a
+  geometric grid, optionally subsamples the left side to normalize the
+  back-degree, and snaps the size exponent to a small rational p/q;
 * a schedule of First / Hair / Backbone / Final steps is derived from p/q;
-* each step either finishes early with a small low-expansion set or guesses
-  a right vertex (or a degree bin) and shrinks/regrows the working set;
+* each step either finishes early with a small low-expansion set or
+  branches on a guessed right vertex (or a degree bin) and shrinks/regrows
+  the working set;
 * every collected at-most-k set is fed through the at-most -> exact-k
   conversion, and the best of everything (including baselines) wins.
 
-A t guess that does not subsample repeats its bucket's candidate: the same
-graph object, k, p/q, c and V_D.  Within one at-most round such candidates
-share a step memo, so each First, Hair and Final step runs once per group
-and state.  Backbone steps stay out of it: they subsample their branches
-from the popped state's seed, which differs between the copies, and their
-LES work is already served by the solve-scoped LES memo.  A schedule with no
-Backbone step thus walks one fixed tree per group, and once a copy has
-walked all of it, the later copies through the same ids are skipped.
+A branch state is a working set plus the index of the step that reads it;
+no step reads the guess path that led there.  A t guess that does not
+subsample repeats its bucket's candidate: the same graph object, k, p/q, c
+and V_D.  Within one at-most round such candidates share a step memo keyed
+by working set and step index, so each First, Hair and Final step runs once
+per group, working set and index, and guess paths that meet share one step
+call.  Backbone steps stay out of it: they subsample their branches from the
+popped state's seed, which differs between the copies, and their LES work
+is already served by the solve-scoped LES memo.  A schedule with no Backbone
+step thus walks one fixed tree per group, and once a copy has walked all of
+it, the later copies through the same ids are skipped.
 
 High-degree right vertices (the set V_D) are excluded from expansion targets
 during the walk and re-absorbed only in final accounting; their total size is
@@ -64,31 +68,27 @@ class Step(enum.Enum):
 class PreprocessedInstance:
     """Left-regular candidate with its guessed/derived analysis constants.
 
-    Produced partially filled by bucket_and_regularize (graph, r, k,
-    left_ids) and completed by preprocess.  left_ids maps candidate left
-    indices back to the source instance; pad right vertices occupy indices
-    >= the source right-side size.
+    left_ids maps candidate left indices back to the source instance; pad
+    right vertices occupy indices >= the source right-side size.
     """
 
     graph: BipartiteGraph
     r: int
     k: int
     left_ids: tuple[int, ...]
-    p: int | None = None
-    q: int | None = None
-    eps: float | None = None
-    c: float | None = None
-    cap_d: float | None = None
-    v_d: frozenset[int] = frozenset()
+    p: int
+    q: int
+    eps: float
+    c: float
+    v_d: frozenset[int]
 
 
 @dataclass(frozen=True)
 class BranchState:
     """A working set (ascending, duplicate-free left vertices of the
-    candidate graph) with the guesses that led to it."""
+    candidate graph) and the index of the schedule step that reads it."""
 
     current: tuple[int, ...]
-    guesses: tuple[int, ...]
     step_index: int
 
 
@@ -144,8 +144,12 @@ def exact_from_atmost(
 # Preprocessing
 # ---------------------------------------------------------------------------
 
-def bucket_and_regularize(inst: SsbveInstance) -> list[PreprocessedInstance]:
-    """One left-regular candidate per nonempty degree bucket (2^(i-1), 2^i].
+Bucket = tuple[BipartiteGraph, int, int, tuple[int, ...]]
+
+
+def bucket_and_regularize(inst: SsbveInstance) -> list[Bucket]:
+    """One left-regular (graph, r, k, left_ids) per nonempty degree bucket
+    (2^(i-1), 2^i].
 
     The bucket's induced subgraph is padded with r fresh right vertices so
     every left degree becomes exactly r = 2^i; pad edges are assigned
@@ -174,9 +178,7 @@ def bucket_and_regularize(inst: SsbveInstance) -> list[PreprocessedInstance]:
                 g.n_right + (cursor + j) % r for j in range(deficiency))))
             cursor += deficiency
         padded = BipartiteGraph.from_rows(g.n_right + r, rows)
-        out.append(PreprocessedInstance(
-            graph=padded, r=r, k=min(inst.k, len(members)),
-            left_ids=tuple(members)))
+        out.append((padded, r, min(inst.k, len(members)), tuple(members)))
     return out
 
 
@@ -271,18 +273,19 @@ def preprocess(inst: SsbveInstance, eps: float, q_max: int = 3,
     InvalidParameterError for q_max < 2 or a negative or non-finite eps."""
     _check_parameters(eps, q_max)
     out: list[PreprocessedInstance] = []
-    for cand_idx, cand in enumerate(bucket_and_regularize(inst)):
-        t = cand.r
-        while t <= cand.graph.n_right:
-            out.extend(_finish_candidate(cand, t, eps, q_max,
+    for cand_idx, bucket in enumerate(bucket_and_regularize(inst)):
+        t = bucket[1]
+        while t <= bucket[0].n_right:
+            out.extend(_finish_candidate(bucket, t, eps, q_max,
                                          mix64(seed ^ cand_idx ^ t)))
             t *= 2
     return out
 
 
-def _finish_candidate(cand: PreprocessedInstance, t: int, eps: float,
-                      q_max: int, seed: int) -> list[PreprocessedInstance]:
-    g, r, k, ids = cand.graph, cand.r, cand.k, cand.left_ids
+def _finish_candidate(bucket: Bucket, t: int, eps: float, q_max: int,
+                      seed: int) -> list[PreprocessedInstance]:
+    g, r, k, ids = bucket
+    n_bucket = g.n
     if g.n < 2 or k < 1:
         return []
     alpha_raw = math.log(g.n / k) / math.log(g.n) if k < g.n else 0.0
@@ -295,7 +298,7 @@ def _finish_candidate(cand: PreprocessedInstance, t: int, eps: float,
         if gamma > 1e-12:
             g, kept = subsample_left(g, gamma, seed)
             ids = tuple(ids[u] for u in kept)
-            k = max(1, min(g.n, round(k * cand.graph.n ** (-gamma))))
+            k = max(1, min(g.n, round(k * n_bucket ** (-gamma))))
             if g.n < 2:
                 return []
             alpha_raw = math.log(g.n / k) / math.log(g.n) if k < g.n else 0.0
@@ -305,8 +308,7 @@ def _finish_candidate(cand: PreprocessedInstance, t: int, eps: float,
     v_d = frozenset(v for v in range(g.n_right)
                     if g.degree_right(v) >= cap_d)
     return [PreprocessedInstance(
-        graph=g, r=r, k=k, left_ids=ids, p=p, q=q, eps=eps, c=c,
-        cap_d=cap_d, v_d=v_d)]
+        graph=g, r=r, k=k, left_ids=ids, p=p, q=q, eps=eps, c=c, v_d=v_d)]
 
 
 # ---------------------------------------------------------------------------
@@ -352,19 +354,19 @@ def solve_planted(inst: SsbveInstance, p: int, q: int, branch_cap: int,
     g = inst.graph
     k = inst.k
     inner = caterpillar_schedule(p, q)[1:-1]
-    n_guesses = 1 + sum(1 for s in inner if s is Step.HAIR)
+    n_picks = 1 + sum(1 for s in inner if s is Step.HAIR)
     if g.n_right == 0:
         return trivial_ksubset(inst)
-    total = g.n_right ** n_guesses
+    total = g.n_right ** n_picks
     if total <= branch_cap:
-        tuples = product(range(g.n_right), repeat=n_guesses)
+        tuples = product(range(g.n_right), repeat=n_picks)
     else:
         rng = stream(seed, 0x706C61)
-        tuples = (tuple(rng.randrange(g.n_right) for _ in range(n_guesses))
+        tuples = (tuple(rng.randrange(g.n_right) for _ in range(n_picks))
                   for _ in range(branch_cap))
     best: Solution | None = None
-    for guesses in tuples:
-        w = set(g.adj_right[guesses[0]])
+    for picks in tuples:
+        w = set(g.adj_right[picks[0]])
         gi = 1
         for step in inner:
             if not w:
@@ -372,7 +374,7 @@ def solve_planted(inst: SsbveInstance, p: int, q: int, branch_cap: int,
             if step is Step.BACKBONE:
                 w = set().union(*(g.adj_right[v] for v in neighborhood(g, w)))
             else:  # HAIR
-                w &= set(g.adj_right[guesses[gi]])
+                w &= set(g.adj_right[picks[gi]])
                 gi += 1
         if not w:
             continue
@@ -408,8 +410,7 @@ def first_step(pre: PreprocessedInstance) -> StepResult:
     for v in range(g.n_right):
         if v in pre.v_d or not g.adj_right[v]:
             continue
-        states.append(BranchState(current=g.adj_right[v], guesses=(v,),
-                                  step_index=1))
+        states.append(BranchState(current=g.adj_right[v], step_index=1))
     return tuple(states)
 
 
@@ -440,9 +441,7 @@ def hair_step(pre: PreprocessedInstance, st: BranchState) -> StepResult:
         if v in v_hat_d:
             continue
         cur = tuple(sorted(u_hat.intersection(g.adj_right[v])))
-        states.append(BranchState(current=cur,
-                                  guesses=st.guesses + (v,),
-                                  step_index=st.step_index + 1))
+        states.append(BranchState(current=cur, step_index=st.step_index + 1))
     return tuple(states)
 
 
@@ -479,7 +478,6 @@ def backbone_step(pre: PreprocessedInstance, st: BranchState,
                      if keep_p >= 1.0 or rng.bernoulli(keep_p))
         if kept:
             states.append(BranchState(current=kept,
-                                      guesses=st.guesses + (-i,),
                                       step_index=st.step_index + 1))
     return tuple(states)
 
@@ -509,12 +507,13 @@ def _run_candidate(pre: PreprocessedInstance, schedule: tuple[Step, ...],
 
     `memo` holds the first, hair and final step results shared by the
     candidates of the round that the steps cannot tell apart (see
-    `_best_atmost`).  A result depends only on those shared fields and the
-    state, and is keyed by the whole state (working set, guesses and step
-    index), so a stored result is exactly what a fresh call would return.
-    Backbone steps stay out: their branches are subsampled from the popped
-    state's seed, which differs between candidates (their LES work is
-    served by the `les` memo).
+    `_best_atmost`).  A branch state is a working set plus a step index, and
+    a result depends only on those shared fields and the state, so the memo
+    is keyed by the state and a stored result is exactly what a fresh call
+    would return; guess paths that meet in one working set at one step
+    share one step call.  Backbone steps stay out: their branches are
+    subsampled from the popped state's seed, which differs between
+    candidates (their LES work is served by the `les` memo).
     """
     collected: list[tuple[int, ...]] = []
     res = memo.get(())
@@ -544,10 +543,10 @@ def _run_candidate(pre: PreprocessedInstance, schedule: tuple[Step, ...],
             try:
                 out = backbone_step(pre, state, seed=state_seed)
             except PreconditionViolatedError as exc:
-                logger.debug("dropping branch %s: %s", state.guesses, exc)
+                logger.debug("dropping branch: %s", exc)
                 continue
         else:
-            key = (state.current, state.guesses, state.step_index)
+            key = (state.current, state.step_index)
             out = memo.get(key)
             if out is None:
                 out = memo[key] = final_step(pre, state) \
@@ -626,9 +625,9 @@ def solve_worst_case(inst: SsbveInstance, eps: float = 0.1,
     LES subproblems repeat across branches and at-most rounds; one memo
     (`les.memo_scope`) serves the whole solve and ends with it.  Within one
     at-most round, the candidates that differ only in their t guess share
-    a step memo, so each first, hair and final step runs once per state
-    (see `_run_candidate`); backbone steps run on every pop, since their
-    branches depend on the popped state's seed.
+    a step memo, so each first, hair and final step runs once per working
+    set and step index (see `_run_candidate`); backbone steps run on every
+    pop, since their branches depend on the popped state's seed.
 
     Raises InvalidParameterError for q_max < 2 or a negative or non-finite
     eps, before any work."""

@@ -94,17 +94,15 @@ def _forced(view: _View, subset) -> set[int]:
 def _path_ucount(view: _View, a: int, b: int) -> int:
     """Minimum number of U vertices on a path from a to b, endpoints
     included.  Exact tiers for the common cases, 0/1-BFS otherwise."""
-    if a == b:
-        return view.weight(a)
+    # The terminals come from _cover_cost, which passes distinct ones and
+    # takes N(S_U) out of them, so a and b are never equal or adjacent.
     adj = view.adj
     au, bu = view.is_u(a), view.is_u(b)
     if au != bu:
         u, v = (a, b) if au else (b, a)
-        if v in adj[u]:
-            return 1
         near_u = set(adj[u])
         for mid in adj[v]:
-            if mid != u and not near_u.isdisjoint(adj[mid]):
+            if not near_u.isdisjoint(adj[mid]):
                 return 2
     elif not set(adj[a]).isdisjoint(adj[b]):
         return 2 if au else 1

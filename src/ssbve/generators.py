@@ -89,8 +89,9 @@ class HdvrSpec:
         if not 0 < self.beta < self.r_edge - 1:
             raise InvalidExponentsError(
                 f"beta={self.beta} outside (0, r-1={self.r_edge - 1})")
-        if self.k_planted > self.n:
-            raise InvalidExponentsError("k_planted exceeds n")
+        if not 1 <= self.k_planted <= self.n:
+            raise InvalidExponentsError(
+                f"k_planted={self.k_planted} outside [1, n={self.n}]")
         if self.mode not in ("random", "planted"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -187,10 +188,8 @@ def gen_hdvr(spec: HdvrSpec) -> Hypergraph:
     if spec.mode == "planted":
         k = spec.k_planted
         members = sorted(rng.sample_range(spec.n, k))
+        # k >= 1 and beta < r-1 keep this at most 1.
         p_plant = float(k) ** (spec.beta - (spec.r_edge - 1))
-        if p_plant > 1.0:
-            raise ProbabilityOutOfRangeError(
-                f"planted probability {p_plant} exceeds 1")
         for local in _sample_r_subsets(rng, k, spec.r_edge, p_plant):
             sets.append(tuple(members[i] for i in local))
     return Hypergraph.from_sets(spec.n, sets)

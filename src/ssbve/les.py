@@ -314,25 +314,22 @@ def min_cut_select(g: BipartiteGraph, lam: Fraction | int) -> CutSelection:
 
 
 def _dinkelbach(rows: Sequence[Sequence[int]], n_right: int
-                ) -> tuple[tuple[int, ...], int, Fraction, list[Fraction]]:
+                ) -> tuple[tuple[int, ...], int, Fraction]:
     """Least expanding set of the left vertices with the given rows: its
-    ascending row positions, |N| and expansion, plus the (strictly
-    decreasing) lambda sequence."""
+    ascending row positions, |N| and expansion."""
     if not all(rows):
         isolated = tuple(i for i, row in enumerate(rows) if not row)
-        return isolated, 0, Fraction(0), [Fraction(0)]
+        return isolated, 0, Fraction(0)
     net = _Network(rows, n_right)
     current, size = range(len(rows)), net.size
     lam = Fraction(size, len(current))
-    trace = [lam]
     # |N(S)|/|S| takes at most n*n' distinct values and strictly decreases.
     while True:
         chosen, nb = net.cut(lam.numerator, lam.denominator)
         if not chosen or nb * lam.denominator >= lam.numerator * len(chosen):
-            return tuple(current), size, lam, trace
+            return tuple(current), size, lam
         current, size = chosen, nb
         lam = Fraction(size, len(current))
-        trace.append(lam)
 
 
 def _solve(g: BipartiteGraph, left: Sequence[int],
@@ -348,7 +345,7 @@ def _solve(g: BipartiteGraph, left: Sequence[int],
     memo = _MEMO.get()
     found = None if memo is None else memo.get(rows)
     if found is None:
-        found = _dinkelbach(rows, g.n_right)[:3]
+        found = _dinkelbach(rows, g.n_right)
         if memo is not None:
             memo[rows] = found
     positions, size, lam = found

@@ -109,33 +109,33 @@ class TestBucketRegularize:
             4, 4, [(u, v) for u in range(4) for v in (u, (u + 1) % 4)])
         cands = bucket_and_regularize(SsbveInstance(graph=g, k=2))
         assert len(cands) == 1
-        assert cands[0].r == 2
-        assert cands[0].graph.num_edges() == g.num_edges()
+        [(padded, r, _, _)] = cands
+        assert r == 2
+        assert padded.num_edges() == g.num_edges()
 
     def test_two_buckets(self):
         g = BipartiteGraph.from_edges(
             4, 3, [(0, 0), (1, 1), (2, 0), (2, 1), (3, 1), (3, 2)])
         cands = bucket_and_regularize(SsbveInstance(graph=g, k=2))
-        assert [c.r for c in cands] == [1, 2]
-        assert cands[0].left_ids == (0, 1)
-        assert cands[1].left_ids == (2, 3)
+        assert [r for _, r, _, _ in cands] == [1, 2]
+        assert cands[0][3] == (0, 1)
+        assert cands[1][3] == (2, 3)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_left_regular_and_expansion_distortion(self, seed):
         g = random_bipartite(seed + 60, 12, 7)
         inst = SsbveInstance(graph=g, k=4)
         rng = stream(seed, 0xB0)
-        for cand in bucket_and_regularize(inst):
-            assert all(cand.graph.degree_left(u) == cand.r
-                       for u in range(cand.graph.n))
+        for graph, r, _, _ in bucket_and_regularize(inst):
+            assert all(graph.degree_left(u) == r for u in range(graph.n))
             # Padding at most doubles any set's expansion vs the raw bucket.
             for _ in range(20):
-                s = [u for u in range(cand.graph.n) if rng.bernoulli(0.5)]
+                s = [u for u in range(graph.n) if rng.bernoulli(0.5)]
                 if not s:
                     continue
-                padded = expansion(cand.graph, s)
+                padded = expansion(graph, s)
                 raw_nbhd = len({v for u in s
-                                for v in cand.graph.adj_left[u]
+                                for v in graph.adj_left[u]
                                 if v < g.n_right})
                 if raw_nbhd:
                     assert padded <= 2 * Fraction(raw_nbhd, len(s))
@@ -151,20 +151,20 @@ class TestBucketRegularize:
                 buckets.setdefault((g.degree_left(u) - 1).bit_length(),
                                    []).append(u)
         cands = bucket_and_regularize(SsbveInstance(graph=g, k=1))
-        assert [c.left_ids for c in cands] == \
+        assert [left_ids for _, _, _, left_ids in cands] == \
             [tuple(buckets[i]) for i in sorted(buckets)]
-        for cand in cands:
+        for graph, r, _, left_ids in cands:
             # The padding as a round-robin edge list, built by from_edges.
-            r, edges, cursor = cand.r, [], 0
-            for new_u, u in enumerate(cand.left_ids):
+            edges, cursor = [], 0
+            for new_u, u in enumerate(left_ids):
                 edges += [(new_u, v) for v in g.adj_left[u]]
                 deficiency = r - g.degree_left(u)
                 edges += [(new_u, g.n_right + (cursor + j) % r)
                           for j in range(deficiency)]
                 cursor += deficiency
-            cand.graph.validate()
-            assert cand.graph == BipartiteGraph.from_edges(
-                len(cand.left_ids), g.n_right + r, edges)
+            graph.validate()
+            assert graph == BipartiteGraph.from_edges(
+                len(left_ids), g.n_right + r, edges)
 
 
 class TestSolveGamma:
@@ -227,7 +227,7 @@ class TestPreprocess:
         inst = SsbveInstance(graph=g, k=5)
         buckets = bucket_and_regularize(inst)
         grid = 1 + math.floor(math.log2(max(
-            c.graph.n_right / c.r for c in buckets)))
+            graph.n_right / r for graph, r, _, _ in buckets)))
         assert len(preprocess(inst, 0.1)) <= len(buckets) * grid
 
     @pytest.mark.parametrize("kw", [{"q_max": 1}, {"q_max": -2},
@@ -243,9 +243,10 @@ class TestPreprocess:
         g = random_bipartite(10, 20, 8)
         inst = SsbveInstance(graph=g, k=6)
         for cand in preprocess(inst, 0.1):
+            cap_d = cand.graph.n / cand.k ** (1.0 - cand.c * cand.eps)
             assert cand.v_d == frozenset(
                 v for v in range(cand.graph.n_right)
-                if cand.graph.degree_right(v) >= cand.cap_d)
+                if cand.graph.degree_right(v) >= cap_d)
             assert len(cand.v_d) <= cand.r * cand.k ** (
                 1 - cand.c * cand.eps) + 1e-9
 
@@ -310,7 +311,7 @@ def reference_first_step(pre):
     if len(u_d) >= k / 2 and u_d:
         return Done(tuple(u_d[:min(len(u_d), k)]))
     return tuple(
-        BranchState(current=g.adj_right[v], guesses=(v,), step_index=1)
+        BranchState(current=g.adj_right[v], step_index=1)
         for v in range(g.n_right) if v not in pre.v_d and g.adj_right[v])
 
 
@@ -339,7 +340,7 @@ def reference_hair_step(pre, st):
             continue
         cur = tuple(sorted(u_hat.intersection(g.adj_right[v])))
         if cur:
-            states.append(BranchState(current=cur, guesses=st.guesses + (v,),
+            states.append(BranchState(current=cur,
                                       step_index=st.step_index + 1))
     return tuple(states)
 
@@ -375,9 +376,23 @@ def reference_backbone_step(pre, st, seed):
                      if keep_p >= 1.0 or rng.bernoulli(keep_p))
         if kept:
             states.append(BranchState(current=kept,
-                                      guesses=st.guesses + (-i,),
                                       step_index=st.step_index + 1))
     return tuple(states)
+
+
+def _backbone_bin(pre, st, child):
+    """The degree bin i of a backbone child, read from its members' hit
+    counts |N(u) & V-hat|: bin i holds hits in [r_i/2, r_i] with
+    r_i = r/2^(i-1), and this is the i with r_i/2 < largest hit <= r_i.  A
+    child whose members all sit on its bin's lower edge reads as the next
+    bin; only bin 1 holds hits above r/2, so a child read as bin 1 is one."""
+    g = pre.graph
+    v_hat = neighborhood(g, st.current) - pre.v_d
+    top = max(len(v_hat.intersection(g.adj_left[u])) for u in child.current)
+    i = 1
+    while top <= pre.r / 2.0 ** i:
+        i += 1
+    return i
 
 
 def _step_outcome(step, *args):
@@ -435,9 +450,8 @@ class TestStepsMatchReference:
         g = BipartiteGraph.from_edges(len(kinds), private, edges)
         pre = PreprocessedInstance(
             graph=g, r=2, k=k, left_ids=tuple(range(g.n)),
-            p=1, q=3, eps=0.1, c=0.45, cap_d=1e9, v_d=frozenset())
-        st = BranchState(current=tuple(range(g.n)), guesses=(0,),
-                         step_index=1)
+            p=1, q=3, eps=0.1, c=0.45, v_d=frozenset())
+        st = BranchState(current=tuple(range(g.n)), step_index=1)
         d_hat = g.n / k ** (1 - pre.c * pre.eps)
         thr = max(1.0, pre.r / k ** (pre.c * pre.eps))
         hubs = {v for v in range(g.n_right)
@@ -461,8 +475,7 @@ class TestSteps:
         from ssbve.approx import PreprocessedInstance
         pre = PreprocessedInstance(
             graph=g, r=2, k=3, left_ids=tuple(range(6)),
-            p=1, q=2, eps=0.1, c=0.45, cap_d=1.0,
-            v_d=frozenset(range(2)))
+            p=1, q=2, eps=0.1, c=0.45, v_d=frozenset(range(2)))
         res = first_step(pre)
         assert isinstance(res, Done)
         assert res.chosen == (0, 1, 2)
@@ -472,12 +485,17 @@ class TestSteps:
 
     def test_first_step_branches_bounded_by_cap(self):
         pre = _toy_pre(seed=3)
+        g = pre.graph
+        cap_d = g.n / pre.k ** (1.0 - pre.c * pre.eps)
         res = first_step(pre)
         if isinstance(res, tuple):
-            for st in res:
-                v = st.guesses[0]
-                assert pre.graph.degree_right(v) < pre.cap_d
-                assert len(st.current) < pre.cap_d
+            # One branch per guess, in id order.
+            guessed = [v for v in range(g.n_right)
+                       if v not in pre.v_d and g.adj_right[v]]
+            for v, st in zip(guessed, res, strict=True):
+                assert st.current == g.adj_right[v]
+                assert g.degree_right(v) < cap_d
+                assert len(st.current) < cap_d
 
     def test_hair_step_branch_size_bound(self):
         # Left-regular r=3 with spread-out neighborhoods: the working set's
@@ -491,8 +509,8 @@ class TestSteps:
         g = BipartiteGraph.from_edges(12, 9, edges)
         pre = PreprocessedInstance(
             graph=g, r=3, k=2, left_ids=tuple(range(12)),
-            p=1, q=3, eps=0.1, c=0.45, cap_d=1e9, v_d=frozenset())
-        st = BranchState(current=tuple(range(8)), guesses=(0,), step_index=1)
+            p=1, q=3, eps=0.1, c=0.45, v_d=frozenset())
+        st = BranchState(current=tuple(range(8)), step_index=1)
         out = hair_step(pre, st)
         assert isinstance(out, tuple) and out
         d_hat = len(st.current) / pre.k ** (1 - pre.c * pre.eps)
@@ -509,9 +527,9 @@ class TestSteps:
         g = BipartiteGraph.from_edges(12, 9, edges)
         pre = PreprocessedInstance(
             graph=g, r=4, k=2, left_ids=tuple(range(12)),
-            p=1, q=3, eps=0.1, c=0.45, cap_d=1e9, v_d=frozenset())
+            p=1, q=3, eps=0.1, c=0.45, v_d=frozenset())
         assert pre.r / pre.k ** (pre.c * pre.eps) >= 1  # not floored
-        st = BranchState(current=tuple(range(8)), guesses=(0,), step_index=1)
+        st = BranchState(current=tuple(range(8)), step_index=1)
         out = hair_step(pre, st)
         assert isinstance(out, Done)
         bound = 2 * pre.r * pre.k ** (1 - pre.c * pre.eps)
@@ -531,12 +549,11 @@ class TestSteps:
         g = BipartiteGraph.from_edges(210, 44, edges)
         pre = PreprocessedInstance(
             graph=g, r=4, k=10, left_ids=tuple(range(210)),
-            p=1, q=3, eps=0.1, c=0.45, cap_d=1e9, v_d=frozenset())
-        st = BranchState(current=tuple(range(10)), guesses=(0,),
-                         step_index=1)
+            p=1, q=3, eps=0.1, c=0.45, v_d=frozenset())
+        st = BranchState(current=tuple(range(10)), step_index=1)
         out = backbone_step(pre, st, seed=5)
         assert isinstance(out, tuple)
-        by_bin = {-s.guesses[-1]: s for s in out}
+        by_bin = {_backbone_bin(pre, st, s): s for s in out}
         assert set(by_bin) == {1, 2}
         assert len(by_bin[1].current) == 210  # top bin keeps everyone
         kept = len(by_bin[2].current)
@@ -545,8 +562,7 @@ class TestSteps:
 
     def test_backbone_precondition(self):
         pre = _toy_pre(seed=6)
-        big = BranchState(current=tuple(range(pre.graph.n)), guesses=(0,),
-                          step_index=1)
+        big = BranchState(current=tuple(range(pre.graph.n)), step_index=1)
         if pre.graph.n > pre.k:
             with pytest.raises(PreconditionViolatedError):
                 backbone_step(pre, big, seed=1)
@@ -554,13 +570,13 @@ class TestSteps:
     def test_backbone_top_bin_no_subsampling(self):
         pre = _toy_pre(seed=7, n=12, n_right=7, k=5)
         st = BranchState(current=tuple(range(min(pre.k, pre.graph.n))),
-                         guesses=(0,), step_index=1)
+                         step_index=1)
         out = backbone_step(pre, st, seed=9)
         if isinstance(out, tuple):
             v_hat = {v for v in neighborhood(pre.graph, st.current)
                      if v not in pre.v_d}
             for child in out:
-                i = -child.guesses[-1]
+                i = _backbone_bin(pre, st, child)
                 if i == 1:
                     r_i = pre.r
                     members = [
@@ -573,8 +589,7 @@ class TestSteps:
 
     def test_final_step_trims_masked_les(self):
         pre = _toy_pre(seed=8, n=10, n_right=6, k=2)
-        st = BranchState(current=tuple(range(pre.graph.n)), guesses=(0,),
-                         step_index=1)
+        st = BranchState(current=tuple(range(pre.graph.n)), step_index=1)
         chosen = final_step(pre, st)
         assert 1 <= len(chosen) <= pre.k
         inner = least_expanding_subset(pre.graph, st.current,
@@ -584,7 +599,7 @@ class TestSteps:
     def test_final_step_masked_matches_brute(self):
         pre = _toy_pre(seed=9, n=8, n_right=5, k=3)
         current = tuple(range(min(6, pre.graph.n)))
-        st = BranchState(current=current, guesses=(0,), step_index=1)
+        st = BranchState(current=current, step_index=1)
         inner = least_expanding_subset(pre.graph, current,
                                        forbidden_right=pre.v_d)
         best = None
@@ -721,7 +736,8 @@ class TestSolveWorstCase:
                 # Graphs by order of first use in the round, comparable
                 # across solves.
                 graph = graphs.setdefault(id(pre.graph), len(graphs))
-                group = (graph, pre.r, pre.k, pre.c, pre.eps, pre.v_d)
+                group = (graph, pre.r, pre.k, pre.c, pre.eps, pre.v_d,
+                         pre.p, pre.q)
                 rounds[-1].append((name, group, args,
                                    tuple(sorted(kwargs.items()))))
                 return fn(pre, *args, **kwargs)
@@ -858,6 +874,23 @@ class TestSolveWorstCase:
             assert calls(mine, ("backbone_step",)) == \
                 calls(free, ("backbone_step",))
         assert repeats > 0
+
+    def test_guess_paths_that_meet_share_a_step(self, monkeypatch):
+        # Within a round and candidate group, a hair or final step reads
+        # only the working set and the step index, so it runs once per
+        # pair however many guess paths reach it.  This instance has guess
+        # paths that meet.
+        g = gen_random_bipartite(120, 40, 0.15, 8003)
+        _, _, rounds = self.solve_traced(
+            monkeypatch, SsbveInstance(graph=g, k=6), False)
+        steps = 0
+        for round_ in rounds:
+            keys = [(group, args[0].current, args[0].step_index)
+                    for name, group, args, _ in round_
+                    if name in ("hair_step", "final_step")]
+            assert len(set(keys)) == len(keys)
+            steps += len(keys)
+        assert steps > 0
 
     @pytest.mark.parametrize("case", GOLDEN_FAMILY["cases"],
                              ids=lambda c: str(c["graph_seed"]))

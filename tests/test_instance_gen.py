@@ -337,6 +337,13 @@ class TestHdvr:
             HdvrSpec(n=10, r_edge=3, alpha=alpha, beta=1.0, k_planted=3,
                      mode="random", seed=1)
 
+    @pytest.mark.parametrize("k_planted", [0, -2])
+    def test_planted_size_below_one(self, k_planted):
+        # gen_hdvr would divide by zero (0) or fail to sample (-2).
+        with pytest.raises(InvalidExponentsError, match="k_planted"):
+            HdvrSpec(n=10, r_edge=3, alpha=1.0, beta=1.0,
+                     k_planted=k_planted, mode="planted", seed=1)
+
     def test_arity_budget(self):
         spec = HdvrSpec(n=300, r_edge=5, alpha=3.0, beta=3.0, k_planted=10,
                         mode="random", seed=2)

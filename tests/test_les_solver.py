@@ -372,9 +372,16 @@ class TestLeastExpandingSet:
         assert least_expanding_set(g).expansion == exact_les(g).expansion
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_lambda_strictly_decreases(self, seed):
+    def test_lambda_strictly_decreases(self, seed, monkeypatch):
         g = random_bipartite(seed + 400, 9, 6)
-        chosen, _, lam, trace = _dinkelbach(g.adj_left, g.n_right)
+        cut, trace = _Network.cut, []
+
+        def recorded(net, a, b):
+            trace.append(Fraction(a, b))
+            return cut(net, a, b)
+
+        monkeypatch.setattr(_Network, "cut", recorded)
+        chosen, _, lam = _dinkelbach(g.adj_left, g.n_right)
         assert all(a > b for a, b in zip(trace, trace[1:]))
         assert expansion(g, chosen) == lam
 
