@@ -35,7 +35,7 @@ def _content_lines(text: str) -> list[list[str]]:
 
 
 def _header(lines: list[list[str]], kind: str, argc: int) -> list[int]:
-    if not lines or lines[0][0] != "p" or len(lines[0]) != 2 + argc \
+    if not lines or lines[0][:1] != ["p"] or len(lines[0]) != 2 + argc \
             or lines[0][1] != kind:
         raise FormatError(f"expected header 'p {kind}' with {argc} integers")
     try:
@@ -49,35 +49,56 @@ def _header(lines: list[list[str]], kind: str, argc: int) -> list[int]:
     return values
 
 
+# The line breaks of ``str.splitlines`` in ASCII text, other than "\n".
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
+
+
 def parse_ssbve(text: str) -> SsbveInstance:
-    lines = [line for line in map(str.lstrip, text.splitlines())
-             if line and line[0] != "c"]
-    head = [line.split() for line in lines[:1]]
-    n, n_right, k = _header(head, "ssbve", 3)
-    body = lines[1:]
+    # A text whose lines after the first all start with "e", as write_ssbve
+    # writes it, is read as it is.  Any other text is first brought to that
+    # form: its lines stripped on the left, its comment and blank lines
+    # dropped, and the first line left taken as the header.
+    head, _, body = text.partition("\n")
+    if _edge_lines(body) is None or not text.isascii() \
+            or any(map(text.__contains__, _OTHER_BREAKS)):
+        lines = [line for line in map(str.lstrip, text.splitlines())
+                 if line and line[0] != "c"]
+        head = lines[0] if lines else ""
+        body = "\n".join(lines[1:] + [""])
+    n, n_right, k = _header([head.split()], "ssbve", 3)
     rows = _edge_rows(body, n, n_right)
     if rows is None:
-        _raise_edge_fault(body, n, n_right)
+        _raise_edge_fault(body.splitlines(), n, n_right)
     return SsbveInstance(graph=BipartiteGraph.from_rows(n_right, rows), k=k)
 
 
-def _edge_rows(body: list[str], n: int,
-               n_right: int) -> list[tuple[int, ...]] | None:
-    """Sorted left rows of the ``e <u> <v>`` lines in one bulk pass over
-    all their fields, or None if any line has a fault.
+def _edge_lines(body: str) -> int | None:
+    """The number of lines of body if each starts with ``e`` and ends with
+    "\n" (one "\ne" per line after the first), else None."""
+    m = body.count("\n")
+    if not body or (body[0] == "e" and body[-1] == "\n"
+                    and body.count("\ne") == m - 1):
+        return m
+    return None
 
-    Every line starts with ``e`` (one "\\ne" per line below), so no line's
-    first field is an integer; with 3m fields, ``e`` at every third and
-    integers at the rest, each line is then exactly ``e <u> <v>``.  With at
-    least (n + n') / 2 lines, the ids are read through tables of the
-    numerals "1".."n" and "1".."n'", so the extra memory stays O(m)."""
-    m = len(body)
-    joined = "\n" + "\n".join(body)
-    tok = joined.split()
-    if joined.count("\ne") != m or len(tok) != 3 * m \
-            or tok[0::3].count("e") != m:
+
+def _edge_rows(body: str, n: int,
+               n_right: int) -> list[tuple[int, ...]] | None:
+    """Sorted left rows of the ``e <u> <v>`` lines of body, each ended by
+    "\n", in one bulk pass over all their fields, or None if any line has
+    a fault.
+
+    Every line starts with ``e``, so no line's first field is an integer;
+    with 3m fields, ``e`` at every third and integers at the rest, each
+    line is then exactly ``e <u> <v>``.  With at least (n + n') / 2 lines,
+    the ids are read through tables of the numerals "1".."n" and
+    "1".."n'", so the extra memory stays O(m)."""
+    m = _edge_lines(body)
+    if m is None:
         return None
-    del joined
+    tok = body.split()
+    if len(tok) != 3 * m or tok[0::3].count("e") != m:
+        return None
     tabled = n + n_right <= 2 * m
     us = _ids(tok[1::3], n, tabled)
     vs = _ids(tok[2::3], n_right, tabled)
@@ -158,9 +179,16 @@ def _raise_edge_fault(body: list[str], n: int, n_right: int) -> None:
 
 def write_ssbve(inst: SsbveInstance) -> str:
     g = inst.graph
-    lines = [f"p ssbve {g.n} {g.n_right} {inst.k}"]
-    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
+    # A numeral only for right ids with an edge, so that a sparse graph
+    # under a large header builds no string per declared id.
+    names = [str(v) if col else "" for v, col in enumerate(g.adj_right, 1)]
+    parts = [f"p ssbve {g.n} {g.n_right} {inst.k}"]
+    for u, row in enumerate(g.adj_left, 1):
+        if row:
+            head = f"\ne {u} "
+            parts += (head, head.join(map(names.__getitem__, row)))
+    parts.append("\n")
+    return "".join(parts)
 
 
 def parse_mku(text: str) -> tuple[Hypergraph, int]:

@@ -6,7 +6,7 @@ rng.py for the generator specification)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import compress, groupby
 from math import comb, isfinite
 
 from .errors import (ArityTooLargeError, InvalidExponentsError,
@@ -15,9 +15,9 @@ from .graph import BipartiteGraph, Hypergraph, SsbveInstance
 from .rng import stream
 
 SUBSET_SAMPLING_BUDGET = 10 ** 7
-# Bernoulli draws per bernoulli_bytes call, whose 0/1 bytes are held at
-# once; the random bipartite generator rounds it down to whole rows (at
-# least one).
+# Draws per bernoulli_bytes or randrange_many call, whose results are held
+# at once; the random bipartite and planted generators round it down to
+# whole rows (at least one).
 DRAW_CHUNK = 1 << 14
 
 
@@ -54,6 +54,10 @@ class PlantedSpec:
             raise InvalidExponentsError(
                 f"need 0 <= gamma < beta <= 1, got gamma={self.gamma}, "
                 f"beta={self.beta}")
+        if not self.n >= 1:
+            raise InvalidExponentsError(f"n={self.n} below 1")
+        if not self.r_degree >= 1:
+            raise InvalidExponentsError(f"r_degree={self.r_degree} below 1")
 
     @property
     def k(self) -> int:
@@ -130,19 +134,27 @@ def gen_planted(spec: PlantedSpec) -> tuple[SsbveInstance, PlantedSpec]:
     n_right = spec.n_right
     k = spec.k
     t_size = spec.t_size
+    r = spec.r_degree
     rng = stream(spec.seed, 0x706C)  # tag: planted
     planted_s = tuple(sorted(rng.sample_range(spec.n, k)))
     planted_t = tuple(sorted(rng.sample_range(n_right, t_size)))
-    in_s = set(planted_s)
-    edges = []
-    for u in range(spec.n):
-        if u in in_s:
-            for _ in range(spec.r_degree):
-                edges.append((u, planted_t[rng.randrange(t_size)]))
-        else:
-            for _ in range(spec.r_degree):
-                edges.append((u, rng.randrange(n_right)))
-    graph = BipartiteGraph.from_edges(spec.n, n_right, edges)
+    # Rows straight from the draws: each run of consecutive planted (or
+    # unplanted) vertices draws its ids from T (or V) in one call per chunk
+    # of whole rows.
+    per_chunk = max(1, DRAW_CHUNK // r)
+    rows: list[tuple[int, ...]] = []
+    for planted, run in groupby(range(spec.n), set(planted_s).__contains__):
+        size = sum(1 for _ in run)
+        for done in range(0, size, per_chunk):
+            count = min(per_chunk, size - done) * r
+            if planted:
+                draws = list(map(planted_t.__getitem__,
+                                 rng.randrange_many(t_size, count)))
+            else:
+                draws = rng.randrange_many(n_right, count)
+            rows += [tuple(sorted(set(draws[i:i + r])))
+                     for i in range(0, count, r)]
+    graph = BipartiteGraph.from_rows(n_right, rows)
     filled = replace(spec, planted_s=planted_s, planted_t=planted_t)
     return SsbveInstance(graph=graph, k=k), filled
 

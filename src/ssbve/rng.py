@@ -13,16 +13,26 @@ in lane i; both multiply-xorshift rounds run on the whole int with every
 lane masked to 64 bits, so a 64x64-bit product stays inside its lane.  The
 test ``random() < p`` is the integer test ``u64() < ceil(p * 2**53) * 2**11``,
 read off each lane as the borrow into bit 64 of a subtraction.
+
+``SplitMix64.randrange_many`` makes many ``randrange(n)`` draws at once
+from the same lanes, with the same values and final state as one call per
+draw.  Each block's outputs are read as 64-bit words; those at or above the
+rejection threshold (the largest multiple of n up to 2^64) are dropped and
+the rest reduced mod n.  Only the shortfall is then drawn, so no output
+past the last kept one is ever drawn.  When n divides 2^64 nothing is
+rejected, and the reduction masks every lane of the block at once.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
-_MASK64 = (1 << 64) - 1
+_RANGE = 1 << 64
+_MASK64 = _RANGE - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Lanes per block of bernoulli_bytes, and the per-lane constants of a full
+# Lanes per block of the block draws, and the per-lane constants of a full
 # block (lane i of _ONES is 1, of _STEPS (i + 1) golden-ratio steps, the
 # offset of draw i from the state); a shorter block uses their low lanes.
 BLOCK = 1024
@@ -56,26 +66,54 @@ def _threshold(p: float) -> int:
     return math.ceil(p * 2.0 ** 53) << 11
 
 
-def _draw_blocks(state: int, blocks: int, lanes: int, t: int) -> bytes:
-    """0/1 bytes of ``u64() < t`` for blocks * lanes draws after state."""
-    if not blocks:
-        return b""
-    ones, steps = _ONES, _STEPS
-    if lanes < BLOCK:
-        low = (1 << 128 * lanes) - 1
-        ones, steps = ones & low, steps & low
+def _mixed_blocks(state: int, count: int):
+    """Yield ``(lanes, ones, zs)`` over the count draws after state: once
+    for the full blocks of ``BLOCK`` draws, then once for the short block
+    left over.  ones has a 1 in each of the lanes 128-bit lanes, and zs
+    yields one int per block, draw i's output in bits 128i to 128i + 63
+    (bits 97 to 127 of each lane hold bits shifted down from the next lane)."""
+    full, rest = divmod(count, BLOCK)
+    for lanes, blocks in ((BLOCK, full), (rest, 1 if rest else 0)):
+        if blocks:
+            ones, steps = _ONES, _STEPS
+            if lanes < BLOCK:
+                low = (1 << 128 * lanes) - 1
+                ones, steps = ones & low, steps & low
+            yield lanes, ones, _mix_lanes(state * ones + steps, ones,
+                                          lanes * _GOLDEN, blocks)
+            state = (state + blocks * lanes * _GOLDEN) & _MASK64
+
+
+def _mix_lanes(x: int, ones: int, step: int, blocks: int):
+    """Yield the outputs of the states in the lanes of x, then of those
+    states each advanced by step, and so on, blocks times: both
+    multiply-xorshift rounds run on every lane at once."""
     mask = _MASK64 * ones
-    bound = (_BORROW + t) * ones
-    stride = (lanes * _GOLDEN & _MASK64) * ones
-    x = (state * ones + steps) & mask
-    out = []
+    stride = (step & _MASK64) * ones
+    x &= mask
     for _ in range(blocks):
         z = ((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
         z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
-        out.append((bound - (z ^ (z >> 31))).to_bytes(16 * lanes,
-                                                     "little")[8::16])
+        yield z ^ (z >> 31)
         x = (x + stride) & mask
-    return b"".join(out)
+
+
+def _lane_words(lanes: int, z: int) -> memoryview:
+    """The lanes 64-bit outputs held in z, in draw order.  In native byte
+    order each 128-bit lane is two words, the output and a word no output
+    uses: the output comes first on a little-endian host, and on a
+    big-endian one the lanes come last to first, each output second."""
+    words = memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")
+    return words[::2] if sys.byteorder == "little" else words[::-2]
+
+
+def _range_threshold(n: int) -> int:
+    """Largest multiple of n up to 2^64: ``randrange(n)`` keeps an output
+    below it, reduced mod n, and draws again otherwise.  Above 2^64 there
+    is no such multiple, and no output would ever be kept."""
+    if not 1 <= n <= _RANGE:
+        raise ValueError("randrange needs 1 <= n <= 2^64")
+    return _RANGE - _RANGE % n
 
 
 class SplitMix64:
@@ -99,9 +137,7 @@ class SplitMix64:
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
-        if n <= 0:
-            raise ValueError("randrange needs n >= 1")
-        threshold = (_MASK64 + 1) - ((_MASK64 + 1) % n)
+        threshold = _range_threshold(n)
         while True:
             r = self.u64()
             if r < threshold:
@@ -110,16 +146,46 @@ class SplitMix64:
     def bernoulli(self, p: float) -> bool:
         return self.random() < p
 
+    def _skip(self, count: int) -> int:
+        """Advance past the next count draws; return the state before them."""
+        state = self._state
+        self._state = (state + count * _GOLDEN) & _MASK64
+        return state
+
     def bernoulli_bytes(self, count: int, p: float) -> bytes:
         """``bytes(self.bernoulli(p) for _ in range(count))``, with the same
         final state, drawn ``BLOCK`` at a time."""
-        full, rest = divmod(max(count, 0), BLOCK)
-        t = _threshold(p)
-        state = self._state
-        tail = (state + full * BLOCK * _GOLDEN) & _MASK64
-        self._state = (tail + rest * _GOLDEN) & _MASK64
-        return (_draw_blocks(state, full, BLOCK, t)
-                + _draw_blocks(tail, 1, rest, t))
+        count = max(count, 0)
+        # Lane i of bound - z has bit 64 set iff z_i < t.
+        unit = _BORROW + _threshold(p)
+        out = []
+        for lanes, ones, zs in _mixed_blocks(self._skip(count), count):
+            bound = unit * ones
+            out += [(bound - z).to_bytes(16 * lanes, "little")[8::16]
+                    for z in zs]
+        return b"".join(out)
+
+    def randrange_many(self, n: int, count: int) -> list[int]:
+        """``[self.randrange(n) for _ in range(count)]``, with the same
+        final state, drawn ``BLOCK`` at a time: the outputs at or above
+        the rejection threshold are dropped, and only the shortfall is
+        drawn again, so no output past the last kept one is drawn."""
+        threshold = _range_threshold(n)
+        out: list[int] = []
+        while len(out) < count:
+            need = count - len(out)
+            for lanes, ones, zs in _mixed_blocks(self._skip(need), need):
+                if threshold == _RANGE:
+                    # n divides 2^64: no output is rejected, and r % n is
+                    # the low bits of r, masked in every lane at once.
+                    low = (n - 1) * ones
+                    for z in zs:
+                        out += _lane_words(lanes, z & low).tolist()
+                else:
+                    for z in zs:
+                        out += [r % n for r in _lane_words(lanes, z).tolist()
+                                if r < threshold]
+        return out
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 from itertools import combinations
 
 import pytest
@@ -476,6 +477,86 @@ class TestFormats:
         assert parse_ssbve(indented).graph.num_edges() == 2
 
 
+def reference_write_ssbve(inst) -> str:
+    """One formatted line per edge: the oracle of write_ssbve."""
+    g = inst.graph
+    lines = [f"p ssbve {g.n} {g.n_right} {inst.k}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+    return "\n".join(lines) + "\n"
+
+
+_PLAIN = "p ssbve 3 4 2\ne 1 2\ne 1 4\ne 3 1\n"
+
+
+class TestSsbveTextPaths:
+    """The writer against the per-edge one, and the parser's read-as-is
+    path against the reference on texts that must be normalized first."""
+
+    @pytest.mark.parametrize("inst", [
+        SsbveInstance(graph=BipartiteGraph.from_edges(
+            6, 4, [(1, 0), (1, 3), (3, 2), (5, 0)]), k=2),
+        SsbveInstance(graph=BipartiteGraph.from_edges(3, 0, []), k=1),
+        SsbveInstance(graph=BipartiteGraph.from_edges(2, 5, []), k=2),
+        SimpleNamespace(graph=BipartiteGraph.from_edges(0, 3, []), k=1),
+        SimpleNamespace(graph=BipartiteGraph.from_edges(0, 0, []), k=0),
+        *[SsbveInstance(graph=random_bipartite(seed, 30, 300), k=3)
+          for seed in range(3)]])
+    def test_writer_matches_per_edge_lines(self, inst):
+        assert write_ssbve(inst) == reference_write_ssbve(inst)
+
+    def test_writer_memory_follows_the_edges(self):
+        # One edge under the largest header: a numeral per declared right
+        # id would take about 60 MB.
+        inst = parse_ssbve(
+            f"p ssbve {MAX_HEADER_SIZE} {MAX_HEADER_SIZE} 1\ne 2 3\n")
+        tracemalloc.start()
+        try:
+            text = write_ssbve(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == reference_write_ssbve(inst)
+        assert peak < 16 << 20
+
+    def test_plain_text_read_as_is(self):
+        inst = parse_ssbve(_PLAIN)
+        assert inst == reference_parse_ssbve(_PLAIN)
+        assert write_ssbve(inst) == _PLAIN
+
+    @pytest.mark.parametrize("text", [
+        _PLAIN.replace("\n", "\r\n"),  # CRLF line ends
+        _PLAIN.replace("\ne 1 4", "\n  e 1 4"),  # an indented line
+        _PLAIN.replace("\ne 3", "\n\te 3"),
+        "c before\n" + _PLAIN,  # comments before and after the header
+        "c before\n\n" + _PLAIN.replace("\ne 3", "\n\ne 3"),
+        _PLAIN.replace("\ne 1 2", "\nc after\ne 1 2"),
+        _PLAIN.replace("\ne 1 4", "\n\ne 1 4"),  # blank lines
+        _PLAIN + "\n\n",
+        _PLAIN.replace("\ne 1 4", "  \ne 1 4  "),  # trailing spaces
+        _PLAIN + "   ",
+        _PLAIN.replace("\ne 1 4", " e 1 4"),  # two edges on one line
+        _PLAIN[:-1],  # no final newline
+        _PLAIN + "c end",
+        "\n" + _PLAIN,
+        "  " + _PLAIN,
+        # a line break other than "\n" inside a line or the header
+        _PLAIN.replace("e 1 4", "e 1\x0c4"),
+        _PLAIN.replace("e 1 4", "e 1\x1d4"),
+        _PLAIN.replace("3 4 2", "3\x0b4 2"),
+        _PLAIN.replace("e 1 4", "e 1\x854"),
+        _PLAIN.replace("e 1 4", "e 1\u20284"),
+        # header faults under a plain body, and no header at all
+        "c p ssbve 3 4 2\ne 1 2\n", "\ne 1 2\n", "p ssbve 3 4\ne 1 2\n",
+        "", "\n", "e 1 2\n", "p ssbve 3 4 2",
+        # body faults in a plain text
+        _PLAIN + "e 1 2\n", _PLAIN + "e 4 1\n", _PLAIN + "e 1 x\n",
+        _PLAIN + "e 1 2 3\n", _PLAIN + "e1 2\n",
+    ])
+    def test_normalized_texts_match_reference(self, text):
+        assert _outcome(parse_ssbve, text) == _outcome(reference_parse_ssbve,
+                                                       text)
+
+
 @pytest.fixture(scope="module")
 def planted_texts():
     """Two planted instances of the benchmark's size (n=4096, 64 right
@@ -582,7 +663,7 @@ class TestSsbveParserFullSize:
         assert g.num_edges() == 1
         tracemalloc.start()
         try:
-            rows = _edge_rows(["e 2 3"], MAX_HEADER_SIZE, MAX_HEADER_SIZE)
+            rows = _edge_rows("e 2 3\n", MAX_HEADER_SIZE, MAX_HEADER_SIZE)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -19,6 +20,8 @@ from ssbve.generators import (DRAW_CHUNK, SUBSET_SAMPLING_BUDGET, HdvrSpec,
 from ssbve.graph import (BipartiteGraph, Hypergraph, SsbveInstance,
                          neighborhood)
 from ssbve.rng import BLOCK, SplitMix64, stream
+
+GOLDEN = 0x9E3779B97F4A7C15
 
 
 class TestRng:
@@ -80,6 +83,49 @@ class TestBernoulliBytes:
         assert fast._state == slow._state
 
 
+def scalar_range(g: SplitMix64, n: int, count: int) -> list[int]:
+    """One randrange call per draw: the oracle of randrange_many."""
+    return [g.randrange(n) for _ in range(count)]
+
+
+class TestRandrangeMany:
+    @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                       3 * BLOCK + 7])
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 2 ** 32 + 1, 2 ** 63 + 1])
+    def test_matches_scalar_draws(self, n, count):
+        fast, slow = stream(count, n), stream(count, n)
+        assert fast.randrange_many(n, count) == scalar_range(slow, n, count)
+        assert fast._state == slow._state
+
+    def test_shortfall_drawn_again(self):
+        # Modulus 2^63 + 1 rejects about half of all outputs, so the block
+        # draw needs several rounds; it still stops at the last kept one.
+        n, count = 2 ** 63 + 1, 3 * BLOCK + 7
+        g = stream(1, 0x7272)
+        start = g._state
+        assert g.randrange_many(n, count) == scalar_range(stream(1, 0x7272),
+                                                          n, count)
+        drawn = (g._state - start) * pow(GOLDEN, -1, 1 << 64) % (1 << 64)
+        assert 1.5 * count < drawn < 2.5 * count
+
+    @pytest.mark.parametrize("n", [0, -3, 2 ** 64 + 1])
+    def test_modulus_out_of_range(self, n):
+        # Above 2^64 no output is ever below the rejection threshold.
+        for draw in (lambda g: g.randrange(n),
+                     lambda g: g.randrange_many(n, 5)):
+            with pytest.raises(ValueError):
+                draw(stream(2))
+
+    @given(st.integers(0, 2 ** 64 - 1),
+           st.one_of(st.integers(1, 300), st.integers(1, 2 ** 64)),
+           st.integers(0, 2 * BLOCK + 50))
+    @settings(max_examples=30, deadline=None)
+    def test_random_draws_match_scalar(self, seed, n, count):
+        fast, slow = SplitMix64(seed), SplitMix64(seed)
+        assert fast.randrange_many(n, count) == scalar_range(slow, n, count)
+        assert fast._state == slow._state
+
+
 def _inverse_mix(z: int) -> int:
     """The state whose SplitMix64 finalizer output is z."""
     mask = (1 << 64) - 1
@@ -128,6 +174,21 @@ def reference_hdvr(spec):
     return Hypergraph.from_sets(spec.n, sets)
 
 
+def reference_planted(spec):
+    """gen_planted with one randrange call per edge, then both views from
+    the edge list."""
+    rng = stream(spec.seed, 0x706C)
+    planted_s = tuple(sorted(rng.sample_range(spec.n, spec.k)))
+    planted_t = tuple(sorted(rng.sample_range(spec.n_right, spec.t_size)))
+    in_s = set(planted_s)
+    edges = [(u, planted_t[rng.randrange(spec.t_size)] if u in in_s
+              else rng.randrange(spec.n_right))
+             for u in range(spec.n) for _ in range(spec.r_degree)]
+    graph = BipartiteGraph.from_edges(spec.n, spec.n_right, edges)
+    return (SsbveInstance(graph=graph, k=spec.k),
+            replace(spec, planted_s=planted_s, planted_t=planted_t))
+
+
 SMALL_P = [0.0, 0.15, 1.0]
 
 
@@ -141,6 +202,30 @@ class TestGeneratorsMatchPerDraw:
         got = gen_random_bipartite(n, s, p, 11)
         assert got == reference_random_bipartite(n, s, p, 11)
         got.validate()
+
+    @pytest.mark.parametrize("spec", [
+        # alpha 0 (every vertex planted) and 1 (one planted vertex, and an
+        # unplanted run longer than a chunk)
+        PlantedSpec(n=300, alpha=0.0, beta=0.8, gamma=0.3, r_degree=5,
+                    seed=1),
+        PlantedSpec(n=4096, alpha=1.0, beta=0.5, gamma=0.2, r_degree=12,
+                    seed=2),
+        # gamma 0 (|T| = 1), r_degree 1, n_right 1, n 1
+        PlantedSpec(n=500, alpha=0.5, beta=0.6, gamma=0.0, r_degree=4,
+                    seed=3),
+        PlantedSpec(n=700, alpha=0.3, beta=0.9, gamma=0.5, r_degree=1,
+                    seed=4),
+        PlantedSpec(n=2, alpha=0.5, beta=0.5, gamma=0.0, r_degree=3, seed=5),
+        PlantedSpec(n=1, alpha=0.5, beta=1.0, gamma=0.0, r_degree=2, seed=6),
+        # n_right 63, which rejects some draws; rows longer than a chunk
+        PlantedSpec(n=3969, alpha=0.5, beta=0.5, gamma=0.2, r_degree=12,
+                    seed=7),
+        PlantedSpec(n=3, alpha=0.5, beta=1.0, gamma=0.5,
+                    r_degree=DRAW_CHUNK + 5, seed=8)])
+    def test_planted(self, spec):
+        got = gen_planted(spec)
+        assert got == reference_planted(spec)
+        got[0].graph.validate()
 
     def test_ids_shared_across_views(self):
         g = gen_random_bipartite(300, 300, 0.5, 2)
@@ -178,9 +263,10 @@ class TestGeneratorsMatchPerDraw:
         assert peak < 2 ** 20
 
 
-# sha256 of write_ssbve for instances made by the per-draw generator: the
-# two gap instances of the benchmark's certify case at seed 0 and its first
-# worst case.
+# sha256 of write_ssbve for instances made by the per-draw generators: the
+# two gap instances of the benchmark's certify case at seed 0, its first
+# worst case, its first planted case, and a planted instance whose right
+# side (126) is not a power of two.
 GOLDEN_TEXTS = [
     (lambda: gen_gap_instance(1280, 384, 2.0, 10_000), 4,
      "de7ba4d14cd7c21d1de2b385a74790133636096c44b0b53011260feb03bd7c0c"),
@@ -188,11 +274,18 @@ GOLDEN_TEXTS = [
      "fe1d095d9944f1f00e248f32117479a4357e65af6266ec82470dd4122ad01a14"),
     (lambda: gen_random_bipartite(120, 40, 0.15, 10_000), 6,
      "934af78d234013ffad6a1c20a6900fd015878aa1812ac003510e404830d40473"),
+    (lambda: gen_planted(PlantedSpec(n=4096, alpha=0.5, beta=0.5, gamma=0.2,
+                                     r_degree=12, seed=10_000))[0].graph, 64,
+     "68f59c8bcd43c86d0c0cebb921a0c0e022178cc5fe74e22a2adad01de3011a41"),
+    (lambda: gen_planted(PlantedSpec(n=1000, alpha=0.5, beta=0.7, gamma=0.3,
+                                     r_degree=7, seed=3))[0].graph, 32,
+     "ed87e73c548f2f27371e450cea8dcfa24a6b07e8f0e91c2f81061308f0b1eadd"),
 ]
 
 
 @pytest.mark.parametrize("make, k, digest", GOLDEN_TEXTS,
-                         ids=["certify-sdp", "certify-sa", "worst"])
+                         ids=["certify-sdp", "certify-sa", "worst", "planted",
+                              "planted-126"])
 def test_instance_text_golden(make, k, digest):
     text = write_ssbve(SsbveInstance(graph=make(), k=k))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -241,6 +334,13 @@ class TestPlanted:
         with pytest.raises(InvalidExponentsError):
             PlantedSpec(n=64, alpha=alpha, beta=beta, gamma=gamma,
                         r_degree=3, seed=1)
+
+    @pytest.mark.parametrize("n, r_degree", [(0, 3), (-5, 3), (64, 0),
+                                             (64, -2)])
+    def test_sizes_below_one(self, n, r_degree):
+        with pytest.raises(InvalidExponentsError):
+            PlantedSpec(n=n, alpha=0.5, beta=0.5, gamma=0.2,
+                        r_degree=r_degree, seed=1)
 
     def test_planted_neighborhood_containment(self):
         inst, spec = gen_planted(self.make_spec())
