@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from .approx import (les_exactly_k, solve_planted, solve_worst_case,
                      trivial_ksubset)
-from .certs import (build_sa_certificate, build_sdp_certificate, biregularize,
-                    cap_degrees, verify_sa_certificate,
-                    verify_sdp_certificate)
+from .certs import (build_sa_certificate, gap_certificate,
+                    verify_sa_certificate, verify_sdp_certificate)
 from .exact import exact_ssbve
 from .generators import PlantedSpec, gen_gap_instance, gen_planted
 from .graph import BipartiteGraph, SsbveInstance, expansion
@@ -76,12 +75,8 @@ def _planted_row(seed: int, cfg: dict) -> dict:
 def _gap_cert_rows(seed: int) -> list[dict]:
     rows = []
     for cfg in SDP_GRID:
-        n, s, d_l, k = cfg["n"], cfg["s"], cfg["d_l"], cfg["k"]
-        g = gen_gap_instance(n, s, float(d_l), seed)
-        d_l_t, d_r_t = 3 * d_l // 2, 3 * n * d_l // (2 * s)
-        capped = cap_degrees(g, d_l_t, d_r_t)
-        cert = build_sdp_certificate(biregularize(capped, d_l_t, d_r_t), k)
-        rep = verify_sdp_certificate(cert)
+        g = gen_gap_instance(cfg["n"], cfg["s"], float(cfg["d_l"]), seed)
+        rep = verify_sdp_certificate(gap_certificate(g, cfg["d_l"], cfg["k"]))
         rows.append({"seed": seed, "kind": "sdp", **cfg,
                      "passed": rep.passed,
                      "objective": rep.extra["objective"],

@@ -7,12 +7,13 @@ from .report import CheckRow, VerifyReport
 from .sa import (SaCertificate, build_sa_certificate, cover_cost,
                  sa_lift_value, sample_property_checks, verify_sa_certificate)
 from .sdp import (SdpCertificate, biregularize, build_sdp_certificate,
-                  cap_degrees, verify_sdp_certificate)
+                  cap_degrees, gap_certificate, verify_sdp_certificate)
 
 __all__ = [
     "GapExponents", "hardness_gap_calculator", "check_instance_properties",
     "CheckRow", "VerifyReport", "SaCertificate", "build_sa_certificate",
     "cover_cost", "sa_lift_value", "sample_property_checks",
     "verify_sa_certificate", "SdpCertificate", "biregularize",
-    "build_sdp_certificate", "cap_degrees", "verify_sdp_certificate",
+    "build_sdp_certificate", "cap_degrees", "gap_certificate",
+    "verify_sdp_certificate",
 ]

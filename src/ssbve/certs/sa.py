@@ -66,7 +66,8 @@ EXHAUSTIVE_BUDGET = 20_000
 class _View:
     """Combined adjacency over global ids: one sorted tuple per vertex.  No
     per-vertex sets: the pair tiers and the path search test membership on
-    the tuples and build a set only for the pair at hand."""
+    the tuples and build a set only for the pair at hand.  A vertex w is a
+    left one, of weight 1 in the searches, exactly when w < n."""
 
     def __init__(self, g: BipartiteGraph) -> None:
         n = self.n = g.n
@@ -74,12 +75,6 @@ class _View:
         self.adj: list[tuple[int, ...]] = [
             tuple([v + n for v in row]) for row in g.adj_left
         ] + list(g.adj_right)
-
-    def is_u(self, w: int) -> bool:
-        return w < self.n
-
-    def weight(self, w: int) -> int:
-        return 1 if w < self.n else 0
 
 
 def _forced(view: _View, subset) -> set[int]:
@@ -97,7 +92,7 @@ def _path_ucount(view: _View, a: int, b: int) -> int:
     # The terminals come from _cover_cost, which passes distinct ones and
     # takes N(S_U) out of them, so a and b are never equal or adjacent.
     adj = view.adj
-    au, bu = view.is_u(a), view.is_u(b)
+    au, bu = a < view.n, b < view.n
     if au != bu:
         u, v = (a, b) if au else (b, a)
         near_u = set(adj[u])
@@ -110,18 +105,20 @@ def _path_ucount(view: _View, a: int, b: int) -> int:
 
 
 def _bfs01(view: _View, a: int, b: int) -> int:
+    n, adj = view.n, view.adj
     dist = [-1] * view.total
-    dist[a] = view.weight(a)
+    dist[a] = int(a < n)
     dq = deque([a])
     while dq:
         x = dq.popleft()
         if x == b:
             return dist[x]
-        for y in view.adj[x]:
-            cost = dist[x] + view.weight(y)
+        for y in adj[x]:
+            is_u = y < n
+            cost = dist[x] + is_u
             if dist[y] == -1 or cost < dist[y]:
                 dist[y] = cost
-                if view.weight(y):
+                if is_u:
                     dq.append(y)
                 else:
                     dq.appendleft(y)
@@ -133,14 +130,13 @@ def _steiner_ucount(view: _View, terminals: tuple[int, ...]) -> int:
     least one U vertex.
 
     Two or more distinct terminals force a U vertex automatically (V-V edges
-    do not exist); a lone V terminal is joined to one neighbor.
+    do not exist); a lone V terminal is joined to one neighbor.  The
+    terminal set is never empty: _cover_cost passes only nonempty ones.
     """
     t = len(terminals)
-    if t == 0:
-        return 0
     if t == 1:
         w = terminals[0]
-        if view.is_u(w):
+        if w < view.n:
             return 1
         if not view.adj[w]:
             raise NoCoverError(f"right vertex {w} is isolated")
@@ -152,12 +148,13 @@ def _steiner_ucount(view: _View, terminals: tuple[int, ...]) -> int:
 
 def _steiner_dp(view: _View, terminals: tuple[int, ...]) -> int:
     """Dreyfus-Wagner over terminal subsets with 0/1 node weights."""
+    n, total = view.n, view.total
     t = len(terminals)
     full = (1 << t) - 1
-    big = view.n + 1
-    dp = [[big] * view.total for _ in range(full + 1)]
+    big = n + 1
+    dp = [[big] * total for _ in range(full + 1)]
     for i, term in enumerate(terminals):
-        dp[1 << i][term] = view.weight(term)
+        dp[1 << i][term] = int(term < n)
     for mask in range(1, full + 1):
         row = dp[mask]
         sub = (mask - 1) & mask
@@ -165,20 +162,20 @@ def _steiner_dp(view: _View, terminals: tuple[int, ...]) -> int:
             other = mask ^ sub
             if sub < other:  # each split once
                 a, b = dp[sub], dp[other]
-                for v in range(view.total):
-                    cand = a[v] + b[v] - view.weight(v)
+                for v in range(total):
+                    cand = a[v] + b[v] - (v < n)
                     if cand < row[v]:
                         row[v] = cand
             sub = (sub - 1) & mask
         # Dijkstra relaxation with node costs.
-        heap = [(row[v], v) for v in range(view.total) if row[v] < big]
+        heap = [(row[v], v) for v in range(total) if row[v] < big]
         heapq.heapify(heap)
         while heap:
             d, x = heapq.heappop(heap)
             if d > row[x]:
                 continue
             for y in view.adj[x]:
-                nd = d + view.weight(y)
+                nd = d + (y < n)
                 if nd < row[y]:
                     row[y] = nd
                     heapq.heappush(heap, (nd, y))
@@ -227,6 +224,14 @@ def _cover_cost(view: _View, subset: frozenset[int]) -> int:
 _MP = mpmath.MPContext()
 _MP.dps = 60
 
+# The structural cover classes (|S_U|, |S_V|, cost) of singletons and
+# pairs; any other pair is a far left pair, (2, 0, c) with c > 3.
+CLASS_U = (1, 0, 2)        # a left vertex; a left vertex with a neighbour
+CLASS_V = (0, 1, 1)        # a right vertex
+CLASS_UV_NON = (1, 1, 3)   # a left vertex and a right non-neighbour
+CLASS_VV = (0, 2, 2)       # two right vertices
+CLASS_UU_NEAR = (2, 0, 3)  # two left vertices with a common neighbour
+
 
 @dataclass
 class SaCertificate:
@@ -271,7 +276,7 @@ class SaCertificate:
         size = len(subset)
         if size == 1:
             (w,) = subset
-            return (1, 0, 2) if w < n else (0, 1, 1)
+            return CLASS_U if w < n else CLASS_V
         if size == 2:
             a, b = subset
             if a > b:
@@ -279,11 +284,11 @@ class SaCertificate:
             adj = self.view.adj
             if b < n:
                 if not set(adj[a]).isdisjoint(adj[b]):
-                    return (2, 0, 3)
+                    return CLASS_UU_NEAR
             elif a < n:
-                return (1, 0, 2) if b in adj[a] else (1, 1, 3)
+                return CLASS_U if b in adj[a] else CLASS_UV_NON
             else:
-                return (0, 2, 2)
+                return CLASS_VV
         s_u = [w for w in subset if w < n]
         n_v = size - len(s_u)
         if s_u and n_v:  # drop the right vertices that S_U forces
@@ -293,6 +298,11 @@ class SaCertificate:
         if cost is None:
             cost = self.cost_table[subset] = _cover_cost(self.view, subset)
         return len(s_u), n_v, cost
+
+    def num(self, x: Fraction):
+        """x in the certificate's number type: x itself in exact mode, a
+        60-digit float otherwise."""
+        return x if self.exact else _MP.mpf(x.numerator) / x.denominator
 
     def scale(self, cost: int):
         """n^(-cost/4), exact when possible."""
@@ -312,11 +322,8 @@ class SaCertificate:
         got = self.class_table.get(key)
         if got is None:
             n_u, n_v, cost = key
-            base = self.sa_beta ** n_u * self.sa_alpha ** n_v
-            scale = self.scale(cost)
-            got = base * scale if self.exact else _MP.mpf(
-                base.numerator) / base.denominator * scale
-            self.class_table[key] = got
+            got = self.class_table[key] = self.num(
+                self.sa_beta ** n_u * self.sa_alpha ** n_v) * self.scale(cost)
         return got
 
     @property
@@ -326,10 +333,7 @@ class SaCertificate:
 
     @property
     def objective(self):
-        total = 0
-        for v in range(self.s):
-            total += self.x_value([self.n + v])
-        return total
+        return sum(self.x_value([self.n + v]) for v in range(self.s))
 
 
 def build_sa_certificate(g: BipartiteGraph, rounds: int) -> SaCertificate:
@@ -427,19 +431,44 @@ def verify_sa_certificate(cert: SaCertificate, mode: str = "exhaustive",
     return rep
 
 
+def _outside_unit(val) -> float:
+    """How far val lies outside [0, 1]; 0.0 inside."""
+    if 0 <= val <= 1:
+        return 0.0
+    return max(0.0, float(-val), float(val) - 1.0)
+
+
+def _draw(cert, rng, size: int) -> list[int]:
+    """size distinct vertices, or all n + s of them when size is larger."""
+    total_v = cert.n + cert.s
+    return rng.sample_range(total_v, min(size, total_v))
+
+
+def _draw_split(cert, rng, size: int) -> tuple[frozenset, frozenset]:
+    """(S, T) from _draw's vertices, each put in S or in T by a fair coin."""
+    members = _draw(cert, rng, size)
+    split = [rng.bernoulli(0.5) for _ in members]
+    return (frozenset(m for m, inc in zip(members, split) if inc),
+            frozenset(m for m, inc in zip(members, split) if not inc))
+
+
 def _check_bounds(cert, rep, s_set, t_set, label) -> None:
     val = sa_lift_value(cert, s_set, t_set)
-    lo_bad = max(0.0, float(-val))
-    hi_bad = max(0.0, float(val) - 1.0)
-    rep.add(label, float(val), 1.0, max(lo_bad, hi_bad))
+    rep.add(label, val, 1.0, _outside_unit(val))
+
+
+def _check_cardinality(cert, rep, s_set, t_set, label) -> None:
+    """sum over left u of x_{S+u,T} >= k x_{S,T}."""
+    rhs = cert.k * sa_lift_value(cert, s_set, t_set)
+    total = sum(sa_lift_value(cert, s_set | {u}, t_set)
+                for u in range(cert.n))
+    rep.add(label, total, rhs, rhs - total)
 
 
 def _verify_naive(cert, rep, samples, seed) -> None:
     """Straight enumeration; only for small instances."""
     everyone = range(cert.n + cert.s)
-    us = range(cert.n)
     edges = [(u, cert.n + v) for u, v in cert.graph.edges()]
-    k = cert.k
     violations = 0
     worst = 0.0
     for level in range(cert.rounds + 1):
@@ -449,13 +478,9 @@ def _verify_naive(cert, rep, samples, seed) -> None:
                                   if pick >> i & 1)
                 t_set = frozenset(base[i] for i in range(level)
                                   if not pick >> i & 1)
-                x_st = sa_lift_value(cert, s_set, t_set)
-                total = 0
-                for u in us:
-                    total += sa_lift_value(cert, s_set | {u}, t_set)
-                rep.add(f"cardinality-{sorted(s_set)}-{sorted(t_set)}",
-                        float(total), float(k * x_st),
-                        max(0.0, float(k * x_st - total)))
+                _check_cardinality(
+                    cert, rep, s_set, t_set,
+                    f"cardinality-{sorted(s_set)}-{sorted(t_set)}")
                 for u, v in edges:
                     lhs = sa_lift_value(cert, s_set | {v}, t_set)
                     rhs = sa_lift_value(cert, s_set | {u}, t_set)
@@ -463,8 +488,7 @@ def _verify_naive(cert, rep, samples, seed) -> None:
                         violations += rhs - lhs > cert.tolerance
                         worst = max(worst, float(rhs - lhs))
                         rep.add(f"edge-{u}-{v}-{sorted(s_set)}"
-                                f"-{sorted(t_set)}",
-                                float(lhs), float(rhs), float(rhs - lhs))
+                                f"-{sorted(t_set)}", lhs, rhs, rhs - lhs)
                 _check_bounds(cert, rep, s_set, t_set,
                               f"bounds-{sorted(s_set)}-{sorted(t_set)}")
     rep.add("edge-family-violations", violations, 0, worst)
@@ -473,47 +497,29 @@ def _verify_naive(cert, rep, samples, seed) -> None:
 
 def _verify_sampled(cert, rep, samples, seed) -> None:
     rng = stream(seed, 0x5341)
-    total_v = cert.n + cert.s
-    k = cert.k
-    us = range(cert.n)
     for i in range(samples):
-        level = rng.randrange(cert.rounds + 2)
-        members = rng.sample_range(total_v, min(level, total_v))
-        split = [rng.bernoulli(0.5) for _ in members]
-        s_set = frozenset(m for m, inc in zip(members, split) if inc)
-        t_set = frozenset(m for m, inc in zip(members, split) if not inc)
+        s_set, t_set = _draw_split(cert, rng, rng.randrange(cert.rounds + 2))
         _check_bounds(cert, rep, s_set, t_set, f"bounds-sample-{i}")
-        if len(members) <= cert.rounds:
-            x_st = sa_lift_value(cert, s_set, t_set)
-            total = sum(sa_lift_value(cert, s_set | {u}, t_set) for u in us)
-            rep.add(f"cardinality-sample-{i}", float(total), float(k * x_st),
-                    max(0.0, float(k * x_st - total)))
+        if len(s_set) + len(t_set) <= cert.rounds:
+            _check_cardinality(cert, rep, s_set, t_set,
+                               f"cardinality-sample-{i}")
             u = rng.randrange(cert.n)
             if cert.graph.adj_left[u]:
                 v = cert.n + cert.graph.adj_left[u][
                     rng.randrange(len(cert.graph.adj_left[u]))]
                 lhs = sa_lift_value(cert, s_set | {v}, t_set)
                 rhs = sa_lift_value(cert, s_set | {u}, t_set)
-                rep.add(f"edge-sample-{i}", float(lhs), float(rhs),
-                        max(0.0, float(rhs - lhs)))
+                rep.add(f"edge-sample-{i}", lhs, rhs, rhs - lhs)
 
 
 def _sample_top_level_bounds(cert, rep, samples, seed) -> None:
     """Value bounds 0 <= x_{S,T} <= 1 at the top level rounds+1, sampled."""
     rng = stream(seed, 0x544F)
-    total_v = cert.n + cert.s
-    level = cert.rounds + 1
     violations = 0
     worst = 0.0
     for _ in range(samples):
-        members = rng.sample_range(total_v, min(level, total_v))
-        split = [rng.bernoulli(0.5) for _ in members]
-        s_set = frozenset(m for m, inc in zip(members, split) if inc)
-        t_set = frozenset(m for m, inc in zip(members, split) if not inc)
-        val = sa_lift_value(cert, s_set, t_set)
-        if 0 <= val <= 1:
-            continue
-        bad = max(0.0, float(-val), float(val) - 1.0)
+        s_set, t_set = _draw_split(cert, rng, cert.rounds + 1)
+        bad = _outside_unit(sa_lift_value(cert, s_set, t_set))
         violations += bad > cert.tolerance
         worst = max(worst, bad)
     rep.add("bounds-top-level-sampled", violations, 0, worst)
@@ -527,13 +533,10 @@ def _sample_top_level_bounds(cert, rep, samples, seed) -> None:
 def _verify_one_round(cert, rep) -> None:
     """Exact verification of every level-0/1 constraint via structural cover
     classes, and of every top-level value bound once per realised pair
-    class.  Every value is a class value of the certificate: a left
-    singleton is (1, 0, 2) and a right one (0, 1, 1); a pair is (1, 0, 2)
-    when it is an adjacent u-v pair (v is forced, so the pair has u's
-    class), (1, 1, 3) when it is another u-v pair, (0, 2, 2), (2, 0, 3)
-    when its left vertices share a neighbour, and a far class (2, 0, c),
-    c > 3, otherwise.  Each edge row compares the values of one family of
-    edge instances, so a failing instance fails its row.
+    class.  Every value is a class value of the certificate: an adjacent
+    u-v pair has u's class CLASS_U (v is forced), and a left pair with no
+    common neighbour a far class.  Each edge row compares the values of one
+    family of edge instances, so a failing instance fails its row.
 
     The cardinality rows are class rows: vertices whose rows must agree
     (left: far pair classes in order; right: degree) share one row per
@@ -541,10 +544,10 @@ def _verify_one_round(cert, rep) -> None:
     class's first vertex."""
     n, s, k = cert.n, cert.s, cert.k
     value = cert.class_value
-    one = Fraction(1) if cert.exact else _MP.mpf(1)
-    xu, xv = value((1, 0, 2)), value((0, 1, 1))
-    x_uv_non, x_vv = value((1, 1, 3)), value((0, 2, 2))
-    x_uu_near = value((2, 0, 3))
+    one = cert.num(Fraction(1))
+    xu, xv = value(CLASS_U), value(CLASS_V)
+    x_uv_non, x_vv = value(CLASS_UV_NON), value(CLASS_VV)
+    x_uu_near = value(CLASS_UU_NEAR)
 
     # Every top-level lift on a pair {a, b} is a function of the cover class
     # of {a, b}.  The loops below tally each realised pair class with its
@@ -553,8 +556,7 @@ def _verify_one_round(cert, rep) -> None:
 
     # --- Cardinality constraints -----------------------------------------
     sum_xu = n * xu
-    rep.add("cardinality--", float(sum_xu), float(k),
-            max(0.0, float(k - sum_xu)))
+    rep.add("cardinality--", sum_xu, k, k - sum_xu)
 
     # Per-left-vertex pair sums from bitsets.  Both rows of w depend only on
     # its far pair classes in order (w has n - 1 minus their count near
@@ -573,7 +575,7 @@ def _verify_one_round(cert, rep) -> None:
         mask_others = mask & ~(1 << w)
         m = mask_others >> (w + 1)  # near partners b > w
         if m:
-            top.setdefault((2, 0, 3), [
+            top.setdefault(CLASS_UU_NEAR, [
                 0, w, w + (m & -m).bit_length()])[0] += m.bit_count()
         m = all_u_mask & ~mask_others & ~(1 << w)
         far = []
@@ -605,13 +607,13 @@ def _verify_one_round(cert, rep) -> None:
     for w in range(s):
         right_classes.setdefault(cert.graph.degree_right(w), [0, w])[0] += 1
         v = n + w
-        for m, key in ((right_masks[w], (1, 0, 2)),
-                       (all_u_mask & ~right_masks[w], (1, 1, 3))):
+        for m, key in ((right_masks[w], CLASS_U),
+                       (all_u_mask & ~right_masks[w], CLASS_UV_NON)):
             if m:
                 top.setdefault(key, [
                     0, (m & -m).bit_length() - 1, v])[0] += m.bit_count()
         if w:
-            top.setdefault((0, 2, 2), [0, n, v])[0] += w
+            top.setdefault(CLASS_VV, [0, n, v])[0] += w
 
     for deg, (count, w) in right_classes.items():
         total = deg * xu + (n - deg) * x_uv_non
@@ -667,10 +669,7 @@ def _check_top_level_classes(cert, rep, top) -> None:
     for pairs, a, b in top.values():
         for s_set, t_set in (((a, b), ()), ((a,), (b,)), ((b,), (a,)),
                              ((), (a, b))):
-            val = sa_lift_value(cert, s_set, t_set)
-            if 0 <= val <= 1:
-                continue
-            bad = max(0.0, float(-val), float(val) - 1.0)
+            bad = _outside_unit(sa_lift_value(cert, s_set, t_set))
             if bad > cert.tolerance:
                 violations += pairs
             worst = max(worst, bad)
@@ -690,25 +689,22 @@ def sample_property_checks(cert: SaCertificate, n_samples: int,
     left-vertex growth floor."""
     cert.lift_table.clear()
     rep = VerifyReport(tolerance=cert.tolerance)
-    # An exact zero in exact mode: the float 0.0 would round the Fractions
-    # it is added to.
-    tol = 0 if cert.exact else cert.tolerance
+    # In the certificate's number type: in exact mode the float 0.0 would
+    # round the Fractions it is added to.
+    tol = cert.num(Fraction(cert.tolerance))
     rng = stream(seed, 0x434C)
     view = cert.view
-    n, s, r = cert.n, cert.s, cert.rounds
-    total_v = n + s
-    alpha, beta = cert.sa_alpha, cert.sa_beta
-    half = Fraction(1, 2) if cert.exact else _MP.mpf("0.5")
-    growth_floor = (beta * cert.scale(2) if cert.exact
-                    else _MP.mpf(beta.numerator) / beta.denominator
-                    * cert.scale(2))
+    n, r = cert.n, cert.rounds
+    total_v = n + cert.s
+    alpha = cert.sa_alpha
+    half = cert.num(Fraction(1, 2))
+    growth_floor = cert.num(cert.sa_beta) * cert.scale(2)
     counts = {"decay": 0, "saturate": 0, "lift-zero": 0, "lift-range": 0,
               "growth": 0}
     fails = dict.fromkeys(counts, 0)
 
     def rand_set(max_size: int) -> frozenset[int]:
-        size = rng.randrange(max_size + 1)
-        return frozenset(rng.sample_range(total_v, size))
+        return frozenset(_draw(cert, rng, rng.randrange(max_size + 1)))
 
     for _ in range(n_samples):
         which = rng.randrange(5)
@@ -750,7 +746,7 @@ def sample_property_checks(cert: SaCertificate, n_samples: int,
         elif which == 3:  # disjoint lift range
             s_set = rand_set(r)
             t_size = rng.randrange(r + 2 - len(s_set))
-            t_set = frozenset(rng.sample_range(total_v, t_size))
+            t_set = frozenset(_draw(cert, rng, t_size))
             if s_set & t_set or t_set & _forced(view, s_set):
                 continue
             counts["lift-range"] += 1

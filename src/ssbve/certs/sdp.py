@@ -212,6 +212,19 @@ def build_sdp_certificate(g: BipartiteGraph, k: int) -> SdpCertificate:
                           graph=g)
 
 
+def gap_certificate(g: BipartiteGraph, d_l: int, k: int) -> SdpCertificate:
+    """Certificate for a gap instance drawn at even expected left degree
+    d_l: its degrees are capped at, then fitted to, the biregular targets
+    3*d_l/2 on the left and 3*n*d_l/(2s) on the right."""
+    d_l_t = 3 * d_l // 2
+    d_r_t, rest = divmod(3 * g.n * d_l, 2 * g.n_right)
+    if rest:
+        raise InfeasibleError(
+            "3*n*dl/2 must be divisible by s for biregular targets")
+    capped = cap_degrees(g, d_l_t, d_r_t)
+    return build_sdp_certificate(biregularize(capped, d_l_t, d_r_t), k)
+
+
 def _co_degrees(lists, size: int) -> np.ndarray:
     """The size x size int64 co-degree counts of lists of ids in
     range(size): entry (a, b) is the number of lists that hold both a and b,

@@ -19,9 +19,8 @@ import pytest
 
 from ssbve.approx import (Step, caterpillar_schedule, solve_planted,
                           solve_worst_case)
-from ssbve.certs import (biregularize, build_sa_certificate,
-                         build_sdp_certificate, cap_degrees,
-                         check_instance_properties, hardness_gap_calculator,
+from ssbve.certs import (build_sa_certificate, check_instance_properties,
+                         gap_certificate, hardness_gap_calculator,
                          sample_property_checks, verify_sa_certificate,
                          verify_sdp_certificate)
 from ssbve.errors import ProbabilityOutOfRangeError, SsbveError
@@ -205,11 +204,7 @@ def test_criterion_5_sdp_certificate_stated_grid():
         d_l = 2 * math.ceil(10 * math.log(n))
         try:
             g = gen_gap_instance(n, s, float(d_l), seed=1)
-            d_l_t, d_r_t = 3 * d_l // 2, 3 * n * d_l // (2 * s)
-            capped = cap_degrees(g, d_l_t, d_r_t)
-            cert = build_sdp_certificate(
-                biregularize(capped, d_l_t, d_r_t), k)
-            rep = verify_sdp_certificate(cert)
+            rep = verify_sdp_certificate(gap_certificate(g, d_l, k))
             results.append(rep.passed)
         except (ProbabilityOutOfRangeError, SsbveError) as exc:
             report(5, False, f"n={n}, s=k={s}, d_L={d_l}: {exc}")
@@ -225,9 +220,7 @@ def test_criterion_5_companion_valid_regime():
     exact objective identity."""
     n, s, d_l, k = 1280, 384, 2, 4
     g = gen_gap_instance(n, s, float(d_l), seed=1)
-    d_l_t, d_r_t = 3 * d_l // 2, 3 * n * d_l // (2 * s)
-    cert = build_sdp_certificate(
-        biregularize(cap_degrees(g, d_l_t, d_r_t), d_l_t, d_r_t), k)
+    cert = gap_certificate(g, d_l, k)
     rep = verify_sdp_certificate(cert)
     tau_id = cert.tau == 4 * max(Fraction(cert.d_l ** 2, cert.s),
                                  Fraction(cert.d_l * cert.k, cert.n))

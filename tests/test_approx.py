@@ -4,7 +4,7 @@ import contextlib
 import json
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from pathlib import Path
 
@@ -612,6 +612,36 @@ class TestSteps:
         assert inner.expansion == best
 
 
+def reference_solve_planted(inst, inner, branch_cap, seed) -> Solution:
+    """solve_planted's walk written out: one start guess plus one guess per
+    Hair step, each guess a right vertex; W starts as the start guess's
+    neighbourhood, a Backbone step replaces W by N(N(W)) and a Hair step
+    intersects it with its guess's neighbourhood.  The best trimmed least
+    expanding subset of a nonempty final W wins."""
+    g, k = inst.graph, inst.k
+    n_picks = 1 + inner.count(Step.HAIR)
+    if g.n_right ** n_picks <= branch_cap:
+        tuples = list(product(range(g.n_right), repeat=n_picks))
+    else:
+        rng = stream(seed, 0x706C61)
+        tuples = [tuple(rng.randrange(g.n_right) for _ in range(n_picks))
+                  for _ in range(branch_cap)]
+    best = None
+    for start, *hairs in tuples:
+        w = set(g.adj_right[start])
+        for step in inner:
+            if step is Step.BACKBONE:
+                w = {u for v in neighborhood(g, w) for u in g.adj_right[v]}
+            else:
+                w &= set(g.adj_right[hairs.pop(0)])
+        if w:
+            les = least_expanding_subset(g, w)
+            cand = Solution.from_set(g, sorted(les.chosen)[:k])
+            if best is None or cand.sort_key() < best.sort_key():
+                best = cand
+    return best if best is not None else trivial_ksubset(inst)
+
+
 class TestSolvePlanted:
     def test_q2_equals_per_vertex_les(self):
         g = random_bipartite(20, 14, 6, 0.4)
@@ -629,6 +659,22 @@ class TestSolvePlanted:
                 best = cand
         assert best is not None
         assert sol == best
+
+    @pytest.mark.parametrize("p,q,inner", [
+        (1, 3, (Step.BACKBONE,)), (2, 3, (Step.HAIR,)),
+        (2, 5, (Step.BACKBONE, Step.HAIR, Step.BACKBONE)),
+        (3, 4, (Step.HAIR, Step.HAIR))])
+    @pytest.mark.parametrize("branch_cap", [10 ** 6, 7])
+    @pytest.mark.parametrize("graph_seed", [22, 23])
+    def test_hair_and_backbone_walks(self, p, q, inner, branch_cap,
+                                     graph_seed):
+        # Every guess tuple (6 to 216 of them) under the large cap, 7
+        # sampled ones under the small cap.
+        assert caterpillar_schedule(p, q)[1:-1] == inner
+        g = random_bipartite(graph_seed, 14, 6, 0.3)
+        inst = SsbveInstance(graph=g, k=4)
+        assert (solve_planted(inst, p, q, branch_cap, seed=8)
+                == reference_solve_planted(inst, inner, branch_cap, seed=8))
 
     def test_branch_cap_one_deterministic(self):
         g = random_bipartite(21, 12, 5, 0.4)

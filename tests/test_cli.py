@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from ssbve.bench import format_table, run_benchmark
 from ssbve.cli import main
-from ssbve.formats import MAX_HEADER_SIZE
+from ssbve.formats import MAX_HEADER_SIZE, parse_ssbve
+from ssbve.generators import gen_gap_instance
 
 
 def run(argv):
@@ -80,6 +81,15 @@ class TestGenSolve:
                     "--k-planted", "8", "--mode", "planted",
                     "--out", str(out)]) == 0
         assert out.read_text().startswith("p mku 32")
+
+    def test_gen_gap(self, tmp_path):
+        # The budget defaults to min(s, n); the graph is gen_gap_instance's.
+        out = tmp_path / "gap.txt"
+        assert run(["--seed", "4", "gen", "--family", "gap", "--n", "30",
+                    "--s", "6", "--dl", "2", "--out", str(out)]) == 0
+        inst = parse_ssbve(out.read_text())
+        assert inst.k == 6
+        assert inst.graph == gen_gap_instance(30, 6, 2.0, 4)
 
     def test_bad_input_exit_code(self, tmp_path):
         missing = tmp_path / "nope.txt"
@@ -382,6 +392,35 @@ class TestCertifyCli:
         assert run(["certify", "--kind", "sdp", "--n", "100", "--s", "7",
                     "--dl", "2"]) == 4
 
+    @pytest.mark.parametrize("sizes", [("1", "1", "2"), ("2", "1", "3"),
+                                       ("4", "2", "6")])
+    def test_certify_sa_more_rounds_than_vertices(self, tmp_path, capsys,
+                                                  sizes):
+        # rounds + 1 > n + s: the samplers draw every vertex instead of
+        # more than exist.
+        n, s, rounds = sizes
+        out = tmp_path / "sa.json"
+        assert run(["--out", str(out), "certify", "--kind", "sa", "--n", n,
+                    "--s", s, "--dl", "1", "--rounds", rounds]) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        rep = json.loads(out.read_text())
+        assert rep["params"]["rounds"] == int(rounds)
+        assert "property_checks" in rep
+
+    def test_certify_check_instance_sets_exit_code(self, tmp_path):
+        # The certificate verifies, but this sparse instance fails the
+        # optimum and degree checks: the instance rows fail the run.
+        out = tmp_path / "sdp.json"
+        assert run(["--seed", "2", "--out", str(out), "certify", "--kind",
+                    "sdp", "--n", "1280", "--s", "384", "--dl", "2", "--k",
+                    "4", "--check-instance"]) == 2
+        rep = json.loads(out.read_text())
+        assert rep["passed"] is True
+        inst = rep["instance_checks"]
+        assert inst["passed"] is False
+        assert sorted(r["id"] for r in inst["checks"] if r["slack"] > 0) == [
+            "item1-optimum-lb", "item2-degree-bounds"]
+
 
 class TestSsveCli:
     def test_ssve_brute(self, tmp_path):
@@ -447,6 +486,37 @@ class TestBench:
         assert run(["--format", "table", "bench", "--suite", "oracle_small",
                     "--seeds", "2"]) == 0
         assert "max ratios" in capsys.readouterr().out
+
+    def test_gap_certs_suite(self):
+        rep = run_benchmark("gap_certs", seeds=1)
+        assert rep == {
+            "schema": 1, "suite": "gap_certs", "rows": [
+                {"seed": 0, "kind": "sdp", "n": 1280, "s": 384, "d_l": 2,
+                 "k": 4, "passed": True, "objective": 36.0,
+                 "gap_ratio": 2 / 36},
+                {"seed": 0, "kind": "sdp", "n": 1280, "s": 384, "d_l": 2,
+                 "k": 8, "passed": True, "objective": 36.0,
+                 "gap_ratio": 4 / 36},
+                {"seed": 0, "kind": "sa", "n": 4096, "s": 64, "d_l": 32,
+                 "rounds": 1, "passed": True, "objective": 2.0,
+                 "gap_ratio": 0.25}],
+            "all_passed": True, "min_sa_gap_ratio": 0.25}
+        assert format_table(rep) == (
+            "suite: gap_certs  (schema 1)\n"
+            " seed  kind  passed    objective  gap_ratio\n"
+            "    0   sdp    True      36.0000     0.0556\n"
+            "    0   sdp    True      36.0000     0.1111\n"
+            "    0    sa    True       2.0000     0.2500\n")
+
+    def test_planted_table(self):
+        rep = {"schema": 1, "suite": "planted", "fraction_within_4x": 0.5,
+               "rows": [{"seed": 3, "planted_expansion": 0.25,
+                         "solved_expansion": 0.5, "ratio": 2.0}]}
+        assert format_table(rep) == (
+            "suite: planted  (schema 1)\n"
+            " seed    planted     solved    ratio\n"
+            "    3    0.25000    0.50000    2.000\n"
+            "fraction within 4x: 0.5\n")
 
     def test_writes_report_file(self, tmp_path):
         out = tmp_path / "bench.json"
