@@ -40,7 +40,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, compress, islice, product
 from typing import Callable
 
 from .errors import (InvalidParameterError, NoRootError, NotCoprimeError,
@@ -225,7 +225,7 @@ def subsample_left(g: BipartiteGraph, gamma: float,
         return g, tuple(range(g.n))
     p_keep = float(g.n) ** (-gamma)
     rng = stream(seed, 0x7375)
-    kept = [u for u in range(g.n) if rng.bernoulli(p_keep)]
+    kept = list(compress(range(g.n), rng.bernoulli_bytes(g.n, p_keep)))
     if not kept:
         kept = [0]
     return induced_left_subgraph(g, kept)
@@ -474,8 +474,8 @@ def backbone_step(pre: PreprocessedInstance, st: BranchState,
             continue
         keep_p = r_i / r
         rng = stream(seed, 0x6262, i)
-        kept = tuple(u for u in members
-                     if keep_p >= 1.0 or rng.bernoulli(keep_p))
+        kept = tuple(compress(members,
+                              rng.bernoulli_bytes(len(members), keep_p)))
         if kept:
             states.append(BranchState(current=kept,
                                       step_index=st.step_index + 1))

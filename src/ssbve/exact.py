@@ -78,10 +78,7 @@ def exact_ssve(g: UndirectedGraph,
     if g.n > SSVE_MAX_N:
         raise TooLargeError(
             f"n={g.n} exceeds the enumeration limit {SSVE_MAX_N}")
-    adj_masks = [0] * g.n
-    for a in range(g.n):
-        for b in g.adj[a]:
-            adj_masks[a] |= 1 << b
+    adj_masks = g.masks()
     best: tuple[Fraction, int, tuple[int, ...]] | None = None
     for size in range(1, min(k, g.n) + 1):
         for subset in combinations(range(g.n), size):

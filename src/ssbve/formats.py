@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from itertools import chain
 from operator import lt
 
 from .errors import FormatError
@@ -181,7 +182,7 @@ def write_ssbve(inst: SsbveInstance) -> str:
     g = inst.graph
     # A numeral only for right ids with an edge, so that a sparse graph
     # under a large header builds no string per declared id.
-    names = [str(v) if col else "" for v, col in enumerate(g.adj_right, 1)]
+    names = {v: str(v + 1) for v in set(chain.from_iterable(g.adj_left))}
     parts = [f"p ssbve {g.n} {g.n_right} {inst.k}"]
     for u, row in enumerate(g.adj_left, 1):
         if row:

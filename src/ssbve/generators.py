@@ -106,22 +106,17 @@ def gen_random_bipartite(n: int, s: int, p: float, seed: int) -> BipartiteGraph:
     if not 0.0 <= p <= 1.0:
         raise ProbabilityOutOfRangeError(f"p={p} outside [0, 1]")
     rng = stream(seed, 0x6269)  # tag: bipartite
-    # Both views straight from the 0/1 draws, a chunk of whole rows at a
-    # time; every id is taken from one list, so each is one object.
-    ids = list(range(max(n, s)))
-    right_ids = ids[:s]
+    # The rows straight from the 0/1 draws, a chunk of whole rows at a
+    # time; every right id is taken from one list, so each is one object.
+    right_ids = list(range(s))
     rows: list[tuple[int, ...]] = []
-    cols: list[list[int]] = [[] for _ in range(s)]
     per_chunk = max(1, DRAW_CHUNK // max(s, 1))
     for u0 in range(0, n, per_chunk):
-        left = ids[u0:min(n, u0 + per_chunk)]
-        bits = rng.bernoulli_bytes(len(left) * s, p)
+        count = min(per_chunk, n - u0)
+        bits = rng.bernoulli_bytes(count * s, p)
         rows += [tuple(compress(right_ids, bits[i * s:i * s + s]))
-                 for i in range(len(left))]
-        for v, col in enumerate(cols):
-            col += compress(left, bits[v::s])
-    return BipartiteGraph(n=n, n_right=s, adj_left=tuple(rows),
-                          adj_right=tuple(map(tuple, cols)))
+                 for i in range(count)]
+    return BipartiteGraph.from_rows(s, rows)
 
 
 def gen_planted(spec: PlantedSpec) -> tuple[SsbveInstance, PlantedSpec]:

@@ -2,14 +2,18 @@
 problem-equivalence reductions (set systems <-> bipartite graphs, and the
 union variant of small-set vertex expansion on general graphs).
 
-Vertices are dense 0-indexed integers on each side.  All values are immutable
-after construction and safe to share across threads.
+Vertices are dense 0-indexed integers on each side.  Every value is
+immutable after construction, except that a ``BipartiteGraph`` fills its
+right view once, on the first read of ``adj_right``.  Two threads whose
+first reads overlap may each build that view; the tuples they build are
+equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CliqueTooSmallError, EmptySetError, InvalidBudgetError
@@ -17,47 +21,47 @@ from .errors import CliqueTooSmallError, EmptySetError, InvalidBudgetError
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Bipartite graph with left part of size n and right part of size n_right.
+    """Bipartite graph given by its left rows: adj_left[u] is the sorted
+    duplicate-free tuple of u's right neighbours, each below n_right.
 
-    adj_left[u] / adj_right[v] are sorted duplicate-free tuples; the two views
-    always describe the same edge set.
+    The left part has n = len(adj_left) vertices.  adj_right[v], the left
+    neighbours of v in ascending order, is the transpose of the rows, built
+    on its first read.
     """
 
-    n: int
     n_right: int
     adj_left: tuple[tuple[int, ...], ...]
-    adj_right: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_edges(cls, n: int, n_right: int,
                    edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        """Build both adjacency views; duplicate edges are collapsed."""
-        left: list[set[int]] = [set() for _ in range(n)]
-        right: list[set[int]] = [set() for _ in range(n_right)]
+        """Build the rows of an edge list; duplicate edges are collapsed."""
+        rows: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n_right):
                 raise IndexError(f"edge ({u},{v}) out of range for {n}x{n_right}")
-            left[u].add(v)
-            right[v].add(u)
-        return cls(
-            n=n,
-            n_right=n_right,
-            adj_left=tuple(tuple(sorted(s)) for s in left),
-            adj_right=tuple(tuple(sorted(s)) for s in right),
-        )
+            rows[u].add(v)
+        return cls(n_right, tuple(tuple(sorted(s)) for s in rows))
 
     @classmethod
     def from_rows(cls, n_right: int,
                   rows: Sequence[tuple[int, ...]]) -> "BipartiteGraph":
-        """Build from left rows that are already sorted duplicate-free tuples
-        of right ids below n_right, as those of another graph are; the rows
+        """Wrap left rows that are already sorted duplicate-free tuples of
+        right ids below n_right, as those of another graph are; the rows
         are taken as they are, unchecked."""
-        right: list[list[int]] = [[] for _ in range(n_right)]
-        for u, row in enumerate(rows):
+        return cls(n_right, tuple(rows))
+
+    @property
+    def n(self) -> int:
+        return len(self.adj_left)
+
+    @cached_property
+    def adj_right(self) -> tuple[tuple[int, ...], ...]:
+        cols: list[list[int]] = [[] for _ in range(self.n_right)]
+        for u, row in enumerate(self.adj_left):
             for v in row:
-                right[v].append(u)
-        return cls(n=len(rows), n_right=n_right, adj_left=tuple(rows),
-                   adj_right=tuple(map(tuple, right)))
+                cols[v].append(u)
+        return tuple(map(tuple, cols))
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj_left[u]]
@@ -79,25 +83,14 @@ class BipartiteGraph:
         return [_mask(a) for a in self.adj_right]
 
     def validate(self) -> None:
-        """Check the symmetry / dedup / range invariants; raises on violation."""
-        seen = set()
+        """Check that every row is sorted, duplicate-free and in range;
+        raises on violation."""
         for u, nbrs in enumerate(self.adj_left):
             if list(nbrs) != sorted(set(nbrs)):
                 raise ValueError(f"adj_left[{u}] not sorted duplicate-free")
             for v in nbrs:
                 if not 0 <= v < self.n_right:
                     raise ValueError(f"right index {v} out of range")
-                seen.add((u, v))
-        count = 0
-        for v, nbrs in enumerate(self.adj_right):
-            if list(nbrs) != sorted(set(nbrs)):
-                raise ValueError(f"adj_right[{v}] not sorted duplicate-free")
-            for u in nbrs:
-                if (u, v) not in seen:
-                    raise ValueError(f"asymmetric edge ({u},{v})")
-                count += 1
-        if count != len(seen):
-            raise ValueError("adjacency views disagree on the edge set")
 
 
 def _mask(indices: Sequence[int]) -> int:
@@ -155,6 +148,10 @@ class UndirectedGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(a, b) for a in range(self.n) for b in self.adj[a] if a < b]
+
+    def masks(self) -> list[int]:
+        """Per-vertex neighbor bitmask (bit b set iff {a,b} is an edge)."""
+        return [_mask(a) for a in self.adj]
 
     def open_neighborhood(self, s: Iterable[int]) -> set[int]:
         """Union of neighbors of s; may intersect s, never restricted to it."""

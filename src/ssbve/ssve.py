@@ -48,10 +48,7 @@ def sse_solve(g: UndirectedGraph, k: int,
 
 def _sse_bruteforce(g: UndirectedGraph,
                     k: int) -> tuple[tuple[int, ...], Fraction]:
-    masks = [0] * g.n
-    for a in range(g.n):
-        for b in g.adj[a]:
-            masks[a] |= 1 << b
+    masks = g.masks()
     best: tuple[Fraction, int, tuple[int, ...]] | None = None
     for size in range(1, min(k, g.n) + 1):
         for subset in combinations(range(g.n), size):

@@ -22,7 +22,7 @@ from ssbve.errors import (InvalidParameterError, NotCoprimeError,
 from ssbve.exact import exact_les, exact_ssbve
 from ssbve.generators import PlantedSpec, gen_planted
 from ssbve.graph import (BipartiteGraph, Solution, SsbveInstance, expansion,
-                         neighborhood)
+                         induced_left_subgraph, neighborhood)
 from ssbve.bench import _random_small_instance
 from ssbve.generators import gen_random_bipartite
 from ssbve.les import least_expanding_subset
@@ -209,6 +209,17 @@ class TestSubsample:
         sub, _ = subsample_left(g, gamma, 11)
         mean, sd = 10 ** 3, math.sqrt(10 ** 4 * 0.1 * 0.9)
         assert abs(sub.n - mean) <= 4 * sd
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_vertex_draws(self, seed):
+        # The oracle: one bernoulli call per left vertex.
+        g = random_bipartite(seed + 900, 1 + 37 * seed, 5)
+        gamma = (0.1, 0.5, 1.0)[seed % 3]
+        rng = stream(seed, 0x7375)
+        p_keep = float(g.n) ** -gamma
+        kept = [u for u in range(g.n) if rng.bernoulli(p_keep)] or [0]
+        assert subsample_left(g, gamma, seed) == \
+            induced_left_subgraph(g, kept)
 
 
 class TestPreprocess:

@@ -7,7 +7,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ssbve.bench import format_table, run_benchmark
@@ -318,10 +318,14 @@ print(main(["--out", os.devnull, "solve", "--algo", "baseline",
 
 class TestBoundedMemory:
     # The largest header the parsers accept (2^20 left and right vertices)
-    # peaks at about 400 MB of address space in `solve`.
+    # peaks at about 142 MB of address space over `solve` and `ssve`, where
+    # a two-line text peaks at about 101 MB (VmPeak, x86-64 Linux, CPython
+    # 3.11).
     ADDRESS_SPACE = 1 << 30
 
     @given(_TEXTS)
+    @example(f"p ssbve {MAX_HEADER_SIZE} {MAX_HEADER_SIZE} 1\ne 1 1\n")
+    @example(f"p ssbve 1 {MAX_HEADER_SIZE} 1\ne 1 1\n")
     @settings(max_examples=20, deadline=None)
     def test_short_texts_exit_with_a_documented_code(self, text):
         # One child at a time, each with its own limit; the limit is set in

@@ -1,6 +1,7 @@
 """Graph substrate, expansion arithmetic, and the equivalence reductions."""
 
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 from types import SimpleNamespace
 from itertools import combinations
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssbve.certs import biregularize, cap_degrees
 from ssbve.errors import (CliqueTooSmallError, EmptySetError, FormatError,
                           InvalidBudgetError, SsbveError)
 from ssbve.exact import exact_ssbve
@@ -125,6 +127,45 @@ class TestGraphInvariants:
                              (0.05, 0.3, 0.9)[seed % 3])
         assert g.left_masks() == [reference_mask(a) for a in g.adj_left]
         assert g.right_masks() == [reference_mask(a) for a in g.adj_right]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_undirected_masks_match_bit_loop(self, seed):
+        # Sparse draws leave isolated vertices.
+        g = random_undirected(seed + 40, 3 + 5 * seed, (0.1, 0.5)[seed % 2])
+        assert g.masks() == [reference_mask(a) for a in g.adj]
+
+    def test_fields_are_the_rows(self):
+        assert [f.name for f in fields(BipartiteGraph)] == ["n_right",
+                                                            "adj_left"]
+        g = BipartiteGraph.from_rows(3, [(0, 2), (), (1,)])
+        assert g.n == 3 and g.num_edges() == 3
+
+    @pytest.mark.parametrize("build", [
+        lambda: BipartiteGraph.from_edges(0, 3, []),
+        lambda: BipartiteGraph.from_edges(3, 0, []),
+        lambda: BipartiteGraph.from_edges(0, 0, []),
+        # isolated vertices on both sides
+        lambda: BipartiteGraph.from_edges(5, 6, [(1, 0), (1, 4), (3, 4)]),
+        lambda: BipartiteGraph.from_rows(4, [(0, 3), (), (1, 2, 3)]),
+        lambda: random_bipartite(7, 12, 9, 0.3),
+        lambda: gen_random_bipartite(40, 15, 0.2, 3),
+        lambda: gen_planted(PlantedSpec(n=64, alpha=0.5, beta=0.5,
+                                        gamma=0.2, r_degree=3,
+                                        seed=1))[0].graph,
+        lambda: parse_ssbve("p ssbve 4 5 1\ne 1 5\ne 3 1\ne 3 5\n").graph,
+        lambda: induced_left_subgraph(random_bipartite(8, 10, 6),
+                                      [9, 2, 4, 2])[0],
+        lambda: cap_degrees(gen_random_bipartite(10, 3, 0.6, 1), 3, 10),
+        lambda: biregularize(cap_degrees(gen_random_bipartite(10, 3, 0.3, 1),
+                                         3, 10), 3, 10),
+    ])
+    def test_right_view_is_the_transpose(self, build):
+        g = build()
+        cols = [[] for _ in range(g.n_right)]
+        for u, v in g.edges():
+            cols[v].append(u)
+        assert g.adj_right == tuple(tuple(sorted(c)) for c in cols)
+        assert g.adj_right is g.adj_right
 
     @pytest.mark.parametrize("seed", range(20))
     def test_induced_subgraph_matches_edge_build(self, seed):
@@ -652,6 +693,19 @@ class TestSsbveParserFullSize:
         assert _outcome(parse_ssbve, text) == want
         if want_ok:
             assert want == parse_ssbve(planted_texts[1])
+
+    def test_huge_sparse_header_builds_no_right_view(self):
+        # The parse holds the 2^20 left rows and no right list; a list per
+        # declared right id took about 88 MB.
+        text = f"p ssbve {MAX_HEADER_SIZE} {MAX_HEADER_SIZE} 1\ne 1 1\n"
+        tracemalloc.start()
+        try:
+            g = parse_ssbve(text).graph
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20
+        assert g.adj_right[0] == (0,)
 
     def test_huge_sparse_header_builds_no_id_table(self):
         # One edge line under a 2^20 x 2^20 header reads its ids with

@@ -145,7 +145,7 @@ def _inverse_mix(z: int) -> int:
 
 def reference_random_bipartite(n, s, p, seed):
     """The per-draw generator: one bernoulli call per potential edge, then
-    both views from the edge list."""
+    the rows from the edge list."""
     rng = stream(seed, 0x6269)
     edges = [(u, v) for u in range(n) for v in range(s) if rng.bernoulli(p)]
     return BipartiteGraph.from_edges(n, s, edges)
@@ -175,7 +175,7 @@ def reference_hdvr(spec):
 
 
 def reference_planted(spec):
-    """gen_planted with one randrange call per edge, then both views from
+    """gen_planted with one randrange call per edge, then the rows from
     the edge list."""
     rng = stream(spec.seed, 0x706C)
     planted_s = tuple(sorted(rng.sample_range(spec.n, spec.k)))
@@ -227,12 +227,15 @@ class TestGeneratorsMatchPerDraw:
         assert got == reference_planted(spec)
         got[0].graph.validate()
 
-    def test_ids_shared_across_views(self):
+    def test_ids_shared_within_each_view(self):
+        # One int object per distinct id in the rows, and one in the right
+        # view, so no int object per edge.
         g = gen_random_bipartite(300, 300, 0.5, 2)
-        by_value = {}
-        for ids in (*g.adj_left, *g.adj_right):
-            for i in ids:
-                assert by_value.setdefault(i, i) is i
+        for view in (g.adj_left, g.adj_right):
+            by_value = {}
+            for ids in view:
+                for i in ids:
+                    assert by_value.setdefault(i, i) is i
 
     @pytest.mark.parametrize("spec", [
         HdvrSpec(n=8, r_edge=3, alpha=2.0, beta=1.0, k_planted=4,
