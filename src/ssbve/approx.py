@@ -305,8 +305,8 @@ def _finish_candidate(bucket: Bucket, t: int, eps: float, q_max: int,
     p, q = _snap_alpha(alpha_raw, q_max)
     c = pruning_constant(p, q, eps)
     cap_d = g.n / k ** (1.0 - c * eps)
-    v_d = frozenset(v for v in range(g.n_right)
-                    if g.degree_right(v) >= cap_d)
+    v_d = frozenset(v for v, row in enumerate(g.adj_right)
+                    if len(row) >= cap_d)
     return [PreprocessedInstance(
         graph=g, r=r, k=k, left_ids=ids, p=p, q=q, eps=eps, c=c, v_d=v_d)]
 

@@ -17,7 +17,8 @@ with alpha = 1/(2(rounds+1)) and beta = alpha^(rounds+1); lifted pair values
 x_{S,T} follow by inclusion-exclusion.  When n is a perfect fourth power all
 values are exact rationals; otherwise they are 60-digit mpmath floats
 from a private mpmath context, so the process-wide precision is never
-changed.
+changed.  That context is built, and mpmath imported, on first use: an
+exact certificate never loads mpmath.
 
 The certificate holds its graph, its constants and one value per cover
 class: class_table is the only store of values, and every check reads
@@ -29,13 +30,24 @@ fixed set of structural classes (one per side for singletons; adjacency,
 common-neighbor, and the rare far-apart pairs, which are routed through the
 general Steiner search), so every constraint instance is covered by a
 handful of exact class inequalities plus counts over the graph's
-right-vertex bitsets, which each verification builds once.  The pair
-tiers test membership on the sorted adjacency tuples; no per-vertex set is
-kept.  A left vertex's near partners come from a two-hop bitset that stops
-growing once it holds every left vertex, so only vertices with far
-partners pay for the cover search.  The cardinality rows are class rows:
-one report row per family for each class of vertices whose rows agree,
-with the class size as its count.
+right-vertex bitsets.  Those counts come from one census per certificate,
+built on first use: each realised pair class with its pair count and a
+representative pair, the left vertices by their far pair classes and the
+right ones by degree.  It holds no values, so a class value set by hand
+shows in every report.  The pair tiers test membership on the graph's
+sorted rows; no per-vertex set is kept.  A left vertex's near partners come
+from a two-hop bitset that stops growing once it holds every left vertex,
+so only vertices with far partners pay for the cover search.  The
+cardinality rows are class rows: one report row per family for each class
+of vertices whose rows agree, with the class size as its count.
+
+The structural properties (decay on a vertex S_U does not force, the
+growth floor for left vertices, the two-sided lift range) compare at one
+round singleton and pair class values only, so they too are exact class
+rows, one per realised (class(S), class(S + extra)) with the number of
+instances it stands for; deeper certificates sample them.  The global-id
+adjacency (_View) is built only when the general cover search runs: far
+pairs, sets of three or more, cover_cost and the samplers.
 """
 
 from __future__ import annotations
@@ -45,9 +57,9 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import combinations
-
-import mpmath
+from typing import NamedTuple
 
 from ..errors import BudgetExceededError, NoCoverError, SizeExceededError
 from ..graph import BipartiteGraph
@@ -218,11 +230,15 @@ def _cover_cost(view: _View, subset: frozenset[int]) -> int:
 # Certificate
 # ---------------------------------------------------------------------------
 
-# Float-mode values are built in this 60-digit context; mpmath numbers
-# carry their context, so arithmetic on them keeps 60 digits whatever
-# `mpmath.mp.dps` is.
-_MP = mpmath.MPContext()
-_MP.dps = 60
+@cache
+def _mp():
+    """The 60-digit context float-mode values are built in, on first use;
+    mpmath numbers carry their context, so arithmetic on them keeps 60
+    digits whatever `mpmath.mp.dps` is."""
+    import mpmath
+    mp = mpmath.MPContext()
+    mp.dps = 60
+    return mp
 
 # The structural cover classes (|S_U|, |S_V|, cost) of singletons and
 # pairs; any other pair is a far left pair, (2, 0, c) with c > 3.
@@ -231,6 +247,14 @@ CLASS_V = (0, 1, 1)        # a right vertex
 CLASS_UV_NON = (1, 1, 3)   # a left vertex and a right non-neighbour
 CLASS_VV = (0, 2, 2)       # two right vertices
 CLASS_UU_NEAR = (2, 0, 3)  # two left vertices with a common neighbour
+CLASS_EMPTY = (0, 0, 0)    # the empty set
+
+
+class _Census(NamedTuple):
+    """What the one-round checks count, from the graph alone."""
+    top: dict         # {pair class: [pairs, a, b]}, a representative a < b
+    left_rows: dict   # {far classes in order: [vertices, first vertex]}
+    right_rows: dict  # {degree: [vertices, first vertex]}
 
 
 @dataclass
@@ -251,8 +275,15 @@ class SaCertificate:
     class_table: dict = field(default_factory=dict)
     lift_table: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self.view = _View(self.graph)
+    @cached_property
+    def view(self) -> _View:
+        """Global-id adjacency for the general cover search."""
+        return _View(self.graph)
+
+    @cached_property
+    def census(self) -> _Census:
+        """The graph's realised one-round classes, counted once."""
+        return _pair_census(self)
 
     @property
     def n(self) -> int:
@@ -265,15 +296,18 @@ class SaCertificate:
     def key(self, subset: frozenset[int]) -> tuple[int, int, int]:
         """Cover class (|S_U|, |S_V|, cost(S)) of a subset.
 
-        Singletons and pairs take their structural tier: a left vertex costs
+        The empty set costs 0, and singletons and pairs take their
+        structural tier, read off the graph's left rows: a left vertex costs
         2 (itself in a tree) and a right one 1 (itself in S'), whether
         isolated or not; a left-right pair costs 2 when adjacent (the right
         vertex is then forced) and 3 otherwise, two right vertices cost 2,
         and two left vertices with a common neighbor cost 3.  Far-apart left
-        pairs and larger sets run the general cover search, memoised by
-        subset."""
+        pairs and larger sets run the general cover search on the view,
+        memoised by subset."""
         n = self.n
         size = len(subset)
+        if not size:
+            return CLASS_EMPTY
         if size == 1:
             (w,) = subset
             return CLASS_U if w < n else CLASS_V
@@ -281,12 +315,12 @@ class SaCertificate:
             a, b = subset
             if a > b:
                 a, b = b, a
-            adj = self.view.adj
+            rows = self.graph.adj_left
             if b < n:
-                if not set(adj[a]).isdisjoint(adj[b]):
+                if not set(rows[a]).isdisjoint(rows[b]):
                     return CLASS_UU_NEAR
             elif a < n:
-                return CLASS_U if b in adj[a] else CLASS_UV_NON
+                return CLASS_U if b - n in rows[a] else CLASS_UV_NON
             else:
                 return CLASS_VV
         s_u = [w for w in subset if w < n]
@@ -302,13 +336,14 @@ class SaCertificate:
     def num(self, x: Fraction):
         """x in the certificate's number type: x itself in exact mode, a
         60-digit float otherwise."""
-        return x if self.exact else _MP.mpf(x.numerator) / x.denominator
+        return x if self.exact else _mp().mpf(x.numerator) / x.denominator
 
     def scale(self, cost: int):
         """n^(-cost/4), exact when possible."""
         if self.exact:
             return Fraction(1, self.quarter_root ** cost)
-        return _MP.mpf(self.n) ** (_MP.mpf(-cost) / 4)
+        mp = _mp()
+        return mp.mpf(self.n) ** (mp.mpf(-cost) / 4)
 
     def x_value(self, subset):
         subset = frozenset(subset)
@@ -530,45 +565,24 @@ def _sample_top_level_bounds(cert, rep, samples, seed) -> None:
 # One-round exact fast path
 # ---------------------------------------------------------------------------
 
-def _verify_one_round(cert, rep) -> None:
-    """Exact verification of every level-0/1 constraint via structural cover
-    classes, and of every top-level value bound once per realised pair
-    class.  Every value is a class value of the certificate: an adjacent
-    u-v pair has u's class CLASS_U (v is forced), and a left pair with no
-    common neighbour a far class.  Each edge row compares the values of one
-    family of edge instances, so a failing instance fails its row.
+def _pair_census(cert) -> _Census:
+    """The realised pair classes and the left and right row classes of the
+    certificate's graph, from its right-vertex bitsets.
 
-    The cardinality rows are class rows: vertices whose rows must agree
-    (left: far pair classes in order; right: degree) share one row per
-    family, whose count is the class size and whose id ends with the
-    class's first vertex."""
-    n, s, k = cert.n, cert.s, cert.k
-    value = cert.class_value
-    one = cert.num(Fraction(1))
-    xu, xv = value(CLASS_U), value(CLASS_V)
-    x_uv_non, x_vv = value(CLASS_UV_NON), value(CLASS_VV)
-    x_uu_near = value(CLASS_UU_NEAR)
-
-    # Every top-level lift on a pair {a, b} is a function of the cover class
-    # of {a, b}.  The loops below tally each realised pair class with its
-    # pair count and one representative pair a < b: {key: [pairs, a, b]}.
+    Every top-level lift on a pair {a, b} is a function of the cover class
+    of {a, b}; each realised class is tallied with its pair count and one
+    representative pair a < b.  Both cardinality rows of a left vertex w
+    depend only on its far pair classes in order (w has n - 1 minus their
+    count near partners), and those of a right vertex only on its degree.
+    The two-hop mask stops growing once it holds every left vertex."""
+    n, g = cert.n, cert.graph
     top: dict = {}
-
-    # --- Cardinality constraints -----------------------------------------
-    sum_xu = n * xu
-    rep.add("cardinality--", sum_xu, k, k - sum_xu)
-
-    # Per-left-vertex pair sums from bitsets.  Both rows of w depend only on
-    # its far pair classes in order (w has n - 1 minus their count near
-    # partners), so left vertices are tallied by them: {far classes:
-    # [vertices, first vertex]}.  The two-hop mask stops growing once it
-    # holds every left vertex.
-    right_masks = cert.graph.right_masks()
+    right_masks = g.right_masks()
     all_u_mask = (1 << n) - 1
-    row_classes: dict = {}
+    left_rows: dict = {}
     for w in range(n):
         mask = 0
-        for v in cert.graph.adj_left[w]:
+        for v in g.adj_left[w]:
             mask |= right_masks[v]
             if mask == all_u_mask:
                 break
@@ -587,9 +601,50 @@ def _verify_one_round(cert, rep) -> None:
             if u2 > w:
                 top.setdefault(key, [0, w, u2])[0] += 1
             m ^= low
-        row_classes.setdefault(tuple(far), [0, w])[0] += 1
+        left_rows.setdefault(tuple(far), [0, w])[0] += 1
 
-    for far, (count, w) in row_classes.items():
+    # The uv pairs of each right vertex, and its vv pairs with the right
+    # vertices before it.
+    right_rows: dict = {}
+    for w in range(g.n_right):
+        right_rows.setdefault(g.degree_right(w), [0, w])[0] += 1
+        v = n + w
+        for m, key in ((right_masks[w], CLASS_U),
+                       (all_u_mask & ~right_masks[w], CLASS_UV_NON)):
+            if m:
+                top.setdefault(key, [
+                    0, (m & -m).bit_length() - 1, v])[0] += m.bit_count()
+        if w:
+            top.setdefault(CLASS_VV, [0, n, v])[0] += w
+    return _Census(top, left_rows, right_rows)
+
+
+def _verify_one_round(cert, rep) -> None:
+    """Exact verification of every level-0/1 constraint via structural cover
+    classes, and of every top-level value bound once per realised pair
+    class.  Every value is a class value of the certificate: an adjacent
+    u-v pair has u's class CLASS_U (v is forced), and a left pair with no
+    common neighbour a far class.  Each edge row compares the values of one
+    family of edge instances, so a failing instance fails its row.
+
+    The cardinality rows are class rows: vertices whose rows must agree
+    (left: far pair classes in order; right: degree) share one row per
+    family, whose count is the class size and whose id ends with the
+    class's first vertex.  The classes come from the certificate's
+    census."""
+    census = cert.census
+    n, s, k = cert.n, cert.s, cert.k
+    value = cert.class_value
+    one = cert.num(Fraction(1))
+    xu, xv = value(CLASS_U), value(CLASS_V)
+    x_uv_non, x_vv = value(CLASS_UV_NON), value(CLASS_VV)
+    x_uu_near = value(CLASS_UU_NEAR)
+
+    # --- Cardinality constraints -----------------------------------------
+    sum_xu = n * xu
+    rep.add("cardinality--", sum_xu, k, k - sum_xu)
+
+    for far, (count, w) in census.left_rows.items():
         total = xu + (n - 1 - len(far)) * x_uu_near
         for key in far:
             total += value(key)
@@ -600,22 +655,7 @@ def _verify_one_round(cert, rep) -> None:
         rhs = k * (one - xu)
         rep.add(f"cardinality-tu{w}", lhs, rhs, rhs - lhs, count)
 
-    # Right vertices by degree, {degree: [vertices, first vertex]}; the
-    # top-level uv pairs of each right vertex, and its vv pairs with the
-    # right vertices before it.
-    right_classes: dict = {}
-    for w in range(s):
-        right_classes.setdefault(cert.graph.degree_right(w), [0, w])[0] += 1
-        v = n + w
-        for m, key in ((right_masks[w], CLASS_U),
-                       (all_u_mask & ~right_masks[w], CLASS_UV_NON)):
-            if m:
-                top.setdefault(key, [
-                    0, (m & -m).bit_length() - 1, v])[0] += m.bit_count()
-        if w:
-            top.setdefault(CLASS_VV, [0, n, v])[0] += w
-
-    for deg, (count, w) in right_classes.items():
+    for deg, (count, w) in census.right_rows.items():
         total = deg * xu + (n - deg) * x_uv_non
         rhs = k * xv
         rep.add(f"cardinality-v{w}", total, rhs, rhs - total, count)
@@ -628,7 +668,7 @@ def _verify_one_round(cert, rep) -> None:
     # instances that compare the same two classes (lhs at least, rhs at
     # most the row's; the rhs bounds assume pair values >= 0, which the
     # top-level check tests).
-    far_values = [value(key) for key in {key for far in row_classes
+    far_values = [value(key) for key in {key for far in census.left_rows
                                          for key in far}]
     checks = [
         # S = T = empty, and S = {v}: x_v >= x_{u,v}.
@@ -657,7 +697,7 @@ def _verify_one_round(cert, rep) -> None:
     bad = n * (not 0 <= xu <= 1) + s * (not 0 <= xv <= 1)
     rep.add("bounds-level1", bad, 0, bad)
 
-    _check_top_level_classes(cert, rep, top)
+    _check_top_level_classes(cert, rep, census.top)
 
 
 def _check_top_level_classes(cert, rep, top) -> None:
@@ -678,92 +718,136 @@ def _check_top_level_classes(cert, rep, top) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Decay/saturation property samples
+# Structural property checks
 # ---------------------------------------------------------------------------
+
+PROPERTY_FAMILIES = ("decay", "lift-range", "growth")
+
 
 def sample_property_checks(cert: SaCertificate, n_samples: int,
                            seed: int = 0) -> VerifyReport:
-    """Sampled checks of the certificate's structural properties: decay when
-    adding non-forced vertices, saturation on forced ones, vanishing lifts
-    on neighbor-hitting pairs, the two-sided lift bounds, and the
-    left-vertex growth floor."""
+    """Checks of the certificate's structural properties: decay,
+    x_{S+w} <= alpha x_S for w outside S and N(S_U); the growth floor,
+    x_{S+u} >= beta n^(-1/2) x_S for a left u outside S; and the two-sided
+    lift range, x_S / 2 <= x_{S,T} <= x_S for T outside S and N(S_U).
+
+    At one round every instance compares singleton and pair class values,
+    so every instance is checked: one exact class row per realised
+    (class(S), |extra|, class(S + extra)), whose count is the number of
+    instances it stands for.  That path reads neither n_samples nor seed,
+    makes no random draw and builds no global-id view.  Deeper certificates
+    check n_samples random instances drawn from seed, one row per family
+    with its failing-instance count."""
     cert.lift_table.clear()
+    if cert.rounds == 1:
+        return _property_classes(cert)
+    return _sample_properties(cert, n_samples, seed)
+
+
+def _property_values(cert, family: str, s_set: frozenset, extra: frozenset):
+    """(lhs, rhs, violation) of one property instance, in the certificate's
+    number type; extra is w, u or T.  The instance holds when the violation
+    is at most the tolerance."""
+    x_s = cert.x_value(s_set)
+    if family == "lift-range":
+        val = sa_lift_value(cert, s_set, extra)
+        return val, x_s, max(cert.num(Fraction(1, 2)) * x_s - val, val - x_s)
+    x_more = cert.x_value(s_set | extra)
+    if family == "decay":
+        rhs = cert.sa_alpha * x_s
+        return x_more, rhs, x_more - rhs
+    rhs = cert.num(cert.sa_beta) * cert.scale(2) * x_s
+    return x_more, rhs, rhs - x_more
+
+
+def _property_id(cert, family: str, s_set: frozenset,
+                 extra: frozenset) -> str:
+    """The one-round class row of an instance: its family, class(S),
+    |extra| and class(S + extra)."""
+    return "property-{}-({},{},{})+{}-({},{},{})".format(
+        family, *cert.key(s_set), len(extra), *cert.key(s_set | extra))
+
+
+def _property_classes(cert) -> VerifyReport:
+    """Every one-round property instance, by class: one representative per
+    realised (class(S), |extra|, class(S + extra)) is checked, and its row
+    counts the instances of those classes, whose values are the same.  The
+    realised pair classes and their pair counts come from the census."""
     rep = VerifyReport(tolerance=cert.tolerance)
-    # In the certificate's number type: in exact mode the float 0.0 would
-    # round the Fractions it is added to.
-    tol = cert.num(Fraction(cert.tolerance))
+    n, s = cert.n, cert.s
+    top = cert.census.top
+    # (S, w, instances) of w added to S outside S and N(S_U): S empty and w
+    # on either side; then per pair class one member as S and the other as
+    # w, in both orders on one side, and for a left u and a right v as
+    # S = {v}, and as S = {u} unless u forces v.
+    adds = [((), 0, n), ((), n, s)]
+    for key, (pairs, a, b) in top.items():
+        if key[0] == 2 or key == CLASS_VV:
+            adds.append(((a,), b, 2 * pairs))
+        else:
+            adds.append(((b,), a, pairs))
+            if key == CLASS_UV_NON:
+                adds.append(((a,), b, pairs))
+    singles = [(s_set, (w,), count) for s_set, w, count in adds]
+    instances = {
+        "decay": singles,
+        # T empty, T one vertex, and T any pair with S empty.
+        "lift-range": [((), (), 1), ((0,), (), n), ((n,), (), s), *singles,
+                       *(((), (a, b), pairs)
+                         for pairs, a, b in top.values())],
+        "growth": [(s_set, (w,), count) for s_set, w, count in adds
+                   if w < n],
+    }
+    for family, rows in instances.items():
+        total = 0
+        for s_set, extra, count in rows:
+            if count:
+                s_set, extra = frozenset(s_set), frozenset(extra)
+                lhs, rhs, bad = _property_values(cert, family, s_set, extra)
+                rep.add(_property_id(cert, family, s_set, extra), lhs, rhs,
+                        bad, count)
+                total += count
+        rep.extra[f"instances_{family}"] = total
+    return rep
+
+
+def _property_draws(cert, n_samples: int, seed: int):
+    """(family, S, extra) of n_samples random draws, |S| <= rounds; a draw
+    that is no instance of its family (w in S or N(S_U), say) yields
+    nothing."""
     rng = stream(seed, 0x434C)
-    view = cert.view
     n, r = cert.n, cert.rounds
-    total_v = n + cert.s
-    alpha = cert.sa_alpha
-    half = cert.num(Fraction(1, 2))
-    growth_floor = cert.num(cert.sa_beta) * cert.scale(2)
-    counts = {"decay": 0, "saturate": 0, "lift-zero": 0, "lift-range": 0,
-              "growth": 0}
-    fails = dict.fromkeys(counts, 0)
-
-    def rand_set(max_size: int) -> frozenset[int]:
-        return frozenset(_draw(cert, rng, rng.randrange(max_size + 1)))
-
     for _ in range(n_samples):
-        which = rng.randrange(5)
-        if which == 0:  # decay: w not in N(S_U), w not in S
-            s_set = rand_set(r)
-            w = rng.randrange(total_v)
-            if w in s_set or w in _forced(view, s_set):
-                continue
-            counts["decay"] += 1
-            if not (cert.x_value(s_set | {w})
-                    <= alpha * cert.x_value(s_set) + tol):
-                fails["decay"] += 1
-        elif which == 1:  # saturation: w in N(S_U)
+        which = rng.randrange(3)
+        s_set = frozenset(_draw(cert, rng, rng.randrange(r + 1)))
+        if which == 0:
+            w = rng.randrange(n + cert.s)
+            if w not in s_set and w not in _forced(cert.view, s_set):
+                yield "decay", s_set, frozenset({w})
+        elif which == 1:
+            t_set = frozenset(_draw(cert, rng,
+                                    rng.randrange(r + 2 - len(s_set))))
+            if s_set.isdisjoint(t_set) and t_set.isdisjoint(
+                    _forced(cert.view, s_set)):
+                yield "lift-range", s_set, t_set
+        else:
             u = rng.randrange(n)
-            if not view.adj[u]:
-                continue
-            s_set = rand_set(r - 1) | {u}
-            if len(s_set) > r:
-                continue
-            w = view.adj[u][rng.randrange(len(view.adj[u]))]
-            if w in s_set:
-                continue
-            counts["saturate"] += 1
-            if abs(cert.x_value(s_set | {w})
-                   - cert.x_value(s_set)) > tol:
-                fails["saturate"] += 1
-        elif which == 2:  # lift vanishes when T hits N(S)
-            u = rng.randrange(n)
-            if not view.adj[u]:
-                continue
-            w = view.adj[u][rng.randrange(len(view.adj[u]))]
-            t_extra = rand_set(r - 1)
-            t_set = frozenset({w}) | t_extra
-            if len(t_set) + 1 > r + 1 or u in t_set:
-                continue
-            counts["lift-zero"] += 1
-            if abs(sa_lift_value(cert, {u}, t_set)) > tol:
-                fails["lift-zero"] += 1
-        elif which == 3:  # disjoint lift range
-            s_set = rand_set(r)
-            t_size = rng.randrange(r + 2 - len(s_set))
-            t_set = frozenset(_draw(cert, rng, t_size))
-            if s_set & t_set or t_set & _forced(view, s_set):
-                continue
-            counts["lift-range"] += 1
-            val = sa_lift_value(cert, s_set, t_set)
-            x_s = cert.x_value(s_set)
-            if not (half * x_s - tol <= val <= x_s + tol):
-                fails["lift-range"] += 1
-        else:  # growth floor: adding a left vertex
-            s_set = rand_set(r)
-            u = rng.randrange(n)
-            if u in s_set:
-                continue
-            counts["growth"] += 1
-            if not (cert.x_value(s_set | {u})
-                    >= growth_floor * cert.x_value(s_set) - tol):
-                fails["growth"] += 1
-    for name in counts:
-        rep.add(f"property-{name}", fails[name], 0, fails[name])
-        rep.extra[f"samples_{name}"] = counts[name]
+            if u not in s_set:
+                yield "growth", s_set, frozenset({u})
+
+
+def _sample_properties(cert, n_samples: int, seed: int) -> VerifyReport:
+    """The property checks on random draws: one row per family, its
+    failing-instance count, and the instance counts in extra."""
+    rep = VerifyReport(tolerance=cert.tolerance)
+    counts = dict.fromkeys(PROPERTY_FAMILIES, 0)
+    fails = dict.fromkeys(PROPERTY_FAMILIES, 0)
+    for family, s_set, extra in _property_draws(cert, n_samples, seed):
+        counts[family] += 1
+        # The violation is a Fraction in exact mode, compared exactly.
+        fails[family] += (_property_values(cert, family, s_set, extra)[2]
+                          > cert.tolerance)
+    for family in PROPERTY_FAMILIES:
+        rep.add(f"property-{family}", fails[family], 0, fails[family])
+        rep.extra[f"samples_{family}"] = counts[family]
     return rep

@@ -24,8 +24,9 @@ from .generators import (HdvrSpec, PlantedSpec, gen_gap_instance, gen_hdvr,
 from .graph import SsbveInstance, Solution, mku_to_ssbve
 from .les import least_expanding_set
 
-# bench, certs and ssve load numpy and mpmath; the subcommands that use them
-# import them, so `gen` and `solve` run without either.
+# bench, the Gram-matrix certificate and ssve load numpy, and float-mode
+# lifted-LP values mpmath; the subcommands that use them import them, so
+# `gen`, `solve` and an exact `certify --kind sa` run without either.
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 2
@@ -261,10 +262,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_certify(args) -> int:
     from .certs import (build_sa_certificate, check_instance_properties,
-                        gap_certificate, sample_property_checks,
-                        verify_sa_certificate, verify_sdp_certificate)
+                        sample_property_checks, verify_sa_certificate)
     k = args.k or min(args.s, args.n)
     if args.kind == "sdp":
+        from .certs import gap_certificate, verify_sdp_certificate
         d_l = args.dl + (args.dl % 2)  # forced even, rounding up
         g = gen_gap_instance(args.n, args.s, float(d_l), args.seed)
         reports = [verify_sdp_certificate(gap_certificate(g, d_l, k))]

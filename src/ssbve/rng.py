@@ -154,10 +154,15 @@ class SplitMix64:
 
     def bernoulli_bytes(self, count: int, p: float) -> bytes:
         """``bytes(self.bernoulli(p) for _ in range(count))``, with the same
-        final state, drawn ``BLOCK`` at a time."""
+        final state, drawn ``BLOCK`` at a time; when every draw has one
+        outcome (p <= 0, p >= 1 or NaN), the state only advances."""
         count = max(count, 0)
+        threshold = _threshold(p)
+        if threshold in (0, _RANGE):  # p <= 0 or NaN, or p >= 1
+            self._skip(count)
+            return bytes([threshold == _RANGE]) * count
         # Lane i of bound - z has bit 64 set iff z_i < t.
-        unit = _BORROW + _threshold(p)
+        unit = _BORROW + threshold
         out = []
         for lanes, ones, zs in _mixed_blocks(self._skip(count), count):
             bound = unit * ones

@@ -5,10 +5,14 @@ rows, and before the SDP gap pipeline became gap_certificate.
 tests/data/cert_report_goldens.json holds, per case, the SHA-256 of the
 compact JSON of [rows, as_dict()], each row [id, lhs, rhs, slack, count]:
 the lifted-LP reports in exhaustive and sampled mode and the property
-samples, on gap instances drawn at seed 0 and checked at seeds 1 and 2
+checks, on gap instances drawn at seed 0 and checked at seeds 1 and 2
 with 500 samples (100x20 is in 60-digit float mode; the others run two
 rounds), and the SDP reports of the 1280x384 gap instance.  It also holds
 the NoCoverError that three disconnected gap instances raise at one round.
+The property digests were recorded again when the one-round checks became
+class rows (so 100x20 gives one report at both seeds) and the rows
+property-saturate and property-lift-zero, which could not fail, were
+dropped from the sampler.
 """
 
 import hashlib

@@ -280,6 +280,24 @@ class TestSolveImports:
         assert out.stdout.strip() == "[]"
         assert inst.read_text().startswith("p ssbve 300 30 30\n")
 
+    def test_exact_sa_certify_loads_no_numpy_or_mpmath(self, tmp_path):
+        # n = 4096 is a fourth power, so every lifted-LP value is a
+        # Fraction: the Gram-matrix certificate (numpy) and the float-mode
+        # context (mpmath) are never needed.
+        out_json = tmp_path / "cert.json"
+        code = ("import sys, ssbve.cli; "
+                "assert ssbve.cli.main(['--out', sys.argv[1], 'certify', "
+                "'--kind', 'sa', '--n', '4096', '--s', '64', "
+                "'--dl', '32']) == 0; "
+                "print(sorted({m.split('.')[0] for m in sys.modules} "
+                "& {'numpy', 'scipy', 'mpmath'}))")
+        out = subprocess.run([sys.executable, "-c", code, str(out_json)],
+                             env=_child_env(), capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
+        payload = json.loads(out_json.read_text())
+        assert payload["passed"] and payload["property_checks"]["passed"]
+
 
 # Short texts: arbitrary ones, and lines built from instance-like fields
 # (mostly small integers, some sizes past the header bound, some fields that

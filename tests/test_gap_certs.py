@@ -31,7 +31,7 @@ from ssbve.errors import (BudgetExceededError, InfeasibleError,
                           SsbveError, StalledError)
 from ssbve.generators import gen_gap_instance
 from ssbve.graph import BipartiteGraph
-from ssbve.rng import stream
+from ssbve.rng import SplitMix64, stream
 
 from conftest import random_bipartite
 
@@ -1195,7 +1195,7 @@ def reference_cardinality_rows(cert):
     the one-round verifier sums them, from the class values of the
     reference keys."""
     n, k = cert.n, cert.k
-    one = Fraction(1) if cert.exact else sa._MP.mpf(1)
+    one = Fraction(1) if cert.exact else sa._mp().mpf(1)
     xu = [cert.x_value([u]) for u in range(n)]
     sum_xu = sum(xu)
     x_uu_near = cert.class_value((2, 0, 3))
@@ -1221,7 +1221,7 @@ def reference_right_cardinality_rows(cert):
     """Rows cardinality-v* and -tv* vertex by vertex: the pair sum of right
     vertex v is deg(v) adjacent uv pairs and n - deg(v) others."""
     n, k = cert.n, cert.k
-    one = Fraction(1) if cert.exact else sa._MP.mpf(1)
+    one = Fraction(1) if cert.exact else sa._mp().mpf(1)
     x_adj, x_non = cert.class_value((1, 0, 2)), cert.class_value((1, 1, 3))
     sum_xu = sum(cert.x_value([u]) for u in range(n))
     rows, rows_tv = [], []
@@ -1592,7 +1592,7 @@ class TestSaClassesMatchReference:
 
         def corrupted():
             cert = build_sa_certificate(g, rounds)
-            zero = Fraction(0) if cert.exact else sa._MP.mpf(0)
+            zero = Fraction(0) if cert.exact else sa._mp().mpf(0)
             cert.class_table[reference_key(cert, frozenset({n}))] = zero
             return cert
 
@@ -1653,7 +1653,7 @@ BRUTE_GRAPHS = {
 # whether it applies to the graph.
 
 def _zero_right(cert):
-    zero = Fraction(0) if cert.exact else sa._MP.mpf(0)
+    zero = Fraction(0) if cert.exact else sa._mp().mpf(0)
     cert.class_table[reference_key(cert, frozenset({cert.n}))] = zero
     return True
 
@@ -1840,6 +1840,8 @@ class TestTopLevelClasses:
         row = next(r for r in checks
                    if r.constraint_id == "bounds-top-level-classes")
         assert row.lhs == 524160
+        # The property class rows read the edited value as well.
+        assert reports[1][1][1] > 0
 
 
 def _nudge_right(cert):
@@ -1847,7 +1849,7 @@ def _nudge_right(cert):
     instances fall short by that much only (below the float tolerance),
     while other contexts truly fail."""
     cert.class_table[(0, 1, 1)] = cert.x_value([0]) - (
-        Fraction(1, 10 ** 50) if cert.exact else sa._MP.mpf("1e-50"))
+        Fraction(1, 10 ** 50) if cert.exact else sa._mp().mpf("1e-50"))
     return True
 
 
@@ -1910,6 +1912,138 @@ class TestEdgeRowsAgainstScan:
                     0 < above < anything)
         if corruption == "far-above-left":
             assert slack["edges-su-far"] > cert.tolerance
+
+
+# ---------------------------------------------------------------------------
+# One-round property class rows against every instance and the sampler
+# ---------------------------------------------------------------------------
+
+def brute_property_instances(cert):
+    """Every one-round property instance (family, S, extra): |S| <= 1, and
+    w (decay) or T (lift range, |S| + |T| <= 2) outside S and N(S_U), or a
+    left u outside S (growth); N(S_U) from the graph's left rows."""
+    n = cert.n
+    everyone = range(n + cert.s)
+    for size in (0, 1):
+        for s_tuple in combinations(everyone, size):
+            s_set = frozenset(s_tuple)
+            forced = {n + v for u in s_set if u < n
+                      for v in cert.graph.adj_left[u]}
+            free = [w for w in everyone if w not in s_set and w not in forced]
+            for w in free:
+                yield "decay", s_set, frozenset({w})
+            for t_size in range(3 - size):
+                for t_set in combinations(free, t_size):
+                    yield "lift-range", s_set, frozenset(t_set)
+            for u in range(n):
+                if u not in s_set:
+                    yield "growth", s_set, frozenset({u})
+
+
+def family_fails(rep) -> set:
+    """The property families with a failing row."""
+    return {re.match(r"property-([a-z-]+?)(-\(|$)", r.constraint_id)[1]
+            for r in rep.failing()}
+
+
+def _five_singletons(cert):
+    """x_u, x_v and x_{u,v} (u, v not adjacent) set to 5: decay, lift range
+    and growth each fail on some class."""
+    for key in (sa.CLASS_U, sa.CLASS_V, sa.CLASS_UV_NON):
+        cert.class_table[key] = 5
+    return True
+
+
+PROPERTY_CORRUPTIONS = {**CORRUPTIONS, "five": _five_singletons}
+SAMPLER_GRAPHS = {
+    # The golden lifted-LP instances, all with a far class (2, 0, 4).
+    "golden-100x20": lambda: gen_gap_instance(100, 20, 10.0, 0),
+    "golden-24x6": lambda: gen_gap_instance(24, 6, 3.0, 0),
+    "golden-40x8": lambda: gen_gap_instance(40, 8, 4.0, 0),
+    "certify-seed1": lambda: gen_gap_instance(4096, 64, 32.0, 1),
+    "certify-seed2": lambda: gen_gap_instance(4096, 64, 32.0, 2),
+    "chain-16": lambda: chain(16),  # far classes of several costs
+}
+
+
+class TestPropertyClasses:
+    """The one-round property check, one row per realised class pair,
+    against every instance and against the kept sampler."""
+
+    @pytest.mark.parametrize("corruption", PROPERTY_CORRUPTIONS)
+    @pytest.mark.parametrize("name", BRUTE_GRAPHS)
+    def test_rows_are_every_instance(self, name, corruption):
+        """Each class row counts exactly the instances whose classes it
+        names, and each of them has the row's values."""
+        cert = build_sa_certificate(BRUTE_GRAPHS[name](), rounds=1)
+        if not PROPERTY_CORRUPTIONS[corruption](cert):
+            return
+        rep = _cover_outcome(sample_property_checks, cert, 0)
+        if isinstance(rep, tuple):  # a left pair with no cover
+            assert rep[0] is NoCoverError
+            return
+        rows = {r.constraint_id: r for r in rep.checks}
+        counts = Counter()
+        for family, s_set, extra in brute_property_instances(cert):
+            row = rows[sa._property_id(cert, family, s_set, extra)]
+            lhs, rhs, bad = sa._property_values(cert, family, s_set, extra)
+            assert (row.lhs, row.rhs, row.slack) == (
+                float(lhs), float(rhs), max(0.0, float(bad))), row
+            counts[row.constraint_id] += 1
+        assert counts == {cid: r.count for cid, r in rows.items()}
+        for family in sa.PROPERTY_FAMILIES:
+            assert rep.extra[f"instances_{family}"] == sum(
+                r.count for cid, r in rows.items()
+                if cid.startswith(f"property-{family}-("))
+
+    @pytest.mark.parametrize("corruption", ["none", "five"])
+    @pytest.mark.parametrize("name", SAMPLER_GRAPHS)
+    def test_sampler_agrees(self, name, corruption):
+        """The one-round sampler's family verdicts are the class rows', and
+        every failing sampled instance lies in a failing class row.  With
+        x_u, x_v and x_{u,v} set to 5 every family fails."""
+        g = SAMPLER_GRAPHS[name]()
+        cert = build_sa_certificate(g, rounds=1)
+        PROPERTY_CORRUPTIONS[corruption](cert)
+        classes = sample_property_checks(cert, 0)
+        sampled = sa._sample_properties(cert, 2000, 11)
+        assert family_fails(sampled) == family_fails(classes)
+        if corruption == "five":
+            assert family_fails(classes) == set(sa.PROPERTY_FAMILIES)
+        elif name != "chain-16":
+            # On the chain the far pairs of high cost are below the growth
+            # floor, which is a property of gap instances only.
+            assert classes.passed
+        failing = {r.constraint_id for r in classes.failing()}
+        for family, s_set, extra in sa._property_draws(cert, 2000, 11):
+            if sa._property_values(cert, family, s_set,
+                                   extra)[2] > cert.tolerance:
+                assert sa._property_id(cert, family, s_set,
+                                       extra) in failing
+
+    def test_one_round_reads_no_view_and_draws_nothing(self, monkeypatch):
+        """On the certify instance at one round, the build, the verify and
+        the property check build no global-id view, make no random draw
+        in the property check, and count the pair classes once."""
+        censuses = []
+        draws = []
+        census = sa._pair_census
+        monkeypatch.setattr(sa, "_pair_census",
+                            lambda cert: censuses.append(1) or census(cert))
+        cert = build_sa_certificate(gen_gap_instance(4096, 64, 32.0, 1), 1)
+        assert verify_sa_certificate(cert).passed
+        for name in ("u64", "_skip"):
+            method = getattr(SplitMix64, name)
+            monkeypatch.setattr(
+                SplitMix64, name,
+                lambda rng, *args, method=method: draws.append(1) or method(
+                    rng, *args))
+        assert sample_property_checks(cert, 2000, seed=5).passed
+        assert sample_property_checks(cert, 2000, seed=6).passed
+        assert not draws
+        assert verify_sa_certificate(cert).passed
+        assert len(censuses) == 1
+        assert "view" not in cert.__dict__
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,16 @@ class TestBernoulliBytes:
         assert fast.bernoulli_bytes(count, p) == scalar_bytes(slow, count, p)
         assert fast._state == slow._state
 
+    @pytest.mark.parametrize("count", [-3, 0, 1, 74, BLOCK, 2 * BLOCK + 5])
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.5, float("nan")])
+    def test_constant_p_skips_the_lanes(self, monkeypatch, count, p):
+        # Every draw has one outcome: the bytes and the final state are the
+        # scalar loop's, and no lane is mixed.
+        fast, slow = stream(count, 0x636F), stream(count, 0x636F)
+        monkeypatch.setattr("ssbve.rng._mixed_blocks", None)
+        assert fast.bernoulli_bytes(count, p) == scalar_bytes(slow, count, p)
+        assert fast._state == slow._state
+
     def test_threshold_edges(self):
         # Seeds whose first output's top 53 bits are exactly the threshold
         # ceil(p * 2^53) or one below it, for a p that is not a multiple of
