@@ -15,16 +15,17 @@ planted random instances and degrades gracefully on arbitrary ones:
   conversion, and the best of everything (including baselines) wins.
 
 A branch state is a working set plus the index of the step that reads it;
-no step reads the guess path that led there.  A t guess that does not
-subsample repeats its bucket's candidate: the same graph object, k, p/q, c
-and V_D.  Within one at-most round such candidates share a step memo keyed
-by working set and step index, so each First, Hair and Final step runs once
-per group, working set and index, and guess paths that meet share one step
-call.  Backbone steps stay out of it: they subsample their branches from the
-popped state's seed, which differs between the copies, and their LES work
-is already served by the solve-scoped LES memo.  A schedule with no Backbone
-step thus walks one fixed tree per group, and once a copy has walked all of
-it, the later copies through the same ids are skipped.
+no step reads the guess path that led there.  `preprocess` gives each
+distinct candidate once, with the seed tags of the t guesses that give it:
+the guesses that do not subsample all give their bucket's candidate.  The
+walks of one candidate share a step memo keyed by working set and step
+index, so each First, Hair and Final step runs once per candidate, working
+set and index, and guess paths that meet share one step call.  Backbone
+steps stay out of it: they subsample their branches from the popped state's
+seed, which differs between tags, and their LES work is already served by
+the solve-scoped LES memo.  A schedule with no Backbone step thus walks one
+fixed tree per candidate, and once one tag has walked all of it, the later
+tags are skipped.
 
 High-degree right vertices (the set V_D) are excluded from expansion targets
 during the walk and re-absorbed only in final accounting; their total size is
@@ -40,10 +41,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice, product
+from itertools import chain, compress, count, islice, product
 from typing import Callable
 
-from .errors import (InvalidParameterError, NoRootError, NotCoprimeError,
+from .errors import (InvalidParameterError, NotCoprimeError,
                      PreconditionViolatedError, SolverStalledError)
 from .graph import (BipartiteGraph, Solution, SsbveInstance,
                     induced_left_subgraph, neighborhood)
@@ -107,14 +108,19 @@ StepResult = Done | tuple[BranchState, ...]
 # Baselines and the at-most -> exact conversion
 # ---------------------------------------------------------------------------
 
-def _degree_order(g: BipartiteGraph) -> list[int]:
-    """Left vertices by degree, ties by id."""
-    return sorted(range(g.n), key=lambda u: (g.degree_left(u), u))
+def _lowest_degree(g: BipartiteGraph, k: int) -> list[int]:
+    """The k left vertices of smallest degree in that order, ties by id
+    (nsmallest is stable), without sorting all of them."""
+    return heapq.nsmallest(k, range(g.n), key=g.degree_left)
+
+
+def _trim_lex(chosen, k: int) -> tuple[int, ...]:
+    return tuple(sorted(chosen)[:k])
 
 
 def trivial_ksubset(inst: SsbveInstance) -> Solution:
     """The k left vertices of smallest degree (greedy arbitrary-set bound)."""
-    return Solution.from_set(inst.graph, _degree_order(inst.graph)[:inst.k])
+    return Solution.from_set(inst.graph, _lowest_degree(inst.graph, inst.k))
 
 
 def exact_from_atmost(
@@ -132,7 +138,7 @@ def exact_from_atmost(
         sol = atmost_solver(SsbveInstance(graph=sub, k=min(budget, sub.n)))
         if not sol.chosen:
             raise SolverStalledError("at-most solver returned an empty set")
-        batch = sorted(ids[u] for u in sol.chosen)[:budget]
+        batch = _trim_lex((ids[u] for u in sol.chosen), budget)
         accumulated.extend(batch)
         budget -= len(batch)
         drop = set(batch)
@@ -185,10 +191,9 @@ def bucket_and_regularize(inst: SsbveInstance) -> list[Bucket]:
 def solve_gamma(d: float, n: int, k: int, alpha: float, eps: float) -> float:
     """Subsampling exponent: the gamma in [0, log_n d] where the rescaled
     back-degree d*n^-gamma meets (n^(1-alpha-gamma))^(alpha/(1-gamma)+eps),
-    found by bisection to 1e-9."""
-    if k < 2 or n < 2:
-        return 0.0
-    if d <= k ** (alpha + eps):
+    found by bisection to 1e-9; 0.0 (no subsampling) when k or n is below 2,
+    d is at most k^(alpha+eps), or the two sides do not cross there."""
+    if k < 2 or n < 2 or d <= k ** (alpha + eps):
         return 0.0
 
     ln_n = math.log(n)
@@ -202,11 +207,8 @@ def solve_gamma(d: float, n: int, k: int, alpha: float, eps: float) -> float:
     # the cap only matters for degenerate k = n candidates.
     hi = min(math.log(d) / ln_n, 1.0 - 1e-9)
     lo = 0.0
-    if f(lo) < 0:
+    if f(lo) < 0 or f(hi) > 1e-12:
         return 0.0
-    if f(hi) > 1e-12:
-        raise NoRootError(
-            f"no sign change on [0, {hi}] for d={d}, n={n}, k={k}")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if f(mid) >= 0:
@@ -264,51 +266,60 @@ def _check_parameters(eps: float, q_max: int) -> None:
             f"eps must be finite and nonnegative, got {eps}")
 
 
-def preprocess(inst: SsbveInstance, eps: float, q_max: int = 3,
-               seed: int = 0) -> list[PreprocessedInstance]:
+def _alpha(n: int, k: int) -> float:
+    """The size exponent alpha with k = n^(1-alpha), 0 when k >= n."""
+    return math.log(n / k) / math.log(n) if k < n else 0.0
+
+
+def preprocess(inst: SsbveInstance, eps: float, q_max: int = 3, seed: int = 0
+               ) -> list[tuple[PreprocessedInstance, list[int]]]:
     """Full preprocessing: bucket+regularize, guess the optimum neighborhood
     size on the geometric grid {r*2^j}, subsample when the derived
     back-degree overshoots, snap the exponent, and compute the pruning
-    constants and the high-degree right set V_D.  Raises
-    InvalidParameterError for q_max < 2 or a negative or non-finite eps."""
+    constants and the high-degree right set V_D.
+
+    Returns each distinct candidate once, in order of first tag, with the
+    seed tags (0, 1, ... in (bucket, t) order) of the t guesses that give
+    it: a subsampled guess gives its own candidate, the others their
+    bucket's.  Raises InvalidParameterError for q_max < 2 or a negative or
+    non-finite eps."""
     _check_parameters(eps, q_max)
-    out: list[PreprocessedInstance] = []
-    for cand_idx, bucket in enumerate(bucket_and_regularize(inst)):
-        t = bucket[1]
-        while t <= bucket[0].n_right:
-            out.extend(_finish_candidate(bucket, t, eps, q_max,
-                                         mix64(seed ^ cand_idx ^ t)))
+    out: list[tuple[PreprocessedInstance, list[int]]] = []
+    tags = count()
+    for cand_idx, (g, r, k, ids) in enumerate(bucket_and_regularize(inst)):
+        if g.n < 2 or k < 1:
+            continue
+        own: list[int] = []  # tags of the guesses that do not subsample
+        t = r
+        while t <= g.n_right:
+            gamma = solve_gamma(k * r / t, g.n, k, _alpha(g.n, k), eps)
+            if gamma <= 1e-12:
+                if not own:
+                    out.append((_candidate(g, r, k, ids, eps, q_max), own))
+                own.append(next(tags))
+            else:
+                sub, kept = subsample_left(g, gamma,
+                                           mix64(seed ^ cand_idx ^ t))
+                if sub.n >= 2:
+                    k_sub = max(1, min(sub.n, round(k * g.n ** (-gamma))))
+                    out.append((_candidate(sub, r, k_sub,
+                                           tuple(ids[u] for u in kept),
+                                           eps, q_max), [next(tags)]))
             t *= 2
     return out
 
 
-def _finish_candidate(bucket: Bucket, t: int, eps: float, q_max: int,
-                      seed: int) -> list[PreprocessedInstance]:
-    g, r, k, ids = bucket
-    n_bucket = g.n
-    if g.n < 2 or k < 1:
-        return []
-    alpha_raw = math.log(g.n / k) / math.log(g.n) if k < g.n else 0.0
-    d = k * r / t
-    if k >= 2 and d > k ** (alpha_raw + eps):
-        try:
-            gamma = solve_gamma(d, g.n, k, alpha_raw, eps)
-        except NoRootError:
-            gamma = 0.0
-        if gamma > 1e-12:
-            g, kept = subsample_left(g, gamma, seed)
-            ids = tuple(ids[u] for u in kept)
-            k = max(1, min(g.n, round(k * n_bucket ** (-gamma))))
-            if g.n < 2:
-                return []
-            alpha_raw = math.log(g.n / k) / math.log(g.n) if k < g.n else 0.0
-    p, q = _snap_alpha(alpha_raw, q_max)
+def _candidate(g: BipartiteGraph, r: int, k: int, ids: tuple[int, ...],
+               eps: float, q_max: int) -> PreprocessedInstance:
+    """A left-regular graph with its snapped exponent p/q, pruning constant
+    c and high-degree right set V_D."""
+    p, q = _snap_alpha(_alpha(g.n, k), q_max)
     c = pruning_constant(p, q, eps)
     cap_d = g.n / k ** (1.0 - c * eps)
     v_d = frozenset(v for v, row in enumerate(g.adj_right)
                     if len(row) >= cap_d)
-    return [PreprocessedInstance(
-        graph=g, r=r, k=k, left_ids=ids, p=p, q=q, eps=eps, c=c, v_d=v_d)]
+    return PreprocessedInstance(
+        graph=g, r=r, k=k, left_ids=ids, p=p, q=q, eps=eps, c=c, v_d=v_d)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +346,6 @@ def caterpillar_schedule(p: int, q: int) -> tuple[Step, ...]:
 # ---------------------------------------------------------------------------
 # Planted-instance solver
 # ---------------------------------------------------------------------------
-
-def _trim_lex(chosen, k: int) -> tuple[int, ...]:
-    return tuple(sorted(chosen)[:k])
-
 
 def solve_planted(inst: SsbveInstance, p: int, q: int, branch_cap: int,
                   seed: int) -> Solution:
@@ -505,15 +512,14 @@ def _run_candidate(pre: PreprocessedInstance, schedule: tuple[Step, ...],
     raising branch_cap extends the pop sequence without reordering it and
     the collected set list only grows.
 
-    `memo` holds the first, hair and final step results shared by the
-    candidates of the round that the steps cannot tell apart (see
-    `_best_atmost`).  A branch state is a working set plus a step index, and
-    a result depends only on those shared fields and the state, so the memo
-    is keyed by the state and a stored result is exactly what a fresh call
-    would return; guess paths that meet in one working set at one step
-    share one step call.  Backbone steps stay out: their branches are
-    subsampled from the popped state's seed, which differs between
-    candidates (their LES work is served by the `les` memo).
+    `memo` holds the first, hair and final step results of `pre`, shared
+    by the walks of its seed tags (see `preprocess`).  A branch state is a
+    working set plus a step index, and a result depends only on `pre` and
+    the state, so the memo is keyed by the state and a stored result is
+    exactly what a fresh call would return; guess paths that meet in one
+    working set at one step share one step call.  Backbone steps stay out:
+    their branches are subsampled from the popped state's seed, which
+    differs between tags (their LES work is served by the `les` memo).
     """
     collected: list[tuple[int, ...]] = []
     res = memo.get(())
@@ -567,10 +573,12 @@ def les_exactly_k(inst: SsbveInstance) -> Solution:
     g, k = inst.graph, inst.k
     chosen = list(least_expanding_set(g).chosen)
     if len(chosen) > k:
-        chosen = sorted(chosen)[:k]
+        chosen = _trim_lex(chosen, k)
     elif len(chosen) < k:
+        # The first k - |chosen| vertices outside the LES in degree order
+        # all lie among the k of smallest degree.
         have = set(chosen)
-        extras = [u for u in _degree_order(g) if u not in have]
+        extras = [u for u in _lowest_degree(g, k) if u not in have]
         chosen.extend(extras[:k - len(chosen)])
     return Solution.from_set(g, chosen)
 
@@ -582,38 +590,27 @@ def _best_atmost(inst: SsbveInstance, eps: float, q_max: int,
     candidates: list[Solution] = []
     # min keeps the first of equal keys, so a repeated set cannot win.
     measured: set[tuple[int, ...]] = set()
-    pres = preprocess(inst, eps, q_max=q_max, seed=seed)
-    # One step memo per group of candidates that differ only in their t
-    # guess and seed tag, which no memoised step reads; p/q is in the key so
-    # that a step index names the same step.  Graphs and id maps are keyed
-    # by identity, safe while pres keeps them all alive.  Without a
-    # backbone step every step of a group is memoised, so each copy walks
-    # the same tree; once one walk has emptied its heap, a later copy
-    # through the same ids could only collect sets already measured, and is
-    # skipped.
-    memos: dict[tuple, dict] = {}
-    walked: set[tuple[tuple, int]] = set()
-    for idx, pre in enumerate(pres):
+    for pre, tags in preprocess(inst, eps, q_max=q_max, seed=seed):
         schedule = caterpillar_schedule(pre.p, pre.q)
-        group = (id(pre.graph), pre.r, pre.k, pre.c, pre.eps, pre.v_d,
-                 pre.p, pre.q)
-        if (group, id(pre.left_ids)) in walked:
-            continue
-        memo = memos.setdefault(group, {})
-        sets, whole = _run_candidate(pre, schedule, branch_cap, seed, idx,
-                                     memo)
-        if whole and Step.BACKBONE not in schedule:
-            walked.add((group, id(pre.left_ids)))
-        for chosen in sets:
-            mapped = _trim_lex((pre.left_ids[u] for u in chosen), k)
-            if mapped not in measured:
-                measured.add(mapped)
-                candidates.append(Solution.from_set(g, mapped))
+        memo: dict = {}
+        for tag in tags:
+            sets, whole = _run_candidate(pre, schedule, branch_cap, seed, tag,
+                                         memo)
+            for chosen in sets:
+                mapped = _trim_lex((pre.left_ids[u] for u in chosen), k)
+                if mapped not in measured:
+                    measured.add(mapped)
+                    candidates.append(Solution.from_set(g, mapped))
+            # Without a backbone step every step is memoised, so each tag
+            # walks the same tree; once one walk has emptied its heap, a
+            # later tag could only collect sets already measured.
+            if whole and Step.BACKBONE not in schedule:
+                break
     les_sol = least_expanding_set(g)
     candidates.append(Solution.from_set(g, _trim_lex(les_sol.chosen, k)))
-    order = _degree_order(g)
-    candidates.append(Solution.from_set(g, order[:k]))
-    candidates.append(Solution.from_set(g, order[:1]))
+    lowest = _lowest_degree(g, k)
+    candidates.append(Solution.from_set(g, lowest))
+    candidates.append(Solution.from_set(g, lowest[:1]))
     return min(candidates, key=Solution.sort_key)
 
 
@@ -624,10 +621,11 @@ def solve_worst_case(inst: SsbveInstance, eps: float = 0.1,
 
     LES subproblems repeat across branches and at-most rounds; one memo
     (`les.memo_scope`) serves the whole solve and ends with it.  Within one
-    at-most round, the candidates that differ only in their t guess share
-    a step memo, so each first, hair and final step runs once per working
-    set and step index (see `_run_candidate`); backbone steps run on every
-    pop, since their branches depend on the popped state's seed.
+    at-most round, `preprocess` gives each distinct candidate once with the
+    seed tags of its t guesses, and the walks of its tags share a step
+    memo, so each first, hair and final step runs once per candidate,
+    working set and step index (see `_run_candidate`); backbone steps run
+    on every pop, since their branches depend on the popped state's seed.
 
     Raises InvalidParameterError for q_max < 2 or a negative or non-finite
     eps, before any work."""

@@ -53,10 +53,6 @@ class SolverStalledError(SsbveError):
     """An inner at-most solver returned an empty set."""
 
 
-class NoRootError(SsbveError):
-    """Bisection endpoints do not bracket a sign change."""
-
-
 class NotCoprimeError(SsbveError):
     """Schedule parameters p, q must be coprime with 0 < p < q."""
 

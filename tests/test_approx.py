@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -14,18 +15,20 @@ from ssbve import approx, les
 from ssbve.approx import (BranchState, Done, Step,
                           bucket_and_regularize, caterpillar_schedule,
                           exact_from_atmost, final_step, first_step,
-                          hair_step, backbone_step, preprocess,
-                          pruning_constant, solve_gamma, solve_planted,
-                          solve_worst_case, subsample_left, trivial_ksubset)
+                          hair_step, backbone_step, les_exactly_k,
+                          preprocess, pruning_constant, solve_gamma,
+                          solve_planted, solve_worst_case, subsample_left,
+                          trivial_ksubset)
 from ssbve.errors import (InvalidParameterError, NotCoprimeError,
                           PreconditionViolatedError, SolverStalledError)
 from ssbve.exact import exact_les, exact_ssbve
+from ssbve.formats import parse_ssbve
 from ssbve.generators import PlantedSpec, gen_planted
 from ssbve.graph import (BipartiteGraph, Solution, SsbveInstance, expansion,
                          induced_left_subgraph, neighborhood)
 from ssbve.bench import _random_small_instance
 from ssbve.generators import gen_random_bipartite
-from ssbve.les import least_expanding_subset
+from ssbve.les import least_expanding_set, least_expanding_subset
 from ssbve.rng import stream
 
 from conftest import random_bipartite, random_instance
@@ -51,6 +54,58 @@ class TestTrivialKsubset:
         sol = trivial_ksubset(SsbveInstance(graph=g, k=5))
         degs = sorted(g.degree_left(u) for u in range(30))
         assert sol.neighborhood_size <= sum(degs[:5])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lowest_degree_matches_sorted_order(self, seed):
+        # A sparse graph has many equal degrees; ties go by id.
+        g = random_bipartite(seed + 40, 25, 6, 0.2)
+        order = sorted(range(g.n), key=lambda u: (g.degree_left(u), u))
+        assert len({g.degree_left(u) for u in range(g.n)}) < g.n
+        for k in range(g.n + 2):
+            assert approx._lowest_degree(g, k) == order[:k]
+
+    def test_memory_follows_k_not_the_header(self):
+        # One edge under a 2^20 x 2^20 header: sorting every left id with a
+        # key tuple would take about 100 MB.
+        inst = parse_ssbve("p ssbve 1048576 1048576 1\ne 1 1\n")
+        tracemalloc.start()
+        try:
+            sol = trivial_ksubset(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.chosen == (1,) and sol.neighborhood_size == 0
+        assert peak < 8 << 20
+
+
+def reference_les_exactly_k(inst):
+    """les_exactly_k padding from the full (degree, id) order, kept as its
+    oracle."""
+    g, k = inst.graph, inst.k
+    chosen = list(least_expanding_set(g).chosen)
+    if len(chosen) > k:
+        chosen = sorted(chosen)[:k]
+    elif len(chosen) < k:
+        have = set(chosen)
+        order = sorted(range(g.n), key=lambda u: (g.degree_left(u), u))
+        chosen.extend([u for u in order if u not in have][:k - len(chosen)])
+    return Solution.from_set(g, chosen)
+
+
+class TestLesExactlyK:
+    def test_matches_full_order_reference(self):
+        # Every k on sparse graphs, so the LES is trimmed for some k and
+        # padded from tied degrees for others.
+        trimmed = padded = 0
+        for seed in range(8):
+            g = random_bipartite(seed + 70, 14, 6, 0.2)
+            les = len(least_expanding_set(g).chosen)
+            for k in range(1, g.n + 1):
+                inst = SsbveInstance(graph=g, k=k)
+                assert les_exactly_k(inst) == reference_les_exactly_k(inst)
+                trimmed += les > k
+                padded += les < k
+        assert trimmed and padded
 
 
 class TestExactFromAtmost:
@@ -172,6 +227,11 @@ class TestSolveGamma:
         k = 10 ** 3
         assert solve_gamma(k ** 0.55, 10 ** 6, k, 0.5, 0.05) == 0.0
 
+    def test_no_crossing_means_no_subsampling(self):
+        # d > k^alpha, but the rescaled back-degree still exceeds the
+        # target at gamma = log_n d: no sign change, so no subsampling.
+        assert solve_gamma(100.0, 1000, 10, 0.9, 0.0) == 0.0
+
     def test_back_substitution(self):
         n, alpha, eps = 10 ** 6, 0.5, 0.05
         k = round(n ** (1 - alpha))
@@ -222,11 +282,71 @@ class TestSubsample:
             induced_left_subgraph(g, kept)
 
 
+def reference_preprocess(inst, eps, q_max=3, seed=0):
+    """preprocess as one candidate per t guess, each built from scratch
+    with per-vertex right degrees, kept as its oracle."""
+
+    def finish(bucket, t, t_seed):
+        g, r, k, ids = bucket
+        if g.n < 2 or k < 1:
+            return []
+        alpha = math.log(g.n / k) / math.log(g.n) if k < g.n else 0.0
+        d = k * r / t
+        if k >= 2 and d > k ** (alpha + eps):
+            gamma = solve_gamma(d, g.n, k, alpha, eps)
+            if gamma > 1e-12:
+                g, kept = subsample_left(g, gamma, t_seed)
+                ids = tuple(ids[u] for u in kept)
+                k = max(1, min(g.n, round(k * bucket[0].n ** (-gamma))))
+                if g.n < 2:
+                    return []
+                alpha = math.log(g.n / k) / math.log(g.n) if k < g.n else 0.0
+        p, q = approx._snap_alpha(alpha, q_max)
+        c = pruning_constant(p, q, eps)
+        cap_d = g.n / k ** (1.0 - c * eps)
+        v_d = frozenset(v for v in range(g.n_right)
+                        if g.degree_right(v) >= cap_d)
+        return [approx.PreprocessedInstance(
+            graph=g, r=r, k=k, left_ids=ids, p=p, q=q, eps=eps, c=c, v_d=v_d)]
+
+    out = []
+    for cand_idx, bucket in enumerate(bucket_and_regularize(inst)):
+        t = bucket[1]
+        while t <= bucket[0].n_right:
+            out += finish(bucket, t, approx.mix64(seed ^ cand_idx ^ t))
+            t *= 2
+    return out
+
+
+def _expand_tags(cands):
+    """One candidate per seed tag, in tag order."""
+    by_tag = {tag: pre for pre, tags in cands for tag in tags}
+    assert sorted(by_tag) == list(range(len(by_tag)))
+    return [by_tag[tag] for tag in range(len(by_tag))]
+
+
+# The benchmark's worst-case family (120x40, p = 0.15, k = 6) and small
+# random instances, at three eps; together they have subsampled candidates
+# and one-member buckets (see test_reference_cases_cover_both_kinds).
+PREPROCESS_CASES = [
+    *[("bench", seed, eps) for seed in range(8100, 8104)
+      for eps in (0.0, 0.1, 0.5)],
+    *[("small", seed, eps) for seed in range(12) for eps in (0.0, 0.1, 0.5)],
+]
+
+
+def _preprocess_case(kind, seed):
+    if kind == "bench":
+        g = gen_random_bipartite(120, 40, 0.15, seed)
+        return SsbveInstance(graph=g, k=6)
+    return _random_small_instance(seed)
+
+
 class TestPreprocess:
     def test_square_snap(self):
         g = random_bipartite(8, 16, 6, 0.5)
         inst = SsbveInstance(graph=g, k=4)
-        cands = preprocess(inst, eps=0.05, q_max=2)
+        cands = [pre for pre, _ in preprocess(inst, eps=0.05, q_max=2)]
         assert cands
         assert all((c.p, c.q) == (1, 2) for c in cands)
 
@@ -239,7 +359,8 @@ class TestPreprocess:
         buckets = bucket_and_regularize(inst)
         grid = 1 + math.floor(math.log2(max(
             graph.n_right / r for graph, r, _, _ in buckets)))
-        assert len(preprocess(inst, 0.1)) <= len(buckets) * grid
+        n_tags = sum(len(tags) for _, tags in preprocess(inst, 0.1))
+        assert n_tags <= len(buckets) * grid
 
     @pytest.mark.parametrize("kw", [{"q_max": 1}, {"q_max": -2},
                                     {"eps": math.nan}, {"eps": -0.5}])
@@ -253,13 +374,66 @@ class TestPreprocess:
     def test_v_d_bound(self):
         g = random_bipartite(10, 20, 8)
         inst = SsbveInstance(graph=g, k=6)
-        for cand in preprocess(inst, 0.1):
+        for cand, _ in preprocess(inst, 0.1):
             cap_d = cand.graph.n / cand.k ** (1.0 - cand.c * cand.eps)
             assert cand.v_d == frozenset(
                 v for v in range(cand.graph.n_right)
                 if cand.graph.degree_right(v) >= cap_d)
             assert len(cand.v_d) <= cand.r * cand.k ** (
                 1 - cand.c * cand.eps) + 1e-9
+
+    @pytest.mark.parametrize("q_max", [2, 3, 4])
+    @pytest.mark.parametrize("kind, seed, eps", PREPROCESS_CASES)
+    def test_matches_per_guess_reference(self, kind, seed, eps, q_max):
+        inst = _preprocess_case(kind, seed)
+        mine = _expand_tags(preprocess(inst, eps, q_max=q_max, seed=seed))
+        ref = reference_preprocess(inst, eps, q_max=q_max, seed=seed)
+        assert [vars(pre) for pre in mine] == [vars(pre) for pre in ref]
+
+    def test_reference_cases_cover_both_kinds(self):
+        subsampled = one_member = 0
+        for kind, seed, eps in PREPROCESS_CASES:
+            inst = _preprocess_case(kind, seed)
+            buckets = bucket_and_regularize(inst)
+            whole = {ids for _, _, _, ids in buckets}
+            one_member += sum(graph.n == 1 for graph, _, _, _ in buckets)
+            subsampled += sum(pre.left_ids not in whole
+                              for pre, _ in preprocess(inst, eps, seed=seed))
+        assert subsampled and one_member
+
+    @pytest.mark.parametrize("kind, seed, eps", PREPROCESS_CASES[::3])
+    def test_tags_number_the_guesses(self, kind, seed, eps):
+        # Tags are 0..N-1, ascending within a candidate, and the candidates
+        # come in the order of their first tag; only a bucket's own
+        # candidate has more than one.
+        cands = preprocess(_preprocess_case(kind, seed), eps, seed=seed)
+        flat = [tag for _, tags in cands for tag in tags]
+        assert sorted(flat) == list(range(len(flat)))
+        assert all(tags == sorted(tags) for _, tags in cands)
+        assert [tags[0] for _, tags in cands] == \
+            sorted(tags[0] for _, tags in cands)
+
+    def test_each_candidate_built_once(self, monkeypatch):
+        # A bucket's own candidate is built by its first guess that does
+        # not subsample; later such guesses only add their tags.
+        built = []
+        candidate = approx._candidate
+
+        def recorded(g, *args):
+            built.append(g)
+            return candidate(g, *args)
+
+        monkeypatch.setattr(approx, "_candidate", recorded)
+        shared = 0
+        for kind, seed, eps in PREPROCESS_CASES:
+            built.clear()
+            cands = preprocess(_preprocess_case(kind, seed), eps, seed=seed)
+            assert len(built) == len(cands)
+            assert len({id(g) for g in built}) == len(built)
+            assert [id(pre.graph) for pre, _ in cands] == \
+                [id(g) for g in built]
+            shared += sum(len(tags) > 1 for _, tags in cands)
+        assert shared
 
 
 class TestSchedule:
@@ -310,7 +484,7 @@ def _toy_pre(seed=0, n=10, n_right=6, k=3, eps=0.1):
     g = random_bipartite(seed, n, n_right, 0.4)
     cands = preprocess(SsbveInstance(graph=g, k=k), eps)
     assert cands
-    return cands[0]
+    return cands[0][0]
 
 
 def reference_first_step(pre):
@@ -423,7 +597,7 @@ class TestStepsMatchReference:
                                  0.1 + 0.2 * rng.random(), seed + 1300)
         inst = SsbveInstance(graph=g, k=2 + rng.randrange(6))
         checked = 0
-        for pre in preprocess(inst, 0.1, seed=seed):
+        for pre, _ in preprocess(inst, 0.1, seed=seed):
             res = first_step(pre)
             assert res == reference_first_step(pre)
             frontier = list(res) if isinstance(res, tuple) else []
