@@ -14,8 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import formats
-from .approx import (caterpillar_schedule, solve_planted, solve_worst_case,
-                     trivial_ksubset)
+from .approx import solve_planted, solve_worst_case, trivial_ksubset
 from .errors import (ArityTooLargeError, BudgetExceededError, FormatError,
                      SsbveError, TooLargeError)
 from .exact import exact_ssbve
@@ -251,7 +250,6 @@ def _cmd_solve(args) -> int:
     elif args.algo == "les":
         sol = least_expanding_set(inst.graph)
     elif args.algo == "planted":
-        caterpillar_schedule(args.p, args.q)  # validates coprimality
         sol = solve_planted(inst, args.p, args.q, args.branch_cap, args.seed)
     else:
         sol = solve_worst_case(inst, eps=args.eps, branch_cap=args.branch_cap,

@@ -1,20 +1,22 @@
-"""Instance text formats.
+"""Instance text formats, all read by one reader (``_read``).
 
-SSBVE:  ``p ssbve <n> <n'> <k>`` then one ``e <u> <v>`` line per edge,
-        1-indexed; duplicate edge lines are rejected.
+SSBVE:  ``p ssbve <n> <n'> <k>`` then one ``e <u> <v>`` line per edge.
 MkU:    ``p mku <n_elements> <m> <k>`` then one ``s <size> <e1> ...`` line
-        per set, 1-indexed elements.
-SSVE:   ``p ssve <n> <k>`` then ``e <u> <v>`` lines, 1-indexed, simple graph.
+        per set.
+SSVE:   ``p ssve <n> <k>`` then edge lines as in SSBVE with n' = n, of a
+        simple graph: no self-loop, and no pair given both ways.
 
-Blank lines and lines starting with ``c`` are comments.  Every header field
-but the trailing ``k`` is a size, from 0 to ``MAX_HEADER_SIZE``.
+Ids are 1-indexed, and a repeated edge line is rejected.  Blank lines and
+lines starting with ``c`` are comments.  Every header field but the
+trailing ``k`` is a size, from 0 to ``MAX_HEADER_SIZE``.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from itertools import chain
+from collections import defaultdict
+from itertools import chain, compress
 from operator import lt
 
 from .errors import FormatError
@@ -26,59 +28,54 @@ from .graph import BipartiteGraph, Hypergraph, SsbveInstance, UndirectedGraph
 MAX_HEADER_SIZE = 1 << 20
 
 
-def _content_lines(text: str) -> list[list[str]]:
-    out = []
-    for line in text.splitlines():
-        fields = line.split()
-        if fields and fields[0][0] != "c":
-            out.append(fields)
-    return out
+# The line breaks of ``str.splitlines`` in ASCII text, other than "\n".
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
 
 
-def _header(lines: list[list[str]], kind: str, argc: int) -> list[int]:
-    if not lines or lines[0][:1] != ["p"] or len(lines[0]) != 2 + argc \
-            or lines[0][1] != kind:
+def _read(text: str, kind: str, argc: int,
+          key: str) -> tuple[list[int], str]:
+    """The argc header values of a ``p <kind>`` text, and its body lines,
+    each ended by "\n".
+
+    A text whose lines after the first all start with key, as the writers
+    write it, is read as it is.  Any other text is first brought to that
+    form: its lines stripped on the left, its comment and blank lines
+    dropped, and the first line left taken as the header."""
+    head, _, body = text.partition("\n")
+    if _key_lines(body, key) is None or not text.isascii() \
+            or any(map(text.__contains__, _OTHER_BREAKS)):
+        lines = [line for line in map(str.lstrip, text.splitlines())
+                 if line and line[0] != "c"]
+        head = lines[0] if lines else ""
+        body = "\n".join(lines[1:] + [""])
+    fields = head.split()
+    if fields[:1] != ["p"] or len(fields) != 2 + argc or fields[1] != kind:
         raise FormatError(f"expected header 'p {kind}' with {argc} integers")
     try:
-        values = [int(x) for x in lines[0][2:]]
+        values = [int(x) for x in fields[2:]]
     except ValueError as exc:
         raise FormatError(f"non-integer header field: {exc}") from exc
     for size in values[:-1]:
         if not 0 <= size <= MAX_HEADER_SIZE:
             raise FormatError(f"header size {size} is negative or above "
                               f"{MAX_HEADER_SIZE}")
-    return values
-
-
-# The line breaks of ``str.splitlines`` in ASCII text, other than "\n".
-_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
+    return values, body
 
 
 def parse_ssbve(text: str) -> SsbveInstance:
-    # A text whose lines after the first all start with "e", as write_ssbve
-    # writes it, is read as it is.  Any other text is first brought to that
-    # form: its lines stripped on the left, its comment and blank lines
-    # dropped, and the first line left taken as the header.
-    head, _, body = text.partition("\n")
-    if _edge_lines(body) is None or not text.isascii() \
-            or any(map(text.__contains__, _OTHER_BREAKS)):
-        lines = [line for line in map(str.lstrip, text.splitlines())
-                 if line and line[0] != "c"]
-        head = lines[0] if lines else ""
-        body = "\n".join(lines[1:] + [""])
-    n, n_right, k = _header([head.split()], "ssbve", 3)
+    (n, n_right, k), body = _read(text, "ssbve", 3, "e")
     rows = _edge_rows(body, n, n_right)
     if rows is None:
         _raise_edge_fault(body.splitlines(), n, n_right)
     return SsbveInstance(graph=BipartiteGraph.from_rows(n_right, rows), k=k)
 
 
-def _edge_lines(body: str) -> int | None:
-    """The number of lines of body if each starts with ``e`` and ends with
-    "\n" (one "\ne" per line after the first), else None."""
+def _key_lines(body: str, key: str) -> int | None:
+    """The number of lines of body if each starts with key and ends with
+    "\n" (one "\n" + key per line after the first), else None."""
     m = body.count("\n")
-    if not body or (body[0] == "e" and body[-1] == "\n"
-                    and body.count("\ne") == m - 1):
+    if not body or (body[0] == key and body[-1] == "\n"
+                    and body.count("\n" + key) == m - 1):
         return m
     return None
 
@@ -94,7 +91,7 @@ def _edge_rows(body: str, n: int,
     line is then exactly ``e <u> <v>``.  With at least (n + n') / 2 lines,
     the ids are read through tables of the numerals "1".."n" and
     "1".."n'", so the extra memory stays O(m)."""
-    m = _edge_lines(body)
+    m = _key_lines(body, "e")
     if m is None:
         return None
     tok = body.split()
@@ -134,10 +131,10 @@ def _rows(us: list[int], vs: list[int],
     """Sorted left rows of the edges (us[t], vs[t]), or None if one repeats.
     When the u ids are non-decreasing, as ``write_ssbve`` emits them, each
     row is a slice of vs, kept as it is when strictly increasing; any other
-    order goes through a set per row."""
+    order goes through a set per row with an edge."""
     m = len(us)
+    rows: list[tuple[int, ...]] = [()] * n
     if us == sorted(us):
-        rows: list[tuple[int, ...]] = [()] * n
         lo = 0
         while lo < m:
             u = us[lo]
@@ -149,19 +146,23 @@ def _rows(us: list[int], vs: list[int],
             lo = hi
         else:
             return rows
-    sets: list[set[int]] = [set() for _ in range(n)]
+    sets: defaultdict[int, set[int]] = defaultdict(set)
     for u, v in zip(us, vs):
         sets[u].add(v)
-    if sum(map(len, sets)) != m:  # a duplicate edge line
+    if sum(map(len, sets.values())) != m:  # a duplicate edge line
         return None
-    return [tuple(sorted(r)) for r in sets]
+    for u, row in sets.items():
+        rows[u] = tuple(sorted(row))
+    return rows
 
 
-def _raise_edge_fault(body: list[str], n: int, n_right: int) -> None:
-    """Raise the first fault of the edge lines in line order; a duplicate
-    line is reported only when no line has another fault."""
+def _raise_edge_fault(body: list[str], n: int, n_right: int,
+                      simple: bool = False) -> None:
+    """Raise the first fault of the edge lines in line order.  A duplicate
+    line is reported only when no line has another fault, and then, in a
+    simple graph, the first self-loop or pair given both ways."""
     seen: set[tuple[int, int]] = set()
-    dup = None
+    dup = pair = None
     for line in body:
         fields = line.split()
         if fields[0] != "e" or len(fields) != 3:
@@ -173,9 +174,12 @@ def _raise_edge_fault(body: list[str], n: int, n_right: int) -> None:
         if not (1 <= u <= n and 1 <= v <= n_right):
             raise FormatError(f"edge ({u},{v}) out of range")
         if dup is None and (u, v) in seen:
-            dup = (u, v)
+            dup = f"duplicate edge line ({u},{v})"
+        elif simple and pair is None and (u == v or (v, u) in seen):
+            pair = (f"self-loop at {u}" if u == v
+                    else f"duplicate edge line ({u},{v})")
         seen.add((u, v))
-    raise FormatError(f"duplicate edge line ({dup[0]},{dup[1]})")
+    raise FormatError(dup or pair)
 
 
 def write_ssbve(inst: SsbveInstance) -> str:
@@ -193,11 +197,10 @@ def write_ssbve(inst: SsbveInstance) -> str:
 
 
 def parse_mku(text: str) -> tuple[Hypergraph, int]:
-    lines = _content_lines(text)
-    n_elements, m, k = _header(lines, "mku", 3)
+    (n_elements, m, k), body = _read(text, "mku", 3, "s")
     sets: list[tuple[int, ...]] = []
     try:
-        for fields in lines[1:]:
+        for fields in map(str.split, body.splitlines()):
             if fields[0] != "s" or len(fields) < 2:
                 raise FormatError(f"bad set line: {' '.join(fields)}")
             size = int(fields[1])
@@ -226,27 +229,28 @@ def write_mku(h: Hypergraph, k: int) -> str:
 
 
 def parse_ssve(text: str) -> tuple[UndirectedGraph, int]:
-    lines = _content_lines(text)
-    n, k = _header(lines, "ssve", 2)
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    try:
-        for fields in lines[1:]:
-            if fields[0] != "e" or len(fields) != 3:
-                raise FormatError(f"bad edge line: {' '.join(fields)}")
-            a, b = int(fields[1]), int(fields[2])
-            if a == b:
-                raise FormatError(f"self-loop at {a}")
-            if not (1 <= a <= n and 1 <= b <= n):
-                raise FormatError(f"edge ({a},{b}) out of range")
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise FormatError(f"duplicate edge line ({a},{b})")
-            seen.add(key)
-            edges.append((a - 1, b - 1))
-    except ValueError as exc:
-        raise FormatError(f"non-integer edge field: {exc}") from exc
-    return UndirectedGraph.from_edges(n, edges), k
+    """Read as an SSBVE text with n' = n, then closed under symmetry."""
+    (n, k), body = _read(text, "ssve", 2, "e")
+    rows = _edge_rows(body, n, n)
+    if rows is None or not _close_rows(rows):
+        _raise_edge_fault(body.splitlines(), n, n, simple=True)
+    return UndirectedGraph(n=n, adj=tuple(rows)), k
+
+
+def _close_rows(rows: list[tuple[int, ...]]) -> bool:
+    """Add u to row v for each v in row u, in place, touching only the rows
+    that gain a neighbour; False if a row would then hold a vertex twice,
+    that is on a self-loop or a pair given both ways."""
+    back: defaultdict[int, list[int]] = defaultdict(list)
+    for u in compress(range(len(rows)), rows):
+        for v in rows[u]:
+            back[v].append(u)  # in ascending u
+    for v, us in back.items():
+        row = sorted(rows[v] + tuple(us))  # a merge of two sorted runs
+        if not all(map(lt, row, row[1:])):
+            return False
+        rows[v] = tuple(row)
+    return True
 
 
 def write_ssve(g: UndirectedGraph, k: int) -> str:

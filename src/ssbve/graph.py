@@ -108,7 +108,8 @@ def _mask(indices: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """Set system over a universe of n_elements; sets may repeat."""
+    """Set system over a universe of n_elements; each set is a sorted
+    duplicate-free tuple of element ids, and sets may repeat."""
 
     n_elements: int
     sets: tuple[tuple[int, ...], ...]
@@ -128,7 +129,8 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class UndirectedGraph:
-    """Simple undirected graph on n vertices."""
+    """Simple undirected graph on n vertices; adj[a] is the sorted tuple
+    of a's neighbours."""
 
     n: int
     adj: tuple[tuple[int, ...], ...]
@@ -229,9 +231,8 @@ def mku_to_ssbve(h: Hypergraph, k: int) -> SsbveInstance:
     m = len(h.sets)
     if not 1 <= k <= m:
         raise InvalidBudgetError(f"k={k} outside [1, {m}]")
-    edges = [(i, e) for i, s in enumerate(h.sets) for e in s]
-    return SsbveInstance(
-        graph=BipartiteGraph.from_edges(m, h.n_elements, edges), k=k)
+    return SsbveInstance(graph=BipartiteGraph.from_rows(h.n_elements, h.sets),
+                         k=k)
 
 
 def ssbve_to_mku(inst: SsbveInstance) -> tuple[Hypergraph, int]:
@@ -243,9 +244,7 @@ def ssbve_to_mku(inst: SsbveInstance) -> tuple[Hypergraph, int]:
 def ssveu_to_ssbve(g: UndirectedGraph, k: int) -> SsbveInstance:
     """Two copies of the vertex set; (u_left, v_right) iff {u,v} is an edge.
     Left-subset neighborhoods coincide with open neighborhoods in g."""
-    edges = [(a, b) for a in range(g.n) for b in g.adj[a]]
-    return SsbveInstance(
-        graph=BipartiteGraph.from_edges(g.n, g.n, edges), k=k)
+    return SsbveInstance(graph=BipartiteGraph.from_rows(g.n, g.adj), k=k)
 
 
 def ssbve_to_ssveu(inst: SsbveInstance,

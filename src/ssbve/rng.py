@@ -192,14 +192,6 @@ class SplitMix64:
                                 if r < threshold]
         return out
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def sample_range(self, n: int, k: int) -> list[int]:
         """k distinct integers from [0, n), in selection order."""
         if k > n:

@@ -17,6 +17,9 @@ from .graph import UndirectedGraph
 
 
 BRUTEFORCE_MAX_N = 16  # the bruteforce oracle's largest vertex count
+# The sweep's largest vertex count: it holds dense n x n float arrays, of
+# 128 MiB each at this size.
+SWEEP_MAX_N = 4096
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,8 @@ def sse_solve(g: UndirectedGraph, k: int,
             raise TooLargeError(
                 f"n={g.n} exceeds the bruteforce budget {BRUTEFORCE_MAX_N}")
         return _sse_bruteforce(g, k)
+    if g.n > SWEEP_MAX_N:
+        raise TooLargeError(f"n={g.n} exceeds the sweep budget {SWEEP_MAX_N}")
     return _sse_sweep(g, k)
 
 

@@ -174,6 +174,20 @@ class TestGenSolve:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("pq", [("2", "4"), ("0", "2"), ("3", "2")])
+    def test_planted_schedule_not_coprime_exit_code(self, tmp_path, capsys,
+                                                    pq):
+        # solve_planted checks p and q before any work: exit 4 and one line
+        # on stderr.
+        inst = tmp_path / "inst.txt"
+        inst.write_text("p ssbve 3 2 2\ne 1 1\ne 2 1\ne 3 2\n")
+        out = tmp_path / "r.json"
+        assert run(["--out", str(out), "solve", "--algo", "planted",
+                    "--input", str(inst), "--p", pq[0], "--q", pq[1]]) == 4
+        assert capsys.readouterr().err == (
+            f"error: need coprime 0 < p < q, got p={pq[0]}, q={pq[1]}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("algo", ["worst", "planted"])
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_branch_cap_below_one_exit_code(self, tmp_path, capsys, algo,
@@ -319,9 +333,10 @@ _TEXTS = st.one_of(
         st.lists(_FIELDS, min_size=2, max_size=3),
         st.lists(_LINES, max_size=6)))
 
-# Runs `solve --algo baseline` and `ssve` on one input file under an address
-# space limit, and prints their exit codes.  An exception that main does not
-# map to an exit code, MemoryError included, ends the child with status 1.
+# Runs `solve --algo baseline` and `ssve` with either oracle on one input
+# file under an address space limit, and prints their exit codes.  An
+# exception that main does not map to an exit code, MemoryError included,
+# ends the child with status 1.
 _BOUNDED_CHILD = """
 import os, resource, sys
 limit = int(sys.argv[1])
@@ -330,20 +345,23 @@ from ssbve.cli import main
 path = sys.argv[2]
 print(main(["--out", os.devnull, "solve", "--algo", "baseline",
             "--input", path]),
-      main(["--out", os.devnull, "ssve", "--input", path]))
+      main(["--out", os.devnull, "ssve", "--input", path]),
+      main(["--out", os.devnull, "ssve", "--oracle", "sweep",
+            "--input", path]))
 """
 
 
 class TestBoundedMemory:
-    # The largest header the parsers accept (2^20 left and right vertices)
-    # peaks at about 142 MB of address space over `solve` and `ssve`, where
-    # a two-line text peaks at about 101 MB (VmPeak, x86-64 Linux, CPython
-    # 3.11).
+    # The largest headers the parsers accept (2^20 vertices a side) peak at
+    # 100-116 MB of address space over the three runs, and a two-line SSVE
+    # text, whose sweep loads numpy, at about 108 MB (VmPeak, x86-64 Linux,
+    # CPython 3.11).
     ADDRESS_SPACE = 1 << 30
 
     @given(_TEXTS)
     @example(f"p ssbve {MAX_HEADER_SIZE} {MAX_HEADER_SIZE} 1\ne 1 1\n")
     @example(f"p ssbve 1 {MAX_HEADER_SIZE} 1\ne 1 1\n")
+    @example(f"p ssve {MAX_HEADER_SIZE} 1\ne 1 2\n")
     @settings(max_examples=20, deadline=None)
     def test_short_texts_exit_with_a_documented_code(self, text):
         # One child at a time, each with its own limit; the limit is set in
@@ -359,7 +377,7 @@ class TestBoundedMemory:
                 capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         codes = [int(c) for c in out.stdout.split()]
-        assert len(codes) == 2 and set(codes) <= {0, 2, 3, 4}, out.stderr
+        assert len(codes) == 3 and set(codes) <= {0, 2, 3, 4}, out.stderr
 
 
 class TestCertifyCli:
@@ -462,6 +480,14 @@ class TestSsveCli:
         path = tmp_path / "g.txt"
         path.write_text(header + "\n")
         assert run(["ssve", "--input", str(path)]) == 4
+
+    def test_ssve_sweep_budget(self, tmp_path, capsys):
+        # Dense 20000 x 20000 arrays would need about 3 GiB.
+        path = tmp_path / "g.txt"
+        path.write_text("p ssve 20000 1\ne 1 2\n")
+        assert run(["ssve", "--input", str(path), "--oracle", "sweep"]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: n=20000 exceeds the sweep budget 4096\n")
 
     def test_ssve_unsupported_regime(self, tmp_path):
         path = tmp_path / "g.txt"

@@ -342,6 +342,42 @@ def reference_parse_ssbve(text: str) -> SsbveInstance:
                          k=k)
 
 
+def reference_parse_ssve(text: str) -> tuple[UndirectedGraph, int]:
+    """The line-by-line parser that stops at the first fault in line order,
+    kept as the oracle for parse_ssve."""
+    lines = [fields for fields in map(str.split, text.splitlines())
+             if fields and fields[0][0] != "c"]
+    if not lines or lines[0][:1] != ["p"] or len(lines[0]) != 4 \
+            or lines[0][1] != "ssve":
+        raise FormatError("expected header 'p ssve' with 2 integers")
+    try:
+        n, k = [int(x) for x in lines[0][2:]]
+    except ValueError as exc:
+        raise FormatError(f"non-integer header field: {exc}") from exc
+    if not 0 <= n <= MAX_HEADER_SIZE:
+        raise FormatError(f"header size {n} is negative or above "
+                          f"{MAX_HEADER_SIZE}")
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    try:
+        for fields in lines[1:]:
+            if fields[0] != "e" or len(fields) != 3:
+                raise FormatError(f"bad edge line: {' '.join(fields)}")
+            a, b = int(fields[1]), int(fields[2])
+            if a == b:
+                raise FormatError(f"self-loop at {a}")
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise FormatError(f"edge ({a},{b}) out of range")
+            key = (min(a, b), max(a, b))
+            if key in seen:
+                raise FormatError(f"duplicate edge line ({a},{b})")
+            seen.add(key)
+            edges.append((a - 1, b - 1))
+    except ValueError as exc:
+        raise FormatError(f"non-integer edge field: {exc}") from exc
+    return UndirectedGraph.from_edges(n, edges), k
+
+
 def _outcome(parse, text: str):
     try:
         return parse(text)
@@ -406,6 +442,30 @@ def _ssve_instances(draw):
                                    st.integers(0, n - 1))
                          .filter(lambda ab: ab[0] != ab[1])))
     return UndirectedGraph.from_edges(n, pairs), draw(_with_bounds(1, n))
+
+
+class TestReductionRows:
+    """The reductions take their input's rows as they are: each graph is
+    the one built from its edge list."""
+
+    @given(inst=_mku_instances().filter(lambda hk: hk[0].sets))
+    @settings(max_examples=100, deadline=None)
+    def test_mku_rows(self, inst):
+        h, k = inst
+        g = mku_to_ssbve(h, k).graph
+        g.validate()
+        assert g == BipartiteGraph.from_edges(
+            len(h.sets), h.n_elements,
+            [(i, e) for i, s in enumerate(h.sets) for e in s])
+
+    @given(inst=_ssve_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_ssveu_rows(self, inst):
+        g, k = inst
+        b = ssveu_to_ssbve(g, k).graph
+        b.validate()
+        assert b == BipartiteGraph.from_edges(
+            g.n, g.n, [(a, c) for a in range(g.n) for c in g.adj[a]])
 
 
 class TestFormatRoundTrips:
@@ -518,6 +578,153 @@ class TestFormats:
         assert parse_ssbve(indented).graph.num_edges() == 2
 
 
+# Mostly edges on four vertices, so that self-loops, pairs given both ways
+# and exact repeats are all common.
+_SSVE_OTHER = st.one_of(
+    st.tuples(st.integers(-1, 6), st.integers(-1, 6)).map(
+        lambda ab: f"e {ab[0]} {ab[1]}"),
+    st.lists(_SSBVE_FIELD, min_size=0, max_size=3).map(
+        lambda fs: " ".join(["e"] + fs)),
+    st.sampled_from(["c a comment", "c", "cx 1 2", "p ssve 4 1", "",
+                     "e 1 1 c", "q 1 2", "e 07 +2"]))
+_SSVE_LINE = st.integers(0, 9).flatmap(
+    lambda i: st.tuples(st.integers(1, 4), st.integers(1, 4)).map(
+        lambda ab: f"e {ab[0]} {ab[1]}") if i < 7 else _SSVE_OTHER)
+# Mostly a header that holds, so that the body is read.
+_SSVE_HEADER = st.integers(0, 9).flatmap(lambda i: st.sampled_from(
+    ["p ssve 4 1", "p ssve 4 2", "p ssve 3 1", "p ssve 5 2",
+     "c header comment\n  p ssve 4 2"]) if i < 8 else st.one_of(
+    st.tuples(st.integers(-1, 5), st.integers(-1, 3)).map(
+        lambda h: f"p ssve {h[0]} {h[1]}"),
+    st.sampled_from(["p ssve 4", "p ssve x 1", "p ssbve 4 4 1"])))
+_HEADER_FAULTS = ("expected header", "non-integer header", "header size")
+
+
+def _ssve_faults(text: str) -> int:
+    """The number of faults in the edge lines of an SSVE text whose header
+    holds: one for a line that is not ``e`` and two integers, and one for
+    each self-loop, id out of range, and pair met before in either order."""
+    lines = [fields for fields in map(str.split, text.splitlines())
+             if fields and fields[0][0] != "c"]
+    n = int(lines[0][2])
+    faults = 0
+    seen: set[tuple[int, int]] = set()
+    for fields in lines[1:]:
+        try:
+            if fields[0] != "e" or len(fields) != 3:
+                raise ValueError
+            a, b = int(fields[1]), int(fields[2])
+        except ValueError:
+            faults += 1
+            continue
+        key = (min(a, b), max(a, b))
+        faults += (a == b) + (not (1 <= a <= n and 1 <= b <= n)) \
+            + (key in seen)
+        seen.add(key)
+    return faults
+
+
+@st.composite
+def _ssve_texts(draw):
+    """A simple graph and a text of it: each edge once, in a drawn order
+    and orientation, with padding, line breaks and comments drawn too."""
+    g, k = draw(_ssve_instances())
+    edges = draw(st.permutations(g.edges()))
+    lines = [f"e {a + 1} {b + 1}" if draw(st.booleans())
+             else f"e {b + 1} {a + 1}" for a, b in edges]
+    lines = [line for edge in lines for line in
+             [edge] + draw(st.lists(st.sampled_from(["c x", "", " c"]),
+                                    max_size=1))]
+    body = "".join(draw(_PAD) + line + draw(_PAD) + draw(_SEP)
+                   for line in lines)
+    return f"p ssve {g.n} {k}\n" + body, (g, k)
+
+
+class TestSsveParser:
+    """parse_ssve, which reads through the SSBVE edge reader, against the
+    line-by-line reference parser."""
+
+    @given(header=_SSVE_HEADER,
+           body=st.lists(st.tuples(_PAD, _SSVE_LINE, _PAD, _SEP),
+                         max_size=10))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference(self, header, body):
+        text = header + "\n" + "".join(a + line + b + sep
+                                        for a, line, b, sep in body)
+        got, want = _outcome(parse_ssve, text), _outcome(
+            reference_parse_ssve, text)
+        if isinstance(want[0], UndirectedGraph):
+            assert got == want
+            return
+        assert got[0] is want[0] is FormatError
+        if want[1].startswith(_HEADER_FAULTS) or _ssve_faults(text) == 1:
+            assert got[1] == want[1]
+
+    @given(case=_ssve_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_valid_texts_match_reference(self, case):
+        text, want = case
+        assert parse_ssve(text) == reference_parse_ssve(text) == want
+
+    def test_random_graphs_match_reference(self):
+        # Edge lines in a seeded random order and orientation, so that the
+        # rows are not u-sorted and half the pairs are closed by symmetry.
+        for seed in range(10):
+            g = random_undirected(seed, 60, 0.2)
+            rng = stream(seed, 0x7376)
+            edges = [f"e {a + 1} {b + 1}" if rng.bernoulli(0.5)
+                     else f"e {b + 1} {a + 1}" for a, b in g.edges()]
+            _shuffle(edges, rng)
+            text = "\n".join(["p ssve 60 3"] + edges) + "\n"
+            assert parse_ssve(text) == reference_parse_ssve(text) == (g, 3)
+
+    @pytest.mark.parametrize("body, want, ref", [
+        # A grammar fault is named before an earlier self-loop.
+        ("e 1 1\ne 1 x\n", "non-integer edge field: invalid literal for "
+         "int() with base 10: 'x'", "self-loop at 1"),
+        # An id out of range is named before an earlier pair given both
+        # ways.
+        ("e 1 2\ne 2 1\ne 1 9\n", "edge (1,9) out of range",
+         "duplicate edge line (2,1)"),
+        # An exact repeat is named before an earlier pair given both ways.
+        ("e 1 2\ne 2 1\ne 1 2\n", "duplicate edge line (1,2)",
+         "duplicate edge line (2,1)"),
+        ("e 3 3\ne 1 2\ne 1 2\n", "duplicate edge line (1,2)",
+         "self-loop at 3"),
+    ])
+    def test_ssbve_faults_named_first(self, body, want, ref):
+        text = "p ssve 4 1\n" + body
+        assert _outcome(reference_parse_ssve, text) == (FormatError, ref)
+        assert _outcome(parse_ssve, text) == (FormatError, want)
+
+    @pytest.mark.parametrize("body, message", [
+        ("e 1 2\ne 2 3\ne 3 3\n", "self-loop at 3"),
+        ("e 4 2\ne 1 3\ne 2 4\n", "duplicate edge line (2,4)"),
+        ("e 1 2\ne 2 1\ne 3 3\n", "duplicate edge line (2,1)"),
+        ("e 3 3\ne 1 2\ne 2 1\n", "self-loop at 3"),
+    ])
+    def test_first_pair_fault_in_line_order(self, body, message):
+        text = "p ssve 4 1\n" + body
+        assert _outcome(reference_parse_ssve, text) == (FormatError, message)
+        assert _outcome(parse_ssve, text) == (FormatError, message)
+
+    @pytest.mark.parametrize("body", ["e 1 2\n", "e 2 3\ne 2 1\n"])
+    def test_huge_sparse_header_builds_no_row_per_vertex(self, body):
+        # A few edges under a 2^20 header, in u order and not: a set per
+        # declared vertex took about 232 MB traced; the 2^20 shared empty
+        # rows take 8 MB.
+        text = f"p ssve {MAX_HEADER_SIZE} 1\n" + body
+        tracemalloc.start()
+        try:
+            g, k = parse_ssve(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+        assert (g.n, k) == (MAX_HEADER_SIZE, 1)
+        assert g == reference_parse_ssve(text)[0]
+
+
 def reference_write_ssbve(inst) -> str:
     """One formatted line per edge: the oracle of write_ssbve."""
     g = inst.graph
@@ -616,8 +823,15 @@ def _decorated(text: str, seed: int) -> str:
     for line in text.splitlines():
         lines.append(line)
         if rng.bernoulli(0.2):
-            lines.append(rng.choice(extras))
+            lines.append(extras[rng.randrange(len(extras))])
     return "\r\n".join(lines) + "\r\n"
+
+
+def _shuffle(items: list, rng) -> None:
+    """Fisher-Yates, one randrange draw per position from the last."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
 
 
 class TestSsbveParserFullSize:
@@ -641,7 +855,7 @@ class TestSsbveParserFullSize:
             inst = SsbveInstance(
                 graph=gen_random_bipartite(120, 40, 0.15, seed), k=6)
             header, *edges = write_ssbve(inst).splitlines()
-            stream(seed, 0x7368).shuffle(edges)
+            _shuffle(edges, stream(seed, 0x7368))
             text = "\n".join([header] + edges) + "\n"
             assert parse_ssbve(text) == reference_parse_ssbve(text) == inst
 
@@ -706,6 +920,20 @@ class TestSsbveParserFullSize:
             tracemalloc.stop()
         assert peak < 24 << 20
         assert g.adj_right[0] == (0,)
+
+    def test_huge_sparse_header_lines_out_of_order(self):
+        # Edge lines not in u order are read through a set per row with an
+        # edge; one per declared left vertex took about 232 MB.
+        text = (f"p ssbve {MAX_HEADER_SIZE} {MAX_HEADER_SIZE} 1\n"
+                "e 2 3\ne 1 2\n")
+        tracemalloc.start()
+        try:
+            g = parse_ssbve(text).graph
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+        assert g.adj_left[:3] == ((1,), (2,), ()) and g.num_edges() == 2
 
     def test_huge_sparse_header_builds_no_id_table(self):
         # One edge line under a 2^20 x 2^20 header reads its ids with

@@ -7,7 +7,8 @@ import pytest
 from ssbve.errors import TooLargeError, UnsupportedRegimeError
 from ssbve.exact import exact_ssve
 from ssbve.graph import UndirectedGraph
-from ssbve.ssve import SseOracle, edge_boundary, sse_solve, ssve_via_sse
+from ssbve.ssve import (SWEEP_MAX_N, SseOracle, edge_boundary, sse_solve,
+                        ssve_via_sse)
 
 from conftest import random_undirected
 
@@ -38,6 +39,13 @@ class TestSseSolve:
     def test_bruteforce_budget(self):
         with pytest.raises(TooLargeError):
             sse_solve(random_undirected(1, 17), 2, BRUTE)
+
+    def test_sweep_budget(self):
+        # One vertex past the bound: the dense n x n arrays are never built.
+        g = UndirectedGraph.from_edges(SWEEP_MAX_N + 1, [(0, 1)])
+        with pytest.raises(TooLargeError, match=f"^n={SWEEP_MAX_N + 1} "
+                           f"exceeds the sweep budget {SWEEP_MAX_N}$"):
+            sse_solve(g, 1, SWEEP)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_sweep_never_beats_bruteforce(self, seed):
