@@ -35,11 +35,13 @@ built on first use: each realised pair class with its pair count and a
 representative pair, the left vertices by their far pair classes and the
 right ones by degree.  It holds no values, so a class value set by hand
 shows in every report.  The pair tiers test membership on the graph's
-sorted rows; no per-vertex set is kept.  A left vertex's near partners come
-from a two-hop bitset that stops growing once it holds every left vertex,
-so only vertices with far partners pay for the cover search.  The
-cardinality rows are class rows: one report row per family for each class
-of vertices whose rows agree, with the class size as its count.
+sorted rows; no per-vertex set is kept.  A left vertex's far partners come
+from an AND of the complement bitsets of its right neighbours, which stops
+once it is empty, so a vertex whose partners are all near costs a few
+big-integer ANDs and only vertices with far partners pay for the cover
+search.  The cardinality rows are class rows: one report row per family
+for each class of vertices whose rows agree, with the class size as its
+count.
 
 The structural properties (decay on a vertex S_U does not force, the
 growth floor for left vertices, the two-sided lift range) compare at one
@@ -574,34 +576,44 @@ def _pair_census(cert) -> _Census:
     representative pair a < b.  Both cardinality rows of a left vertex w
     depend only on its far pair classes in order (w has n - 1 minus their
     count near partners), and those of a right vertex only on its degree.
-    The two-hop mask stops growing once it holds every left vertex."""
+
+    The far partners of w are the other left vertices in no mask of its
+    row: the AND of the row's complement masks, which stops once it is
+    empty.  A vertex with no far partner then takes a fast exit: its near
+    partners above it are w + 1..n - 1, so it builds no further big
+    integer.  Only a vertex with far partners keys them, in ascending
+    order, through the cover search."""
     n, g = cert.n, cert.graph
     top: dict = {}
     right_masks = g.right_masks()
     all_u_mask = (1 << n) - 1
+    non = [all_u_mask & ~m for m in right_masks]
     left_rows: dict = {}
     for w in range(n):
-        mask = 0
+        far = all_u_mask & ~(1 << w)
         for v in g.adj_left[w]:
-            mask |= right_masks[v]
-            if mask == all_u_mask:
+            far &= non[v]
+            if not far:
                 break
-        mask_others = mask & ~(1 << w)
-        m = mask_others >> (w + 1)  # near partners b > w
+        if not far:  # every other left vertex is near
+            if w + 1 < n:
+                top.setdefault(CLASS_UU_NEAR, [0, w, w + 1])[0] += n - 1 - w
+            left_rows.setdefault((), [0, w])[0] += 1
+            continue
+        m = (all_u_mask ^ far) >> (w + 1)  # near partners b > w
         if m:
             top.setdefault(CLASS_UU_NEAR, [
                 0, w, w + (m & -m).bit_length()])[0] += m.bit_count()
-        m = all_u_mask & ~mask_others & ~(1 << w)
-        far = []
-        while m:
-            low = m & (-m)
+        keys = []
+        while far:
+            low = far & -far
             u2 = low.bit_length() - 1
             key = cert.key(frozenset((w, u2)))
-            far.append(key)
+            keys.append(key)
             if u2 > w:
                 top.setdefault(key, [0, w, u2])[0] += 1
-            m ^= low
-        left_rows.setdefault(tuple(far), [0, w])[0] += 1
+            far ^= low
+        left_rows.setdefault(tuple(keys), [0, w])[0] += 1
 
     # The uv pairs of each right vertex, and its vv pairs with the right
     # vertices before it.
@@ -609,8 +621,7 @@ def _pair_census(cert) -> _Census:
     for w in range(g.n_right):
         right_rows.setdefault(g.degree_right(w), [0, w])[0] += 1
         v = n + w
-        for m, key in ((right_masks[w], CLASS_U),
-                       (all_u_mask & ~right_masks[w], CLASS_UV_NON)):
+        for m, key in ((right_masks[w], CLASS_U), (non[w], CLASS_UV_NON)):
             if m:
                 top.setdefault(key, [
                     0, (m & -m).bit_length() - 1, v])[0] += m.bit_count()

@@ -90,7 +90,7 @@ def _edge_rows(body: str, n: int,
     with 3m fields, ``e`` at every third and integers at the rest, each
     line is then exactly ``e <u> <v>``.  With at least (n + n') / 2 lines,
     the ids are read through tables of the numerals "1".."n" and
-    "1".."n'", so the extra memory stays O(m)."""
+    "1".."n'", one table when n = n', so the extra memory stays O(m)."""
     m = _key_lines(body, "e")
     if m is None:
         return None
@@ -98,23 +98,33 @@ def _edge_rows(body: str, n: int,
     if len(tok) != 3 * m or tok[0::3].count("e") != m:
         return None
     tabled = n + n_right <= 2 * m
-    us = _ids(tok[1::3], n, tabled)
-    vs = _ids(tok[2::3], n_right, tabled)
-    del tok  # the 3m field strings set the peak memory: free them
+    table = _numerals(n) if tabled else None
+    us = _ids(tok[1::3], n, table)
+    if tabled and n_right != n:
+        del table  # free the u table before the v table is built
+        table = _numerals(n_right)
+    vs = _ids(tok[2::3], n_right, table)
+    del tok, table  # the 3m field strings set the peak memory: free them
     if us is None or vs is None:
         return None
     return _rows(us, vs, n)
 
 
-def _ids(tokens: list[str], size: int, tabled: bool) -> list[int] | None:
+def _numerals(size: int) -> dict[str, int]:
+    """{"1": 0, ..., str(size): size - 1}."""
+    return {str(i + 1): i for i in range(size)}
+
+
+def _ids(tokens: list[str], size: int,
+         table: dict[str, int] | None) -> list[int] | None:
     """0-based ids of the numerals, or None unless each is an integer in
-    [1, size].  A table lookup is much cheaper than ``int()``; a numeral it
-    misses (``07``, ``+2``, an id out of range) sends every numeral through
-    ``int()``, so the outcome is that of ``int()`` alone."""
-    if tabled:
+    [1, size].  A lookup in the table of "1".."size" is much cheaper than
+    ``int()``; a numeral it misses (``07``, ``+2``, an id out of range)
+    sends every numeral through ``int()``, so the outcome is that of
+    ``int()`` alone."""
+    if table is not None:
         try:
-            return list(map({str(i + 1): i for i in range(size)}.__getitem__,
-                            tokens))
+            return list(map(table.__getitem__, tokens))
         except KeyError:
             pass
     try:

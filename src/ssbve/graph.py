@@ -82,16 +82,6 @@ class BipartiteGraph:
     def right_masks(self) -> list[int]:
         return [_mask(a) for a in self.adj_right]
 
-    def validate(self) -> None:
-        """Check that every row is sorted, duplicate-free and in range;
-        raises on violation."""
-        for u, nbrs in enumerate(self.adj_left):
-            if list(nbrs) != sorted(set(nbrs)):
-                raise ValueError(f"adj_left[{u}] not sorted duplicate-free")
-            for v in nbrs:
-                if not 0 <= v < self.n_right:
-                    raise ValueError(f"right index {v} out of range")
-
 
 def _mask(indices: Sequence[int]) -> int:
     """Bitmask with bit i set for each i, from one base-2 parse of a digit

@@ -19,6 +19,17 @@ def random_bipartite(seed: int, n: int, n_right: int,
     return BipartiteGraph.from_edges(n, n_right, edges)
 
 
+def validate_rows(g: BipartiteGraph) -> None:
+    """Check that every left row of g is sorted, duplicate-free and in
+    range; raises on violation."""
+    for u, nbrs in enumerate(g.adj_left):
+        if list(nbrs) != sorted(set(nbrs)):
+            raise ValueError(f"adj_left[{u}] not sorted duplicate-free")
+        for v in nbrs:
+            if not 0 <= v < g.n_right:
+                raise ValueError(f"right index {v} out of range")
+
+
 def random_instance(seed: int, max_n: int = 12, max_right: int = 8,
                     p: float = 0.35) -> SsbveInstance:
     rng = stream(seed, 0x696E)

@@ -31,7 +31,8 @@ from ssbve.generators import gen_random_bipartite
 from ssbve.les import least_expanding_set, least_expanding_subset
 from ssbve.rng import stream
 
-from conftest import random_bipartite, random_instance
+from conftest import (random_bipartite, random_instance,
+                      validate_rows)
 
 with open(Path(__file__).parent / "data" / "golden_worst_family.json") as fh:
     GOLDEN_FAMILY = json.load(fh)
@@ -217,7 +218,7 @@ class TestBucketRegularize:
                 edges += [(new_u, g.n_right + (cursor + j) % r)
                           for j in range(deficiency)]
                 cursor += deficiency
-            graph.validate()
+            validate_rows(graph)
             assert graph == BipartiteGraph.from_edges(
                 len(left_ids), g.n_right + r, edges)
 

@@ -10,6 +10,7 @@ import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import mpmath
@@ -33,7 +34,7 @@ from ssbve.generators import gen_gap_instance
 from ssbve.graph import BipartiteGraph
 from ssbve.rng import SplitMix64, stream
 
-from conftest import random_bipartite
+from conftest import random_bipartite, validate_rows
 
 
 def circulant_biregular(n: int, s: int, d_l: int) -> BipartiteGraph:
@@ -76,7 +77,7 @@ class TestBiregularize:
         out = biregularize(capped, d_l_t, d_r_t)
         assert all(out.degree_left(u) == d_l_t for u in range(n))
         assert all(out.degree_right(v) == d_r_t for v in range(s))
-        out.validate()
+        validate_rows(out)
 
     def test_preserves_existing_edges(self):
         g = BipartiteGraph.from_edges(4, 4, [(0, 0), (1, 1)])
@@ -244,7 +245,7 @@ class TestDegreeFittingMatchesReference:
         for d_l, d_r in [(3, 15), (2, 10), (5, 4), (1, 30)]:
             capped = cap_degrees(g, d_l, d_r)
             assert capped == reference_cap_degrees(g, d_l, d_r)
-            capped.validate()
+            validate_rows(capped)
 
     @pytest.mark.parametrize("bench_seed", [0, 300, 3103])
     def test_certify_gap_seeds(self, bench_seed):
@@ -1608,6 +1609,125 @@ class TestSaClassesMatchReference:
         if rounds == 1:
             assert report_row(rep, "edges-base") in rep.failing()
         assert not rep.passed
+
+
+def reference_census(cert):
+    """(top, left_rows, right_rows) of the one-round census from every
+    pair's cert.key, in the census's insertion order: a left vertex tallies
+    its near pairs above it, then its far pairs above it in partner order,
+    and is filed under its far classes in partner order; a right vertex
+    files its degree, then tallies its pairs with the left vertices
+    (adjacent ones first) and with the right vertices before it."""
+    n = cert.n
+    top, left_rows, right_rows = {}, {}, {}
+    for w in range(n):
+        keys = [(u, cert.key(frozenset((w, u)))) for u in range(n) if u != w]
+        near = [u for u, key in keys if u > w and key == sa.CLASS_UU_NEAR]
+        if near:
+            top.setdefault(sa.CLASS_UU_NEAR, [0, w, near[0]])[0] += len(near)
+        far = [(u, key) for u, key in keys if key != sa.CLASS_UU_NEAR]
+        for u, key in far:
+            if u > w:
+                top.setdefault(key, [0, w, u])[0] += 1
+        left_rows.setdefault(tuple(key for _, key in far), [0, w])[0] += 1
+    for w in range(cert.s):
+        v = n + w
+        keys = [(u, cert.key(frozenset((u, v)))) for u in range(n)]
+        right_rows.setdefault(sum(key == sa.CLASS_U for _, key in keys),
+                              [0, w])[0] += 1
+        for u, key in sorted(keys, key=lambda uk: uk[1] != sa.CLASS_U):
+            top.setdefault(key, [0, u, v])[0] += 1
+        for u in range(n, v):
+            top.setdefault(cert.key(frozenset((u, v))), [0, u, v])[0] += 1
+    return top, left_rows, right_rows
+
+
+def saturated(seed):
+    """A gap instance in which every two left vertices share a neighbour."""
+    return gen_gap_instance(256, 16, 12.0, seed)
+
+
+CENSUS_GRAPHS = {
+    **{f"saturated-{seed}": (lambda seed=seed: saturated(seed))
+       for seed in range(3)},
+    **{f"gap-256-8-{seed}": (lambda seed=seed: gen_gap_instance(
+        256, 16, 8.0, seed)) for seed in (1, 2)},
+    "chain-16": lambda: chain(16),
+    "gap-81": lambda: gen_gap_instance(81, 9, 4.0, 5),
+    "gap-625": lambda: gen_gap_instance(625, 25, 8.0, 7),
+    "gap-256-32": lambda: gen_gap_instance(256, 32, 8.0, 9),
+    "one-left-1x3": lambda: BipartiteGraph.from_edges(1, 3, []),
+    "one-left-1x4": lambda: BipartiteGraph.from_edges(1, 4, [(0, 1)]),
+    # Left vertex 2 is isolated: no cover joins it to another left vertex.
+    "isolated-left-3x2": lambda: BipartiteGraph.from_edges(
+        3, 2, [(0, 0), (1, 0)]),
+    "gap-256-8-0": lambda: gen_gap_instance(256, 16, 8.0, 0),
+}
+
+
+@cache
+def census_outcomes(name):
+    """The census of one CENSUS_GRAPHS graph and its reference, or the
+    NoCoverError each raised.  The reference runs second on the same
+    certificate, so it reads the far pairs' cover costs the census
+    memoised instead of searching again."""
+    g = CENSUS_GRAPHS[name]()
+    cert = build_sa_certificate(g, 1)
+    return (g, _cover_outcome(sa._pair_census, cert),
+            _cover_outcome(reference_census, cert))
+
+
+class TestPairCensus:
+    """The one-round census against every pair's cover class."""
+
+    @pytest.mark.parametrize("name", CENSUS_GRAPHS)
+    def test_matches_every_pair(self, name):
+        _, got, want = census_outcomes(name)
+        if want[0] is NoCoverError:
+            assert got[0] is NoCoverError
+            return
+        assert [list(d.items()) for d in got] == [list(d.items())
+                                                  for d in want]
+
+    def test_fixtures_reach_every_case(self):
+        seen = set()
+        for name in CENSUS_GRAPHS:
+            g, got, _ = census_outcomes(name)
+            if got[0] is NoCoverError:
+                seen.add("no-cover")
+                continue
+            left_rows = got.left_rows
+            seen.add("n=1" if g.n == 1 else "all-near" if list(left_rows)
+                     == [()] else "far")
+            if () in left_rows and len(left_rows) > 1:
+                seen.add("mixed")
+        assert seen == {"no-cover", "n=1", "all-near", "far", "mixed"}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_saturated_census_keys_no_pair(self, monkeypatch, seed):
+        cert = build_sa_certificate(saturated(seed), 1)
+        calls = []
+        key = SaCertificate.key
+        monkeypatch.setattr(SaCertificate, "key",
+                            lambda self, subset: calls.append(subset)
+                            or key(self, subset))
+        census = sa._pair_census(cert)
+        assert list(census.left_rows) == [()]
+        assert calls == []
+
+    def test_keys_only_far_pairs(self, monkeypatch):
+        # Each left vertex keys each of its far partners once, and no other.
+        cert = build_sa_certificate(gen_gap_instance(256, 16, 8.0, 1), 1)
+        calls = []
+        key = SaCertificate.key
+        monkeypatch.setattr(SaCertificate, "key",
+                            lambda self, subset: calls.append(subset)
+                            or key(self, subset))
+        census = sa._pair_census(cert)
+        far = sum(count * len(keys)
+                  for keys, (count, _) in census.left_rows.items())
+        assert far and len(calls) == far
+        assert all(key(cert, pair) != sa.CLASS_UU_NEAR for pair in calls)
 
 
 def spy_top_level(monkeypatch, cert):

@@ -24,7 +24,8 @@ from ssbve.graph import (BipartiteGraph, Hypergraph, Solution, SsbveInstance,
                          ssbve_to_ssveu, ssveu_to_ssbve, _mask)
 from ssbve.rng import stream
 
-from conftest import random_bipartite, random_undirected
+from conftest import (random_bipartite, random_undirected,
+                      validate_rows)
 
 
 def naive_union(g: BipartiteGraph, s) -> set[int]:
@@ -93,7 +94,7 @@ def reference_mask(indices) -> int:
 class TestGraphInvariants:
     @pytest.mark.parametrize("seed", range(10))
     def test_validate_random(self, seed):
-        random_bipartite(seed, 9, 5).validate()
+        validate_rows(random_bipartite(seed, 9, 5))
 
     @given(st.integers(0, 2 ** 31), st.integers(1, 7), st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
@@ -177,7 +178,7 @@ class TestGraphInvariants:
         assert left_ids == tuple(sorted(set(ids)))
         edges = [(new_u, v) for new_u, u in enumerate(left_ids)
                  for v in g.adj_left[u]]
-        sub.validate()
+        validate_rows(sub)
         assert sub == BipartiteGraph.from_edges(len(left_ids), n_right,
                                                 edges)
 
@@ -453,7 +454,7 @@ class TestReductionRows:
     def test_mku_rows(self, inst):
         h, k = inst
         g = mku_to_ssbve(h, k).graph
-        g.validate()
+        validate_rows(g)
         assert g == BipartiteGraph.from_edges(
             len(h.sets), h.n_elements,
             [(i, e) for i, s in enumerate(h.sets) for e in s])
@@ -463,7 +464,7 @@ class TestReductionRows:
     def test_ssveu_rows(self, inst):
         g, k = inst
         b = ssveu_to_ssbve(g, k).graph
-        b.validate()
+        validate_rows(b)
         assert b == BipartiteGraph.from_edges(
             g.n, g.n, [(a, c) for a in range(g.n) for c in g.adj[a]])
 
@@ -842,7 +843,7 @@ class TestSsbveParserFullSize:
         for seed, text in enumerate(planted_texts):
             got = parse_ssbve(text)
             assert got == reference_parse_ssbve(text)
-            got.graph.validate()
+            validate_rows(got.graph)
             assert got.graph.num_edges() == text.count("\ne")
             decorated = _decorated(text, seed)
             assert parse_ssbve(decorated) == got

@@ -21,6 +21,8 @@ from ssbve.graph import (BipartiteGraph, Hypergraph, SsbveInstance,
                          neighborhood)
 from ssbve.rng import BLOCK, SplitMix64, stream
 
+from conftest import validate_rows
+
 GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -211,7 +213,7 @@ class TestGeneratorsMatchPerDraw:
     def test_random_bipartite(self, n, s, p):
         got = gen_random_bipartite(n, s, p, 11)
         assert got == reference_random_bipartite(n, s, p, 11)
-        got.validate()
+        validate_rows(got)
 
     @pytest.mark.parametrize("spec", [
         # alpha 0 (every vertex planted) and 1 (one planted vertex, and an
@@ -235,7 +237,7 @@ class TestGeneratorsMatchPerDraw:
     def test_planted(self, spec):
         got = gen_planted(spec)
         assert got == reference_planted(spec)
-        got[0].graph.validate()
+        validate_rows(got[0].graph)
 
     def test_ids_shared_within_each_view(self):
         # One int object per distinct id in the rows, and one in the right
@@ -325,7 +327,7 @@ class TestRandomBipartite:
         assert abs(g.num_edges() - mean) <= 4 * sd
 
     def test_valid_invariants(self):
-        gen_random_bipartite(40, 15, 0.25, 5).validate()
+        validate_rows(gen_random_bipartite(40, 15, 0.25, 5))
 
 
 class TestPlanted:
