@@ -373,7 +373,7 @@ def solve_planted(inst: SsbveInstance, p: int, q: int, branch_cap: int,
                   for _ in range(branch_cap))
     best: Solution | None = None
     for picks in tuples:
-        w = set(g.adj_right[picks[0]])
+        w = g.adj_right[picks[0]]  # ascending, so LES takes it as it is
         gi = 1
         for step in inner:
             if not w:
@@ -381,7 +381,7 @@ def solve_planted(inst: SsbveInstance, p: int, q: int, branch_cap: int,
             if step is Step.BACKBONE:
                 w = set().union(*(g.adj_right[v] for v in neighborhood(g, w)))
             else:  # HAIR
-                w &= set(g.adj_right[picks[gi]])
+                w = set(w).intersection(g.adj_right[picks[gi]])
                 gi += 1
         if not w:
             continue

@@ -33,21 +33,23 @@ _OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e"
 
 
 def _read(text: str, kind: str, argc: int,
-          key: str) -> tuple[list[int], str]:
-    """The argc header values of a ``p <kind>`` text, and its body lines,
-    each ended by "\n".
+          key: str) -> tuple[list[int], str, int | None]:
+    """The argc header values of a ``p <kind>`` text, its body lines, each
+    ended by "\n", and their number if each starts with key (else None).
 
     A text whose lines after the first all start with key, as the writers
     write it, is read as it is.  Any other text is first brought to that
     form: its lines stripped on the left, its comment and blank lines
     dropped, and the first line left taken as the header."""
     head, _, body = text.partition("\n")
-    if _key_lines(body, key) is None or not text.isascii() \
+    m = _key_lines(body, key)
+    if m is None or not text.isascii() \
             or any(map(text.__contains__, _OTHER_BREAKS)):
         lines = [line for line in map(str.lstrip, text.splitlines())
                  if line and line[0] != "c"]
         head = lines[0] if lines else ""
         body = "\n".join(lines[1:] + [""])
+        m = _key_lines(body, key)
     fields = head.split()
     if fields[:1] != ["p"] or len(fields) != 2 + argc or fields[1] != kind:
         raise FormatError(f"expected header 'p {kind}' with {argc} integers")
@@ -59,12 +61,12 @@ def _read(text: str, kind: str, argc: int,
         if not 0 <= size <= MAX_HEADER_SIZE:
             raise FormatError(f"header size {size} is negative or above "
                               f"{MAX_HEADER_SIZE}")
-    return values, body
+    return values, body, m
 
 
 def parse_ssbve(text: str) -> SsbveInstance:
-    (n, n_right, k), body = _read(text, "ssbve", 3, "e")
-    rows = _edge_rows(body, n, n_right)
+    (n, n_right, k), body, m = _read(text, "ssbve", 3, "e")
+    rows = _edge_rows(body, m, n, n_right)
     if rows is None:
         _raise_edge_fault(body.splitlines(), n, n_right)
     return SsbveInstance(graph=BipartiteGraph.from_rows(n_right, rows), k=k)
@@ -80,18 +82,17 @@ def _key_lines(body: str, key: str) -> int | None:
     return None
 
 
-def _edge_rows(body: str, n: int,
+def _edge_rows(body: str, m: int | None, n: int,
                n_right: int) -> list[tuple[int, ...]] | None:
-    """Sorted left rows of the ``e <u> <v>`` lines of body, each ended by
+    """Sorted left rows of the m ``e <u> <v>`` lines of body, each ended by
     "\n", in one bulk pass over all their fields, or None if any line has
-    a fault.
+    a fault (m None: some line does not start with ``e``).
 
     Every line starts with ``e``, so no line's first field is an integer;
     with 3m fields, ``e`` at every third and integers at the rest, each
     line is then exactly ``e <u> <v>``.  With at least (n + n') / 2 lines,
     the ids are read through tables of the numerals "1".."n" and
     "1".."n'", one table when n = n', so the extra memory stays O(m)."""
-    m = _key_lines(body, "e")
     if m is None:
         return None
     tok = body.split()
@@ -207,7 +208,7 @@ def write_ssbve(inst: SsbveInstance) -> str:
 
 
 def parse_mku(text: str) -> tuple[Hypergraph, int]:
-    (n_elements, m, k), body = _read(text, "mku", 3, "s")
+    (n_elements, m, k), body, _ = _read(text, "mku", 3, "s")
     sets: list[tuple[int, ...]] = []
     try:
         for fields in map(str.split, body.splitlines()):
@@ -240,8 +241,8 @@ def write_mku(h: Hypergraph, k: int) -> str:
 
 def parse_ssve(text: str) -> tuple[UndirectedGraph, int]:
     """Read as an SSBVE text with n' = n, then closed under symmetry."""
-    (n, k), body = _read(text, "ssve", 2, "e")
-    rows = _edge_rows(body, n, n)
+    (n, k), body, m = _read(text, "ssve", 2, "e")
+    rows = _edge_rows(body, m, n, n)
     if rows is None or not _close_rows(rows):
         _raise_edge_fault(body.splitlines(), n, n, simple=True)
     return UndirectedGraph(n=n, adj=tuple(rows)), k

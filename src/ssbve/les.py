@@ -27,10 +27,14 @@ right -> left residual arc exists only on an edge that carries flow, so
 each cut keeps, per right vertex, the (edge, left vertex) pairs into it
 that have carried flow, and walks back along those alone.  The first fit
 scans left vertex i's row from position i mod its degree and wraps round,
-so that the low-id right vertices do not fill first.  A phase's BFS stops
-as soon as every right vertex with an edge has a level: the rest of its
-sweep could label nothing new, and on a planted neighbourhood that happens
-within the first few dozen of hundreds of left vertices.
+so that the low-id right vertices do not fill first; a first probe with
+room for the whole supply a serves the vertex with no loop.  Phases run
+only while some supply is left, so a cut whose first fit routes it all
+runs none.  A phase's BFS stops as soon as every right vertex with an edge
+has a level: the rest of its sweep could label nothing new, and on a
+planted neighbourhood that happens within the first few dozen of hundreds
+of left vertices.  |N| of the rows is counted the same way: the count
+stops at the row where all n' right vertices have been seen.
 
 The maximal source side is the set of left vertices with no residual path
 to the sink, found by a reverse BFS from the sink that also yields |N(S)| as
@@ -42,12 +46,16 @@ expanding, S is all of W and nothing is searched.  The reverse adjacency
 (left ids per right vertex) is built only for the first cut that needs it.
 `maxflow.Dinic` is the reference oracle the tests compare this kernel with.
 
-An LES result depends only on the allowed vertices' rows, in ascending
-vertex order, after dropping forbidden right vertices.  Inside `memo_scope`
-(which `approx.solve_worst_case` opens around one solve) each such tuple of
-rows is solved once: a repeat maps the stored row positions back to its own
-left ids.  The memo lives in a context variable, so it is private to the
-solve that opened it and gone when the block exits.
+`least_expanding_subset` takes a strictly ascending tuple of allowed
+vertices as it is (`approx.solve_planted` passes N(v) so); any other
+iterable is sorted and deduplicated first.  An LES result depends only on
+the allowed vertices' rows, in ascending vertex order, after dropping
+forbidden right vertices.  Inside `memo_scope` (which
+`approx.solve_worst_case` opens around one solve) each such tuple of rows
+is solved once: a repeat maps the stored row positions back to its own
+left ids, or takes its ids as they are when every position is chosen.
+The memo lives in a context variable, so it is private to the solve that
+opened it and gone when the block exits.
 """
 
 from __future__ import annotations
@@ -56,7 +64,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, compress
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyLeftSideError, NegativeLambdaError
@@ -95,12 +104,15 @@ class _Network:
     Left vertex i has the right vertices rows[i] (ids below n_right).  Edge
     e = start[i] + k is position k of row i, so start holds the prefix sums
     of the row lengths and a per-edge list (the flow) is indexed by e.
-    size counts the distinct right vertices of all the rows, their |N|.  A
-    cut walks back from a right vertex only along its carrier list, the
-    (edge, left vertex) pairs into it that have carried flow in that cut.
-    The reverse adjacency (the left vertices with an edge into each right
-    vertex) is built only when a cut's sink-side search needs it, and is
-    then kept for the network's later cuts.
+    size counts the distinct right vertices of all the rows, their |N|,
+    reading rows only until it holds all n_right of them.  A cut serves a
+    left vertex whose first probe has room for its whole supply without
+    entering the wrap-round loop, and runs Dinic phases only while some
+    supply is left.  A cut walks back from a right vertex only along its
+    carrier list, the (edge, left vertex) pairs into it that have carried
+    flow in that cut.  The reverse adjacency (the left vertices with an
+    edge into each right vertex) is built only when a cut's sink-side
+    search needs it, and is then kept for the network's later cuts.
     """
 
     __slots__ = ("n", "n_right", "rows", "start", "size", "_into")
@@ -108,7 +120,14 @@ class _Network:
     def __init__(self, rows: Sequence[Sequence[int]], n_right: int) -> None:
         self.n, self.n_right, self.rows = len(rows), n_right, rows
         self.start = [0, *accumulate(map(len, rows))]
-        self.size = len(set(chain.from_iterable(rows)))
+        # The right vertices of the rows, read only until all n_right are
+        # there: the set can grow no further.
+        heads: set[int] = set()
+        for row in rows:
+            heads.update(row)
+            if len(heads) == n_right:
+                break
+        self.size = len(heads)
         self._into: list[list[int]] | None = None
 
     def cut(self, a: int, b: int) -> tuple[list[int], int]:
@@ -117,7 +136,7 @@ class _Network:
         rows, start = self.rows, self.start
         n, n_right = self.n, self.n_right
         flow = [0] * start[-1]
-        supply = [a] * n       # residual source -> left
+        supply = [0] * n       # residual source -> left
         room = [b] * n_right   # residual right -> sink
         # carry[j] lists the (edge, left vertex) pairs into j that have
         # carried flow, each added when its flow turns positive; it holds
@@ -127,9 +146,19 @@ class _Network:
         if a:
             for i, row in enumerate(rows):
                 # Row i from position i mod its degree, wrapping round.
+                deg = len(row)
+                if not deg:
+                    supply[i] = a
+                    continue
+                lo, mid = start[i], i % deg
+                j = row[mid]
+                c = room[j]
+                if c >= a:  # the first probe takes the whole supply
+                    flow[lo + mid] = a
+                    carry[j].append((lo + mid, i))
+                    room[j] = c - a
+                    continue
                 rem = a
-                lo, deg = start[i], len(row)
-                mid = i % deg if deg else 0
                 for k in range(mid, mid + deg):
                     if k >= deg:
                         k -= deg
@@ -144,7 +173,7 @@ class _Network:
                         if not rem:
                             break
                 supply[i] = rem
-            while self._phase(flow, supply, room, carry):
+            while any(supply) and self._phase(flow, supply, room, carry):
                 pass
         return self._sink_side(flow, room, b)
 
@@ -161,7 +190,7 @@ class _Network:
         # by then, none exists.
         lvl_l = [-1] * n
         lvl_r = [-1] * n_right
-        sources = [i for i in range(n) if supply[i]]
+        sources = list(compress(range(n), supply))
         for i in sources:
             lvl_l[i] = 0
         todo = self.size  # right vertices of the rows with no level yet
@@ -349,8 +378,9 @@ def _solve(g: BipartiteGraph, left: Sequence[int],
         if memo is not None:
             memo[rows] = found
     positions, size, lam = found
-    return Solution(chosen=tuple([left[i] for i in positions]),
-                    neighborhood_size=size, expansion=lam)
+    chosen = (tuple(left) if len(positions) == len(left)
+              else tuple([left[i] for i in positions]))
+    return Solution(chosen=chosen, neighborhood_size=size, expansion=lam)
 
 
 def least_expanding_set(g: BipartiteGraph) -> Solution:
@@ -369,7 +399,8 @@ def least_expanding_subset(
     `forbidden_right` deleted before solving.  The returned Solution is
     expressed in the original graph's indices but its neighborhood counts
     exclude the forbidden right vertices."""
-    allowed = tuple(sorted(set(allowed)))
+    if not (isinstance(allowed, tuple) and all(map(lt, allowed, allowed[1:]))):
+        allowed = tuple(sorted(set(allowed)))
     if not allowed:
         raise EmptyLeftSideError("allowed left set is empty")
     check_left_ids(g, allowed)

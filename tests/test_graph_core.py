@@ -946,7 +946,8 @@ class TestSsbveParserFullSize:
         assert g.num_edges() == 1
         tracemalloc.start()
         try:
-            rows = _edge_rows("e 2 3\n", MAX_HEADER_SIZE, MAX_HEADER_SIZE)
+            rows = _edge_rows("e 2 3\n", 1, MAX_HEADER_SIZE,
+                              MAX_HEADER_SIZE)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

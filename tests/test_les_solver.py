@@ -1,7 +1,8 @@
 """Least Expanding Set solver vs brute force, and the min-cut subroutine."""
 
+from contextlib import nullcontext
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -254,6 +255,100 @@ class TestKernelMatchesDinic:
         assert _Network(g.adj_left, g.n_right).cut(1, 1) == ([0], 1)
 
 
+class TestKernelFastPaths:
+    """The kernel's short cuts (the head count that stops at n', the first
+    probe that takes the whole supply, no phase once the supply is routed)
+    against the explicit Dinic network, on networks made to take each."""
+
+    @pytest.fixture
+    def entries(self, monkeypatch):
+        """Per Dinic phase of the kernel: whether supply was left on entry."""
+        log: list[bool] = []
+        phase = _Network._phase
+
+        def recorded(net, flow, supply, room, carry):
+            log.append(any(supply))
+            return phase(net, flow, supply, room, carry)
+
+        monkeypatch.setattr(_Network, "_phase", recorded)
+        return log
+
+    @staticmethod
+    def check(rows, n_right: int, lams) -> _Network:
+        """Cut the rows' network at each lambda and compare with Dinic."""
+        g = BipartiteGraph.from_rows(n_right, rows)
+        net = _Network(g.adj_left, n_right)
+        assert net.size == len(set(chain.from_iterable(rows)))
+        for lam in lams:
+            got = net.cut(lam.numerator, lam.denominator)
+            assert got == dinic_source_side(g, range(g.n), (), lam), lam
+        return net
+
+    def test_every_first_probe_takes_the_supply(self, entries):
+        # At lambda = 1/(n + 1) each right vertex has room n + 1 for a
+        # supply of 1 per left vertex, so every first probe routes its
+        # whole supply and no cut runs a phase.
+        for seed in range(20):
+            rng = stream(seed, 0x4B55)
+            n, n_right = 2 + rng.randrange(40), 1 + rng.randrange(12)
+            rows = [tuple(sorted({rng.randrange(n_right)
+                                  for _ in range(1 + rng.randrange(4))}))
+                    for _ in range(n)]
+            self.check(rows, n_right, [Fraction(1, n + 1)])
+        assert entries == []
+
+    def test_heads_reach_n_right_in_the_first_rows(self, entries):
+        # Row 0 holds every right vertex, so the head count stops there.
+        for seed in range(20):
+            rng = stream(seed, 0x4B56)
+            n, n_right = 2 + rng.randrange(60), 1 + rng.randrange(12)
+            g = random_bipartite(seed + 5300, n - 1, n_right, 0.3)
+            rows = [tuple(range(n_right)), *g.adj_left]
+            net = self.check(rows, n_right,
+                             TestKernelMatchesDinic.lambdas(n_right))
+            assert net.size == n_right
+        assert entries and all(entries)
+
+    def test_heads_never_reach_n_right(self, entries):
+        # Rows draw from 3-12 of 200 right ids, so the count reads every
+        # row and stops below n_right.
+        for seed in range(20):
+            rng = stream(seed, 0x4B57)
+            n, n_right = 2 + rng.randrange(60), 200
+            pool = sorted({rng.randrange(n_right)
+                           for _ in range(3 + rng.randrange(10))})
+            rows = [tuple(sorted({pool[rng.randrange(len(pool))]
+                                  for _ in range(rng.randrange(4))}))
+                    for _ in range(n)]
+            net = self.check(rows, n_right,
+                             TestKernelMatchesDinic.lambdas(len(pool)))
+            assert net.size < n_right
+        assert entries and all(entries)
+
+    def test_no_phase_once_the_supply_is_routed(self, entries,
+                                                monkeypatch):
+        # Every W = N(v) of one planted instance, at each Dinkelbach lambda:
+        # no phase is entered with no supply left, so a cut whose one phase
+        # routes the rest of the supply stops there.
+        cut, phases = _Network.cut, []
+
+        def counted(net, a, b):
+            before = len(entries)
+            try:
+                return cut(net, a, b)
+            finally:
+                phases.append(len(entries) - before)
+
+        monkeypatch.setattr(_Network, "cut", counted)
+        inst, _ = planted_instance(1)
+        g = inst.graph
+        for v in range(g.n_right):
+            _dinkelbach(tuple(g.adj_left[u] for u in g.adj_right[v]),
+                        g.n_right)
+        assert all(entries)
+        assert phases.count(1) > len(phases) / 2
+
+
 class TestMemo:
     """LES answers inside memo_scope equal fresh solves."""
 
@@ -291,6 +386,57 @@ class TestMemo:
         assert first.neighborhood_size == second.neighborhood_size == 1
         assert masked == least_expanding_subset(g, [2, 3, 4], [1])
         assert les._MEMO.get() is None
+
+    def test_all_chosen_hit_keeps_its_own_ids(self):
+        # 0, 1 and 3, 4 have the same rows, and each pair is its own LES:
+        # the hit for 3, 4 takes its ids as they are.
+        g = BipartiteGraph.from_edges(5, 2, [
+            (0, 0), (1, 0), (2, 1), (3, 0), (4, 0)])
+        with memo_scope():
+            first = least_expanding_subset(g, (0, 1))
+            second = least_expanding_subset(g, [4, 3])
+            assert len(les._MEMO.get()) == 1
+        assert first == Solution(chosen=(0, 1), neighborhood_size=1,
+                                 expansion=Fraction(1, 2))
+        assert second == Solution(chosen=(3, 4), neighborhood_size=1,
+                                  expansion=Fraction(1, 2))
+
+    FORMS = {
+        "unsorted tuple": lambda ids: tuple(reversed(ids)),
+        "tuple with a repeat": lambda ids: (*ids, ids[0]),
+        "list": list,
+        "set": set,
+        "generator": lambda ids: (u for u in ids),
+        "range": lambda ids: range(ids[0], ids[-1] + 1),
+    }
+
+    @pytest.mark.parametrize("memo", [False, True])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_allowed_forms_match_sorted_distinct(self, form, memo):
+        # Each form of the allowed ids gives the Solution of its ascending
+        # distinct tuple, which is taken as it is; inside a scope the form
+        # is a memo hit on that tuple's solve.
+        make = self.FORMS[form]
+        for seed in range(20):
+            rng = stream(seed, 0x3E32)
+            n, n_right = 3 + rng.randrange(10), 1 + rng.randrange(8)
+            g = random_bipartite(seed + 7100, n, n_right,
+                                 (0.15, 0.35, 0.6)[rng.randrange(3)])
+            if form == "range":
+                lo = rng.randrange(n - 1)
+                ids = list(range(lo, lo + 2 + rng.randrange(n - 1 - lo)))
+            else:
+                ids = [u for u in range(n) if rng.bernoulli(0.6)]
+                if len(ids) < 2:
+                    ids = [0, n - 1]
+            forbidden = [v for v in range(n_right) if rng.bernoulli(0.2)]
+            want = least_expanding_subset(g, tuple(sorted(set(ids))),
+                                          forbidden)
+            with memo_scope() if memo else nullcontext():
+                assert least_expanding_subset(g, make(ids), forbidden) == want
+                assert least_expanding_subset(g, tuple(sorted(set(ids))),
+                                              forbidden) == want
+                assert least_expanding_subset(g, make(ids), forbidden) == want
 
     def test_scope_is_removed_on_error(self):
         with pytest.raises(EmptyLeftSideError):
